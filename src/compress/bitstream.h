@@ -75,11 +75,19 @@ class BitVec
     std::uint64_t toggleCount(unsigned width) const;
 
   private:
+    /** Writes whole bytes straight into the backing store. */
+    friend class BitWriter;
+
     std::vector<std::uint8_t> bytes_;
     std::size_t num_bits_ = 0;
 };
 
-/** Appends fields of up to 64 bits, most significant bit first. */
+/**
+ * Appends fields of up to 64 bits, most significant bit first. Fields
+ * are written a byte at a time into BitVec's MSB-first layout; bits
+ * past sizeBits() in the last byte always stay zero, so appended
+ * streams can be copied or shifted in whole bytes.
+ */
 class BitWriter
 {
   public:
@@ -89,16 +97,66 @@ class BitWriter
     {
         if (nbits > 64)
             panic("BitWriter::put: nbits=%u", nbits);
-        for (unsigned i = nbits; i-- > 0;)
-            vec_.pushBit((value >> i) & 1);
+        if (nbits == 0)
+            return;
+        if (nbits < 64)
+            value &= (std::uint64_t{1} << nbits) - 1;
+        const std::size_t pos = vec_.num_bits_;
+        vec_.num_bits_ = pos + nbits;
+        vec_.bytes_.resize((vec_.num_bits_ + 7) >> 3);
+        std::uint8_t *p = vec_.bytes_.data() + (pos >> 3);
+        unsigned left = nbits; // bits of value not yet written
+        if (const unsigned used = pos & 7) {
+            const unsigned room = 8 - used;
+            if (left <= room) {
+                *p |= static_cast<std::uint8_t>(value << (room - left));
+                return;
+            }
+            left -= room;
+            *p++ |= static_cast<std::uint8_t>(value >> left);
+        }
+        for (; left >= 8; ++p) {
+            left -= 8;
+            *p = static_cast<std::uint8_t>(value >> left);
+        }
+        if (left > 0)
+            *p = static_cast<std::uint8_t>(value << (8 - left));
     }
 
     /** Appends every bit of @p other. */
     void
     appendBits(const BitVec &other)
     {
-        for (std::size_t i = 0; i < other.sizeBits(); ++i)
-            vec_.pushBit(other.bit(i));
+        if (&other == &vec_) {
+            BitVec copy = other;
+            appendBits(copy);
+            return;
+        }
+        const std::size_t n = other.num_bits_;
+        if (n == 0)
+            return;
+        const std::uint8_t *src = other.bytes_.data();
+        const std::size_t src_bytes = other.bytes_.size();
+        const unsigned shift = vec_.num_bits_ & 7;
+        vec_.num_bits_ += n;
+        if (shift == 0) {
+            vec_.bytes_.insert(vec_.bytes_.end(), src, src + src_bytes);
+            return;
+        }
+        // Unaligned: each source byte straddles two destination
+        // bytes. The source's zero pad bits land past the new end, so
+        // the spill of the last source byte is dropped when it would
+        // open a byte beyond ceil(sizeBits/8).
+        const std::size_t old_bytes = vec_.bytes_.size();
+        const std::size_t new_bytes = (vec_.num_bits_ + 7) >> 3;
+        vec_.bytes_.resize(new_bytes);
+        std::uint8_t *dst = vec_.bytes_.data() + old_bytes - 1;
+        for (std::size_t i = 0; i < src_bytes; ++i) {
+            dst[i] |= static_cast<std::uint8_t>(src[i] >> shift);
+            if (old_bytes + i < new_bytes)
+                dst[i + 1] = static_cast<std::uint8_t>(src[i]
+                                                       << (8 - shift));
+        }
     }
 
     std::size_t sizeBits() const { return vec_.sizeBits(); }
@@ -115,16 +173,39 @@ class BitReader
   public:
     explicit BitReader(const BitVec &vec) : vec_(vec) {}
 
-    /** Reads the next @p nbits bits as an unsigned value. */
+    /**
+     * Reads the next @p nbits bits as an unsigned value, a byte at a
+     * time. Fields wider than 64 bits keep their low 64 bits.
+     */
     std::uint64_t
     get(unsigned nbits)
     {
         if (pos_ + nbits > vec_.sizeBits())
             panic("BitReader: read past end (pos=%zu n=%u size=%zu)",
                   pos_, nbits, vec_.sizeBits());
+        if (nbits > 64) {
+            pos_ += nbits - 64;
+            nbits = 64;
+        }
+        if (nbits == 0)
+            return 0;
+        const std::uint8_t *p = vec_.data() + (pos_ >> 3);
+        const unsigned off = pos_ & 7;
+        pos_ += nbits;
+        unsigned need = nbits; // bits still to gather
         std::uint64_t v = 0;
-        for (unsigned i = 0; i < nbits; ++i)
-            v = (v << 1) | static_cast<std::uint64_t>(vec_.bit(pos_++));
+        if (off > 0) {
+            const unsigned avail = 8 - off;
+            const unsigned head = *p++ & (0xffu >> off);
+            if (need <= avail)
+                return head >> (avail - need);
+            v = head;
+            need -= avail;
+        }
+        for (; need >= 8; need -= 8)
+            v = (v << 8) | *p++;
+        if (need > 0)
+            v = (v << need) | static_cast<unsigned>(*p >> (8 - need));
         return v;
     }
 

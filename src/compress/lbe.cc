@@ -43,15 +43,15 @@ Lbe::name() const
     return "lbe" + std::to_string(cfg_.dict_bytes);
 }
 
-Lbe::WordDict
-Lbe::refDict(const RefList &refs) const
+const Lbe::WordDict &
+Lbe::refDict(const RefList &refs)
 {
-    WordDict d;
-    d.reserve(refs.size() * kWordsPerLine);
+    ref_dict_.clear();
+    ref_dict_.reserve(refs.size() * kWordsPerLine);
     for (const CacheLine *ref : refs)
         for (unsigned w = 0; w < kWordsPerLine; ++w)
-            d.push_back(ref->word(w));
-    return d;
+            ref_dict_.push_back(ref->word(w));
+    return ref_dict_;
 }
 
 void
@@ -220,7 +220,7 @@ BitVec
 Lbe::compress(const CacheLine &line, const RefList &refs)
 {
     if (!refs.empty()) {
-        WordDict d = refDict(refs);
+        const WordDict &d = refDict(refs);
         return encode(line, d,
                       bitsToIndex(d.size() + kWordsPerLine));
     }
@@ -237,7 +237,7 @@ CacheLine
 Lbe::decompress(const BitVec &bits, const RefList &refs)
 {
     if (!refs.empty()) {
-        WordDict d = refDict(refs);
+        const WordDict &d = refDict(refs);
         return decode(bits, d,
                       bitsToIndex(d.size() + kWordsPerLine));
     }
@@ -254,7 +254,7 @@ std::size_t
 Lbe::compressedBits(const CacheLine &line, const RefList &refs)
 {
     if (!refs.empty()) {
-        WordDict d = refDict(refs);
+        const WordDict &d = refDict(refs);
         return encode(line, d, bitsToIndex(d.size() + kWordsPerLine))
             .sizeBits();
     }

@@ -59,7 +59,8 @@ class Lbe : public Compressor
                   unsigned off_bits) const;
     CacheLine decode(const BitVec &bits, const WordDict &dict,
                      unsigned off_bits) const;
-    WordDict refDict(const RefList &refs) const;
+    /** Fills ref_dict_ with the reference lines' words, in order. */
+    const WordDict &refDict(const RefList &refs);
     static void streamPush(WordDict &dict, std::size_t &head,
                            unsigned capacity, const CacheLine &line);
 
@@ -73,6 +74,9 @@ class Lbe : public Compressor
     std::size_t enc_head_ = 0;
     WordDict dec_dict_;
     std::size_t dec_head_ = 0;
+    // Reference-mode dictionary, refilled per call; reusing it keeps
+    // refs compress/decompress free of a per-call allocation.
+    WordDict ref_dict_;
 };
 
 } // namespace cable

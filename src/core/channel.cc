@@ -646,7 +646,8 @@ CableChannel::compressForWriteBack(const CacheLine &data, LineID self)
 // ---------------------------------------------------------------------
 
 Transfer
-CableChannel::packageTransfer(const Chosen &chosen, bool writeback)
+CableChannel::packageTransfer(const Chosen &chosen, bool writeback,
+                              const CacheLine &original)
 {
     Transfer t;
     t.writeback = writeback;
@@ -660,12 +661,12 @@ CableChannel::packageTransfer(const Chosen &chosen, bool writeback)
     BitWriter bw;
     if (!cfg_.compression_enabled) {
         // Baseline link: data only, no flag bit.
-        bw.appendBits(chosen.payload);
+        bw.appendBits(bitsOf(original));
         t.raw = true;
     } else if (chosen.raw) {
         // cable-wire: frame.raw flag kWireFlagBits
         bw.put(0, kWireFlagBits);
-        bw.appendBits(chosen.payload);
+        bw.appendBits(bitsOf(original));
         t.raw = true;
     } else {
         // cable-wire: frame.compressed flag kWireFlagBits
@@ -782,7 +783,7 @@ Transfer
 CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
                        const CacheLine &original)
 {
-    Transfer t = packageTransfer(chosen, writeback);
+    Transfer t = packageTransfer(chosen, writeback, original);
     deliver(t, chosen, writeback, addr, original);
     int sp_ack = spans_.open(Stage::Ack);
     accountTransfer(t);
@@ -807,7 +808,10 @@ CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
     }
 
     if (trace_) {
-        TraceEvent ev;
+        // Reused, not rebuilt: every field below is rewritten and
+        // drainTo() sets the span count, so no per-transfer
+        // construction of the span array.
+        TraceEvent &ev = encode_ev_;
         ev.type = TraceEvent::Type::Encode;
         ev.when = trace_seq_;
         ev.addr = addr;
@@ -873,7 +877,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
                 stats_.add("crc_undetected", 1);
                 traceControl(TraceEvent::Type::RawFallback, addr,
                              writeback, /*aux=*/1);
-                rawFallbackResend(t, chosen.payload);
+                rawFallbackResend(t, original);
                 checkArqWatchdog(t, addr, writeback);
                 return;
             }
@@ -883,7 +887,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
                 // compressed frame and fall back to raw.
                 traceControl(TraceEvent::Type::RawFallback, addr,
                              writeback, /*aux=*/2);
-                rawFallbackResend(t, chosen.payload);
+                rawFallbackResend(t, original);
                 checkArqWatchdog(t, addr, writeback);
                 return;
             }
@@ -936,7 +940,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
         recoverFromDesync();
         traceControl(TraceEvent::Type::RawFallback, addr, writeback,
                      /*aux=*/3);
-        rawFallbackResend(t, chosen.payload);
+        rawFallbackResend(t, original);
         checkArqWatchdog(t, addr, writeback);
     }
 }
@@ -963,7 +967,7 @@ CableChannel::checkArqWatchdog(const Transfer &t, Addr addr,
 }
 
 void
-CableChannel::rawFallbackResend(Transfer &t, const BitVec &payload)
+CableChannel::rawFallbackResend(Transfer &t, const CacheLine &original)
 {
     int sp = spans_.open(Stage::Retransmit);
     t.raw_fallback = true;
@@ -973,7 +977,7 @@ CableChannel::rawFallbackResend(Transfer &t, const BitVec &payload)
     if (cfg_.compression_enabled)
         // cable-wire: frame.raw flag kWireFlagBits
         bw.put(0, kWireFlagBits);
-    bw.appendBits(payload);
+    bw.appendBits(bitsOf(original));
     if (cfg_.frame_crc_bits > 0)
         appendFrameCrc(bw, cfg_.frame_crc_bits);
     BitVec frame = bw.take();
@@ -1435,7 +1439,6 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
             if (re.dirty()) {
                 // Flush the newer remote data over the link first.
                 Chosen chosen = compressForWriteBack(re.data, rlid);
-                chosen.payload = bitsOf(re.data);
                 Transfer t = transmit(chosen, true, vaddr, re.data);
                 mem_wb.data = re.data;
                 mem_wb.dirty = true;
@@ -1496,7 +1499,6 @@ CableChannel::remoteEvictSlot(LineID rlid)
         // Dirty victim: compressed write-back (§III-G). Metadata was
         // already detached at upgrade time.
         Chosen chosen = compressForWriteBack(vdata, rlid);
-        chosen.payload = bitsOf(vdata);
         Transfer t = transmit(chosen, true, vaddr, vdata);
         if (!home_.probe(vaddr)) {
             if (cfg_.inclusive)
@@ -1529,7 +1531,6 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
     const CacheLine data = home_.entryAt(home_lid).data;
 
     Chosen chosen = compressForSend(data, home_lid);
-    chosen.payload = bitsOf(data);
     Transfer t = transmit(chosen, false, addr, data);
 
     std::uint32_t rset = remote_.setOf(addr);
@@ -1636,7 +1637,6 @@ CableChannel::writeBack(Addr addr, const CacheLine &data)
         panic("writeBack: %llx not resident at remote",
               static_cast<unsigned long long>(addr));
     Chosen chosen = compressForWriteBack(data, rlid);
-    chosen.payload = bitsOf(data);
     Transfer t = transmit(chosen, true, addr, data);
     if (!home_.probe(addr)) {
         if (cfg_.inclusive)

@@ -534,7 +534,8 @@ class CableChannel
     /** RemoteLID width on the wire (17b in the paper's configs). */
     unsigned remoteLidBits() const { return rlid_bits_; }
 
-    /** Serializes a line into a 512-bit payload image. */
+    /** Serializes a line into a 512-bit payload image; built only
+     *  when a raw frame is emitted. */
     static BitVec bitsOf(const CacheLine &data);
 
     /** uncompressed / compressed payload bits so far. */
@@ -555,7 +556,6 @@ class CableChannel
     struct Chosen
     {
         BitVec diff;
-        BitVec payload;         // raw 512-bit data image
         unsigned sigs_used = 0; // search signatures extracted
         unsigned nrefs = 0;     // references selected
         /** Remote LIDs on the wire; fixed capacity (kMaxRefsCap)
@@ -599,9 +599,9 @@ class CableChannel
      * either fixed-capacity or a vector that is clear()ed per
      * transfer and so retains its capacity: after warm-up the encode
      * search path performs zero heap allocations. (The compressed
-     * bitstreams themselves — Chosen::diff/payload and the engine's
-     * internals — still allocate; see DESIGN.md "Encode kernels &
-     * the allocation-free search path".)
+     * bitstreams themselves — Chosen::diff, the raw image and the
+     * engine's internals — still allocate; see DESIGN.md "Encode
+     * kernels & the allocation-free search path".)
      */
     struct SearchScratch
     {
@@ -622,7 +622,9 @@ class CableChannel
     /** Remote→home search for write-back compression (§III-G). */
     Chosen compressForWriteBack(const CacheLine &data, LineID self);
 
-    Transfer packageTransfer(const Chosen &chosen, bool writeback);
+    /** Frames @p chosen; raw frames serialize @p original. */
+    Transfer packageTransfer(const Chosen &chosen, bool writeback,
+                             const CacheLine &original);
     void accountTransfer(const Transfer &t);
     void verifyResponse(const Chosen &chosen,
                         const CacheLine &original, Addr addr);
@@ -640,7 +642,7 @@ class CableChannel
     void deliver(Transfer &t, const Chosen &chosen, bool writeback,
                  Addr addr, const CacheLine &original);
     /** Uncompressed escape hatch, resent until verified clean. */
-    void rawFallbackResend(Transfer &t, const BitVec &payload);
+    void rawFallbackResend(Transfer &t, const CacheLine &original);
     /** Flush + resynchronize + enter degraded mode. */
     void recoverFromDesync();
     /** Throws CableTimeoutError when the retry budget is blown. */
@@ -659,9 +661,6 @@ class CableChannel
     void addSignatures(SignatureHashTable &table, const CacheLine &data,
                        LineID lid);
 
-    /** Metadata cleanup for the remote slot @p rlid's occupant. */
-    void detachRemoteSlot(LineID rlid);
-
     /**
      * Emits a non-encode (control) trace event, if tracing is on.
      * A non-null @p span rides on the event (recovery paths) and is
@@ -673,8 +672,6 @@ class CableChannel
                       const StageSpan *span = nullptr);
     /** Records the candidate/coverage histograms for one search. */
     void recordSearchShape(const Chosen &chosen, bool writeback);
-    /** Logical event time for trace ordering. */
-    std::uint64_t traceNow() const { return trace_seq_; }
 
     Cache &home_;
     Cache &remote_;
@@ -694,6 +691,7 @@ class CableChannel
     std::uint64_t epoch_ = 0;
     TraceSink *trace_ = nullptr;
     std::uint64_t trace_seq_ = 0;
+    TraceEvent encode_ev_; ///< reused by every traced transfer
     SpanRecorder spans_;
     // Cached sketch pointers (null = disabled); see
     // setSketchesEnabled().

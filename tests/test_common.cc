@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
 #include "common/bitops.h"
 #include "common/line.h"
@@ -203,12 +205,242 @@ TEST(BitStream, MsbFirstBytePacking)
     EXPECT_TRUE(v.bit(8));
 }
 
+namespace
+{
+
+/**
+ * Bit-serial reference for the byte-granular BitWriter/BitReader: one
+ * bool per bit, serialized MSB-first with zero padding only when the
+ * bytes are compared.
+ */
+struct RefBits
+{
+    std::vector<bool> bits;
+
+    void
+    put(std::uint64_t value, unsigned nbits)
+    {
+        for (unsigned i = nbits; i-- > 0;)
+            bits.push_back((value >> i) & 1);
+    }
+
+    void
+    append(const RefBits &other)
+    {
+        bits.insert(bits.end(), other.bits.begin(), other.bits.end());
+    }
+
+    std::uint64_t
+    read(std::size_t pos, unsigned nbits) const
+    {
+        std::uint64_t v = 0;
+        for (unsigned i = 0; i < nbits; ++i)
+            v = (v << 1) | static_cast<std::uint64_t>(bits[pos + i]);
+        return v;
+    }
+
+    std::vector<std::uint8_t>
+    bytes() const
+    {
+        std::vector<std::uint8_t> out((bits.size() + 7) / 8, 0);
+        for (std::size_t i = 0; i < bits.size(); ++i)
+            if (bits[i])
+                out[i / 8] |= static_cast<std::uint8_t>(
+                    0x80u >> (i % 8));
+        return out;
+    }
+};
+
+/** Same length, same bytes (pad bits included), pad bits zero. */
+void
+expectSameBits(const BitVec &v, const RefBits &ref)
+{
+    ASSERT_EQ(v.sizeBits(), ref.bits.size());
+    std::vector<std::uint8_t> want = ref.bytes();
+    std::vector<std::uint8_t> got(v.data(), v.data() + want.size());
+    EXPECT_EQ(got, want);
+    if (unsigned used = v.sizeBits() % 8) {
+        EXPECT_EQ(v.data()[v.sizeBits() / 8] & (0xffu >> used), 0u)
+            << "pad bits must stay zero";
+    }
+}
+
+/** Puts the low @p nbits of @p value (junk above them included). */
+void
+putBoth(BitWriter &bw, RefBits &ref, std::uint64_t value,
+        unsigned nbits)
+{
+    bw.put(value, nbits);
+    std::uint64_t field =
+        nbits == 64 ? value : value & ((std::uint64_t{1} << nbits) - 1);
+    ref.put(field, nbits);
+}
+
+} // namespace
+
+TEST(BitStream, PutEveryWidthMatchesBitSerial)
+{
+    Rng rng(11);
+    for (unsigned lead = 0; lead < 8; ++lead) {
+        for (unsigned nbits = 0; nbits <= 64; ++nbits) {
+            BitWriter bw;
+            RefBits ref;
+            for (unsigned i = 0; i < lead; ++i)
+                putBoth(bw, ref, rng.next(), 1);
+            putBoth(bw, ref, rng.next(), nbits);
+            // A trailing field exposes any junk left in the pad bits.
+            putBoth(bw, ref, rng.next(), 5);
+            expectSameBits(bw.bits(), ref);
+        }
+    }
+}
+
+TEST(BitStream, RandomFieldSequencesMatchBitSerial)
+{
+    Rng rng(12);
+    for (int trial = 0; trial < 50; ++trial) {
+        BitWriter bw;
+        RefBits ref;
+        for (int f = 0; f < 200; ++f)
+            putBoth(bw, ref, rng.next(),
+                    static_cast<unsigned>(rng.below(65)));
+        expectSameBits(bw.bits(), ref);
+    }
+}
+
+TEST(BitStream, AppendBitsAtEveryAlignment)
+{
+    Rng rng(13);
+    // Destination and source lengths cover all 8x8 byte alignments,
+    // empty and sub-byte sources, and multi-byte bodies.
+    for (unsigned dst_len = 0; dst_len < 24; ++dst_len) {
+        for (unsigned src_len = 0; src_len < 24; ++src_len) {
+            BitWriter src;
+            RefBits src_ref;
+            for (unsigned i = 0; i < src_len; ++i)
+                putBoth(src, src_ref, rng.next(), 1);
+            BitWriter bw;
+            RefBits ref;
+            for (unsigned i = 0; i < dst_len; ++i)
+                putBoth(bw, ref, rng.next(), 1);
+            bw.appendBits(src.bits());
+            ref.append(src_ref);
+            expectSameBits(bw.bits(), ref);
+            putBoth(bw, ref, rng.next(), 7);
+            expectSameBits(bw.bits(), ref);
+        }
+    }
+}
+
+TEST(BitStream, AppendLongStreamsMatchesBitSerial)
+{
+    Rng rng(14);
+    for (int trial = 0; trial < 40; ++trial) {
+        BitWriter src;
+        RefBits src_ref;
+        for (std::uint64_t n = rng.below(40); n > 0; --n)
+            putBoth(src, src_ref, rng.next(),
+                    static_cast<unsigned>(rng.below(65)));
+        BitWriter bw;
+        RefBits ref;
+        putBoth(bw, ref, rng.next(),
+                static_cast<unsigned>(rng.below(65)));
+        bw.appendBits(src.bits());
+        ref.append(src_ref);
+        bw.appendBits(bw.bits()); // self-append doubles the stream
+        ref.append(RefBits(ref));
+        expectSameBits(bw.bits(), ref);
+    }
+}
+
+TEST(BitStream, InterleavedPushBitMatchesBitSerial)
+{
+    Rng rng(15);
+    BitWriter bw;
+    RefBits ref;
+    BitVec pushed;
+    RefBits pushed_ref;
+    for (int step = 0; step < 3000; ++step) {
+        switch (rng.below(3)) {
+        case 0:
+            putBoth(bw, ref, rng.next(),
+                    static_cast<unsigned>(rng.below(65)));
+            break;
+        case 1: {
+            bool b = rng.chance(0.5);
+            pushed.pushBit(b);
+            pushed_ref.bits.push_back(b);
+            break;
+        }
+        default:
+            bw.appendBits(pushed);
+            ref.append(pushed_ref);
+            break;
+        }
+    }
+    expectSameBits(pushed, pushed_ref);
+    BitVec v = bw.take();
+    for (int i = 0; i < 13; ++i) {
+        bool b = rng.chance(0.5);
+        v.pushBit(b);
+        ref.bits.push_back(b);
+    }
+    expectSameBits(v, ref);
+}
+
+TEST(BitStream, GetEveryWidthAndOffsetMatchesBitSerial)
+{
+    Rng rng(16);
+    BitWriter bw;
+    RefBits ref;
+    for (int i = 0; i < 20; ++i)
+        putBoth(bw, ref, rng.next(), 64);
+    const BitVec &v = bw.bits();
+    for (unsigned off = 0; off < 16; ++off) {
+        for (unsigned nbits = 0; nbits <= 64; ++nbits) {
+            BitReader br(v);
+            ASSERT_EQ(br.get(off), ref.read(0, off));
+            EXPECT_EQ(br.get(nbits), ref.read(off, nbits))
+                << "off=" << off << " nbits=" << nbits;
+            EXPECT_EQ(br.pos(), off + nbits);
+        }
+    }
+    // Random sequential walk to the exact end.
+    for (int trial = 0; trial < 50; ++trial) {
+        BitReader br(v);
+        std::size_t pos = 0;
+        while (!br.exhausted()) {
+            unsigned n = static_cast<unsigned>(std::min<std::uint64_t>(
+                rng.below(65), br.remaining()));
+            EXPECT_EQ(br.get(n), ref.read(pos, n));
+            pos += n;
+        }
+        EXPECT_EQ(pos, v.sizeBits());
+    }
+}
+
 TEST(BitStreamDeathTest, BitOutOfRangePanics)
 {
     BitVec v;
     v.pushBit(true);
     EXPECT_DEATH((void)v.bit(1), "out of");
     EXPECT_DEATH(v.flipBit(1), "out of");
+}
+
+TEST(BitStreamDeathTest, ReadPastEndPanics)
+{
+    BitWriter bw;
+    bw.put(0x5a, 7);
+    BitReader br(bw.bits());
+    EXPECT_EQ(br.get(3), 0b101u);
+    EXPECT_DEATH((void)br.get(5), "read past end");
+    EXPECT_DEATH((void)BitReader(bw.bits()).get(8), "read past end");
+}
+
+TEST(BitStreamDeathTest, PutWiderThan64Panics)
+{
+    BitWriter bw;
+    EXPECT_DEATH(bw.put(0, 65), "nbits=65");
 }
 
 TEST(Rng, Deterministic)
