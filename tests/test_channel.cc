@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <vector>
 
 #include "cache/cache.h"
 #include "common/rng.h"
@@ -390,4 +392,127 @@ TEST(Channel, StatsAccumulateConsistently)
     EXPECT_EQ(s.get("responses"),
               s.get("refs_0") + s.get("refs_1") + s.get("refs_2")
                   + s.get("refs_3"));
+}
+
+// ---------------------------------------------------------------------
+// Direction asymmetries of the shared encode path
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Stats and every write-back transfer of one mixed-traffic run. */
+struct MixedRun
+{
+    StatSet stats;
+    std::vector<Transfer> writebacks;
+};
+
+/**
+ * Drives a seed-fixed load/store mix through a channel built with
+ * @p cfg. Victims are vacated before the home fill (the ordering the
+ * non-inclusive mode needs; valid for the inclusive one too), and
+ * stores diverge the remote copy so write-backs carry new data.
+ * Without a fault model the representation a transfer picks never
+ * changes cache or metadata state, so runs that differ only in an
+ * encode gate see the same traffic.
+ */
+MixedRun
+runMixed(const CableConfig &cfg)
+{
+    Cache home({"home", 1u << 20, 8});
+    Cache remote({"remote", 128u << 10, 8});
+    CableChannel channel(home, remote, cfg);
+    SyntheticMemory mem(similarValues(), 0, 31);
+    Rng rng(32);
+    MixedRun run;
+    auto keep = [&](const std::optional<Transfer> &t) {
+        if (t)
+            run.writebacks.push_back(*t);
+    };
+    for (int i = 0; i < 4000; ++i) {
+        Addr addr = rng.below(1 << 12) * kLineBytes;
+        bool store = rng.chance(0.3);
+        if (remote.access(addr)) {
+            if (store && !remote.entryAt(remote.find(addr)).dirty())
+                channel.remoteUpgrade(addr);
+        } else {
+            std::uint8_t vway = remote.victimWay(addr);
+            keep(channel.remoteEvictSlot(
+                LineID(remote.setOf(addr), vway)));
+            if (!home.probe(addr))
+                keep(channel.homeInstall(addr, mem.lineAt(addr))
+                         .backinval_writeback);
+            (void)channel.respondAndInstall(addr, vway, store);
+        }
+        if (store) {
+            CacheLine d = remote.entryAt(remote.find(addr)).data;
+            d.setWord(5, d.word(5) ^ 0x5a5a0000u);
+            remote.writeLine(addr, d, true);
+        }
+    }
+    run.stats = channel.stats();
+    return run;
+}
+
+} // namespace
+
+TEST(Channel, DirectionAsymmetriesArePinned)
+{
+    // Responses and write-backs share one encode routine; what still
+    // differs between them is configuration data on the direction.
+    // Each case flips one gate and checks it moves only its own
+    // direction's counters against a default-config run.
+    const MixedRun baseline = runMixed(CableConfig{});
+    const StatSet &b = baseline.stats;
+    ASSERT_GT(b.get("searches"), 0u);
+    ASSERT_GT(b.get("wb_searches"), 0u);
+    ASSERT_GT(b.get("ht_hits"), 0u);
+
+    struct Case
+    {
+        const char *name;
+        void (*tweak)(CableConfig &);
+        void (*check)(const StatSet &base, const MixedRun &run);
+    };
+    const Case cases[] = {
+        {"self_ratio_threshold=0 (response-only early-out)",
+         [](CableConfig &c) { c.self_ratio_threshold = 0.0; },
+         [](const StatSet &base, const MixedRun &run) {
+             const StatSet &s = run.stats;
+             EXPECT_LT(s.get("searches"), base.get("searches"));
+             EXPECT_EQ(s.get("wb_searches"), base.get("wb_searches"));
+             EXPECT_GT(s.get("self_threshold_hits"), 0u);
+             EXPECT_LE(s.get("self_threshold_hits"),
+                       s.get("responses"));
+         }},
+        {"inclusive=false (write-backs self-or-raw)",
+         [](CableConfig &c) { c.inclusive = false; },
+         [](const StatSet &, const MixedRun &run) {
+             EXPECT_EQ(run.stats.get("wb_searches"), 0u);
+             EXPECT_GT(run.stats.get("searches"), 0u);
+             EXPECT_FALSE(run.writebacks.empty());
+             for (const Transfer &t : run.writebacks)
+                 EXPECT_EQ(t.nrefs, 0u);
+         }},
+        {"writeback_compression=false (write-backs raw)",
+         [](CableConfig &c) { c.writeback_compression = false; },
+         [](const StatSet &base, const MixedRun &run) {
+             const StatSet &s = run.stats;
+             EXPECT_EQ(s.get("wb_searches"), 0u);
+             // Equal to the default run, where write-backs searched:
+             // ht_hits counts response probes only.
+             EXPECT_EQ(s.get("searches"), base.get("searches"));
+             EXPECT_EQ(s.get("ht_hits"), base.get("ht_hits"));
+             EXPECT_FALSE(run.writebacks.empty());
+             for (const Transfer &t : run.writebacks)
+                 EXPECT_TRUE(t.raw);
+         }},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        CableConfig cfg;
+        c.tweak(cfg);
+        c.check(b, runMixed(cfg));
+    }
 }

@@ -185,7 +185,9 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
     // select) runs out of SearchScratch, whose containers keep
     // their high-water capacity. After a warm-up phase the
     // channel's own per-search counter must therefore stop moving:
-    // zero heap allocations per steady-state encode search.
+    // zero heap allocations per steady-state encode search, in both
+    // directions. Stores dirty remote lines, so evictions write
+    // back and the remote→home search runs beside the response one.
     Cache home({"home", 1u << 20, 8});
     Cache remote({"remote", 256u << 10, 8});
     CableChannel channel(home, remote, CableConfig{});
@@ -198,12 +200,21 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
     SyntheticMemory mem(vp, 0, 21);
     Rng rng(22);
 
-    auto fetch = [&](Addr addr) {
-        if (remote.access(addr))
-            return;
-        if (!home.probe(addr))
-            (void)channel.homeInstall(addr, mem.lineAt(addr));
-        (void)channel.remoteFetch(addr, false);
+    auto access = [&](Addr addr, bool store) {
+        if (!remote.access(addr)) {
+            if (!home.probe(addr))
+                (void)channel.homeInstall(addr, mem.lineAt(addr));
+            (void)channel.remoteFetch(addr, store);
+        } else if (store
+                   && !remote.entryAt(remote.find(addr)).dirty()) {
+            channel.remoteUpgrade(addr);
+        }
+        if (store) {
+            // Diverge the remote copy so write-backs carry new data.
+            CacheLine d = remote.entryAt(remote.find(addr)).data;
+            d.setWord(0, d.word(0) + 1);
+            remote.writeLine(addr, d, true);
+        }
     };
 
     // Warm-up: drive enough distinct lines through both compress
@@ -211,18 +222,25 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
     // capacity (the footprint exceeds the remote cache, so searches
     // keep happening instead of degenerating into remote hits).
     for (int i = 0; i < 4000; ++i)
-        fetch(rng.below(1 << 13) * kLineBytes);
+        access(rng.below(1 << 13) * kLineBytes, rng.chance(0.4));
 
     std::uint64_t searches_before = channel.stats().get("searches");
+    std::uint64_t wb_searches_before =
+        channel.stats().get("wb_searches");
     std::uint64_t allocs_before =
         channel.stats().get("search_allocs");
     for (int i = 0; i < 4000; ++i)
-        fetch(rng.below(1 << 13) * kLineBytes);
+        access(rng.below(1 << 13) * kLineBytes, rng.chance(0.4));
     std::uint64_t new_searches =
         channel.stats().get("searches") - searches_before;
+    std::uint64_t new_wb_searches =
+        channel.stats().get("wb_searches") - wb_searches_before;
 
     EXPECT_GT(new_searches, 500u) << "workload stopped searching; "
                                      "the assertion below is vacuous";
+    EXPECT_GT(new_wb_searches, 500u)
+        << "write-back search never ran; the assertion below does "
+           "not cover it";
     EXPECT_EQ(channel.stats().get("search_allocs"), allocs_before)
         << "steady-state encode search touched the heap";
 }

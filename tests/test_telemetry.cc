@@ -15,11 +15,15 @@
 
 #include <gtest/gtest.h>
 
+#include "cache/cache.h"
 #include "common/json.h"
 #include "common/log.h"
+#include "common/rng.h"
 #include "common/stats.h"
+#include "core/channel.h"
 #include "telemetry/timing.h"
 #include "telemetry/trace.h"
+#include "workload/value_model.h"
 
 using namespace cable;
 
@@ -449,6 +453,47 @@ TEST(Timing, ScopeRecordsWhenEnabled)
     setTimingEnabled(false);
     ASSERT_NE(s.findHist("t_test_ns"), nullptr);
     EXPECT_EQ(s.findHist("t_test_ns")->samples(), 1u);
+}
+
+TEST(Timing, EveryEncodeSearchTimesEachStageOnce)
+{
+    // With every scope entry sampled, each reference search — in
+    // either direction — must record exactly one t_search_ns and one
+    // t_cbv_ns sample: a stage timed twice, or skipped in one
+    // direction, breaks the equality.
+    setTimingSamplePeriod(1);
+    Cache home({"home", 1u << 20, 8});
+    Cache remote({"remote", 128u << 10, 8});
+    CableChannel channel(home, remote, CableConfig{});
+    ValueProfile vp;
+    vp.template_count = 16;
+    vp.region_lines = 8;
+    vp.template_vocab = 6;
+    vp.mutation_rate = 0.05;
+    SyntheticMemory mem(vp, 0, 41);
+    Rng rng(42);
+    for (int i = 0; i < 3000; ++i) {
+        Addr addr = rng.below(1 << 12) * kLineBytes;
+        bool store = rng.chance(0.3);
+        if (remote.access(addr)) {
+            if (store && !remote.entryAt(remote.find(addr)).dirty())
+                channel.remoteUpgrade(addr);
+            continue;
+        }
+        if (!home.probe(addr))
+            (void)channel.homeInstall(addr, mem.lineAt(addr));
+        (void)channel.remoteFetch(addr, store);
+    }
+    setTimingSamplePeriod(0);
+
+    const StatSet &s = channel.stats();
+    std::uint64_t searches = s.get("searches") + s.get("wb_searches");
+    ASSERT_GT(s.get("searches"), 0u);
+    ASSERT_GT(s.get("wb_searches"), 0u);
+    ASSERT_NE(s.findHist("t_search_ns"), nullptr);
+    ASSERT_NE(s.findHist("t_cbv_ns"), nullptr);
+    EXPECT_EQ(s.findHist("t_search_ns")->samples(), searches);
+    EXPECT_EQ(s.findHist("t_cbv_ns")->samples(), searches);
 }
 
 TEST(Log, ParseAndGating)
