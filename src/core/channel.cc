@@ -190,7 +190,7 @@ CableChannel::addSignatures(SignatureHashTable &table,
 }
 
 // ---------------------------------------------------------------------
-// Search + compress, home → remote (Fig 8, §III-E)
+// Search + compress, both directions (Fig 8, §III-E, §III-G)
 // ---------------------------------------------------------------------
 
 BitVec
@@ -229,24 +229,12 @@ CableChannel::accountTransfer(const Transfer &t)
 }
 
 void
-CableChannel::recordSearchShape(const Chosen &chosen, bool writeback)
+CableChannel::resetStats()
 {
-    // Candidate-depth and coverage distributions (Figs 5/9 shape):
-    // recorded once per reference search, whether or not the
-    // reference representation ultimately wins the cost comparison.
-    stats_.hist("ht_hits_per_search").record(chosen.ht_hits);
-    stats_
-        .hist("ranked_candidates", Histogram::Scale::Linear, 1,
-              kWordsPerLine * 4 + 2)
-        .record(chosen.ranked);
-    stats_
-        .hist("cbv_covered_words", Histogram::Scale::Linear, 1,
-              kWordsPerLine + 2)
-        .record(chosen.covered_words);
-    stats_
-        .hist(writeback ? "wb_sigs_per_search" : "sigs_per_search",
-              Histogram::Scale::Linear, 1, kWordsPerLine + 2)
-        .record(chosen.sigs_used);
+    bool sketches = sketchesEnabled();
+    stats_.clear();
+    spans_.dropHistCache();
+    setSketchesEnabled(sketches);
 }
 
 void
@@ -274,11 +262,36 @@ CableChannel::traceControl(TraceEvent::Type type, Addr addr,
     trace_->emit(ev);
 }
 
+const CableChannel::Direction CableChannel::Direction::kResponse = {
+    .writeback = false,
+    .table = &CableChannel::home_ht_,
+    .self_ratio_early_out = true,
+    .writeback_gates = false,
+    .counts_ht_hits = true,
+    .searches = "searches",
+    .data_reads = "data_reads",
+    .stale_hits = "home_ht_stale_hits",
+    .sigs_hist = "sigs_per_search",
+};
+
+const CableChannel::Direction CableChannel::Direction::kWriteBack = {
+    .writeback = true,
+    .table = &CableChannel::remote_ht_,
+    .self_ratio_early_out = false,
+    .writeback_gates = true,
+    .counts_ht_hits = false,
+    .searches = "wb_searches",
+    .data_reads = "wb_data_reads",
+    .stale_hits = "remote_ht_stale_hits",
+    .sigs_hist = "wb_sigs_per_search",
+};
+
 // cable-lint: no-alloc (steady-state: the scratch arena retains its
 // high-water capacity, so the search pipeline stops allocating after
 // warm-up; the engine's DIFF bitstreams are exempt by design)
 CableChannel::Chosen
-CableChannel::compressForSend(const CacheLine &data, LineID self_home)
+CableChannel::searchAndCompress(const Direction &dir,
+                                const CacheLine &data, LineID self_lid)
 {
     maybeCorruptMetadata();
     Chosen chosen;
@@ -287,7 +300,8 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
     // branch and nothing else.
     if (trace_)
         (void)spans_.arm(trace_seq_);
-    if (!cfg_.compression_enabled) {
+    if (!cfg_.compression_enabled
+        || (dir.writeback_gates && !cfg_.writeback_compression)) {
         chosen.raw = true;
         return chosen;
     }
@@ -300,8 +314,7 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
             data.data(), cfg_.sig.trivial_threshold));
     spans_.close(sp_line);
 
-    // Self-compression runs concurrently with the search (§III-E);
-    // a high enough ratio skips the reference path entirely.
+    // Self-compression runs concurrently with the search (§III-E).
     BitVec self;
     {
         CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
@@ -309,31 +322,42 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
         self = engine_->compress(data, {});
         spans_.close(sp_self);
     }
-    std::size_t self_cost =
+    const std::size_t self_cost =
         kWireCompressedHeaderBits + self.sizeBits();
-    if (self.sizeBits() > 0
-        && static_cast<double>(kLineBytes * 8)
-                   / static_cast<double>(self.sizeBits())
-               >= cfg_.self_ratio_threshold) {
-        stats_.add("self_threshold_hits", 1);
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self);
-            chosen.self_only = true;
-            return chosen;
-        }
-    }
-
-    // Degraded mode: the metadata just resynchronized after a
-    // desync; hold off on reference compression until a healthy
-    // window passes (health-state machine, DESIGN.md).
-    if (health_ == Health::Degraded) {
-        stats_.add("degraded_self_only", 1);
+    // The fallback whenever references are skipped or lose.
+    auto takeSelfOrRaw = [&] {
         if (self_cost <= raw_cost) {
             chosen.diff = std::move(self);
             chosen.self_only = true;
         } else {
             chosen.raw = true;
         }
+    };
+
+    // A high enough self ratio skips the reference path entirely,
+    // unless self would still lose to raw.
+    bool search = true;
+    if (dir.self_ratio_early_out && self.sizeBits() > 0
+        && static_cast<double>(kLineBytes * 8)
+                   / static_cast<double>(self.sizeBits())
+               >= cfg_.self_ratio_threshold) {
+        stats_.add("self_threshold_hits", 1);
+        search = self_cost > raw_cost;
+    }
+    // Degraded mode: the metadata just resynchronized after a
+    // desync; hold off on reference compression until a healthy
+    // window passes (health-state machine, DESIGN.md).
+    if (search && health_ == Health::Degraded) {
+        stats_.add("degraded_self_only", 1);
+        search = false;
+    }
+    // §IV-C: without inclusivity the remote cannot assume its lines
+    // exist at the home; write-backs fall back to non-dictionary
+    // (self) compression.
+    if (dir.writeback_gates && !cfg_.inclusive)
+        search = false;
+    if (!search) {
+        takeSelfOrRaw();
         return chosen;
     }
 
@@ -341,7 +365,7 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
     // whole pipeline runs out of the reusable scratch arena: no
     // container below allocates once its high-water capacity is
     // reached.
-    stats_.add("searches", 1);
+    stats_.add(dir.searches, 1);
     SearchScratch &s = scratch_;
     // Runtime twin of lint rule R001: counts heap allocations over
     // the whole search pipeline (extract → probe → rank → CBV →
@@ -357,21 +381,23 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
         extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
         spans_.close(sp_sig);
         int sp_probe = spans_.open(Stage::Probe);
+        const SignatureHashTable &table = this->*dir.table;
         s.hits.clear();
         for (std::uint32_t sig : s.sigs)
-            home_ht_.lookup(sig, s.hits);
+            table.lookup(sig, s.hits);
         spans_.close(sp_probe);
     }
     chosen.sigs_used = s.sigs.size();
     chosen.ht_hits = static_cast<unsigned>(s.hits.size());
-    stats_.add("ht_hits", s.hits.size());
+    if (dir.counts_ht_hits)
+        stats_.add("ht_hits", s.hits.size());
 
     // (3) pre-rank by duplication count (first-seen order breaks
     // ties), keep the top data_accesses candidates.
     int sp_score = spans_.open(Stage::Score);
     s.ranked.clear();
     for (LineID lid : s.hits) {
-        if (lid == self_home)
+        if (lid == self_lid)
             continue;
         auto it = std::find_if(s.ranked.begin(), s.ranked.end(),
                                [&](const auto &p) {
@@ -388,8 +414,7 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
         s.ranked.resize(cfg_.data_accesses);
 
     // (4) read candidates from the data array, build CBVs, and
-    // greedily select references maximizing coverage. A candidate
-    // must still translate through the WMT (present at the remote).
+    // greedily select references maximizing coverage.
     s.cand_rlids.clear();
     s.cand_data.clear();
     s.cbvs.clear();
@@ -397,25 +422,19 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
     {
         CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
         for (const auto &[lid, dup] : s.ranked) {
-            const Cache::Entry &e = home_.entryAt(lid);
+            LineID rlid;
+            const CacheLine *ref = resolveCandidate(dir, lid, rlid);
             // Stale candidates — the hash table pointed at a slot
             // that no longer holds usable reference data. Expected
             // in an inexact table (§III-B); the rate is the cost.
-            if (!e.valid()) {
-                stats_.add("home_ht_stale_hits", 1);
+            if (!ref) {
+                stats_.add(dir.stale_hits, 1);
                 continue;
             }
-            Addr cand_addr = e.tag << kLineShift;
-            std::uint32_t rset = remote_.setOf(cand_addr);
-            auto rway = wmt_.lookupRemoteWay(rset, lid);
-            if (!rway) {
-                stats_.add("home_ht_stale_hits", 1);
-                continue;
-            }
-            stats_.add("data_reads", 1);
-            s.cand_rlids.push_back(LineID(rset, *rway));
-            s.cand_data.push_back(&e.data);
-            s.cbvs.push_back(coverageVector(data, e.data));
+            stats_.add(dir.data_reads, 1);
+            s.cand_rlids.push_back(rlid);
+            s.cand_data.push_back(ref);
+            s.cbvs.push_back(coverageVector(data, *ref));
         }
         npicks = selectByCoverageInto(
             s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
@@ -426,219 +445,71 @@ CableChannel::compressForSend(const CacheLine &data, LineID self_home)
         stats_.add("search_allocs", search_allocs.allocations());
 
     chosen.ranked = static_cast<unsigned>(s.cand_rlids.size());
-    for (unsigned p = 0; p < npicks; ++p)
-        chosen.cbv_union |= s.cbvs[s.picks[p]];
+    s.engine_refs.clear();
+    for (unsigned p = 0; p < npicks; ++p) {
+        unsigned c = s.picks[p];
+        chosen.cbv_union |= s.cbvs[c];
+        chosen.ref_rlids[chosen.nrefs++] = s.cand_rlids[c];
+        s.engine_refs.push_back(s.cand_data[c]);
+    }
     chosen.covered_words = popcount32(chosen.cbv_union);
-    recordSearchShape(chosen, /*writeback=*/false);
-
-    Chosen with_refs;
-    with_refs.sigs_used = chosen.sigs_used;
-    with_refs.trivial_words = chosen.trivial_words;
-    with_refs.ht_hits = chosen.ht_hits;
-    with_refs.ranked = chosen.ranked;
-    with_refs.cbv_union = chosen.cbv_union;
-    with_refs.covered_words = chosen.covered_words;
-    for (unsigned p = 0; p < npicks; ++p)
-        with_refs.addRef(s.cand_rlids[s.picks[p]],
-                         s.cand_data[s.picks[p]]);
+    // Candidate-depth and coverage distributions (Figs 5/9 shape):
+    // recorded once per reference search, whether or not the
+    // reference representation ultimately wins the cost comparison.
+    stats_.hist("ht_hits_per_search").record(chosen.ht_hits);
+    stats_
+        .hist("ranked_candidates", Histogram::Scale::Linear, 1,
+              kWordsPerLine * 4 + 2)
+        .record(chosen.ranked);
+    stats_
+        .hist("cbv_covered_words", Histogram::Scale::Linear, 1,
+              kWordsPerLine + 2)
+        .record(chosen.covered_words);
+    stats_
+        .hist(dir.sigs_hist, Histogram::Scale::Linear, 1,
+              kWordsPerLine + 2)
+        .record(chosen.sigs_used);
 
     std::size_t refs_cost = raw_cost + 1;
-    if (with_refs.nrefs > 0) {
+    if (chosen.nrefs > 0) {
         CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_refs = spans_.open(Stage::Serialize, sp_score);
-        s.engine_refs.assign(with_refs.refs.begin(),
-                             with_refs.refs.begin() + with_refs.nrefs);
-        with_refs.diff = engine_->compress(data, s.engine_refs);
+        chosen.diff = engine_->compress(data, s.engine_refs);
         refs_cost = kWireCompressedHeaderBits
-                    + with_refs.nrefs * rlid_bits_
-                    + with_refs.diff.sizeBits();
+                    + chosen.nrefs * rlid_bits_
+                    + chosen.diff.sizeBits();
         spans_.close(sp_refs,
-                     static_cast<std::uint16_t>(with_refs.nrefs));
+                     static_cast<std::uint16_t>(chosen.nrefs));
     }
 
     // (5) pick the cheapest representation.
     if (refs_cost < self_cost && refs_cost < raw_cost)
-        return with_refs;
-    if (self_cost <= raw_cost) {
-        chosen.diff = std::move(self);
-        chosen.self_only = true;
         return chosen;
-    }
-    chosen.raw = true;
+    chosen.nrefs = 0;
+    takeSelfOrRaw();
     return chosen;
 }
 
-// ---------------------------------------------------------------------
-// Search + compress, remote → home (§III-G)
-// ---------------------------------------------------------------------
-
-// cable-lint: no-alloc (same steady-state contract as
-// compressForSend: the shared scratch arena stops allocating after
-// warm-up; DIFF bitstreams are exempt by design)
-CableChannel::Chosen
-CableChannel::compressForWriteBack(const CacheLine &data, LineID self)
+const CacheLine *
+CableChannel::resolveCandidate(const Direction &dir, LineID lid,
+                               LineID &rlid) const
 {
-    maybeCorruptMetadata();
-    Chosen chosen;
-    if (trace_)
-        (void)spans_.arm(trace_seq_);
-    if (!cfg_.compression_enabled || !cfg_.writeback_compression) {
-        chosen.raw = true;
-        return chosen;
+    if (!dir.writeback) {
+        const Cache::Entry &e = home_.entryAt(lid);
+        if (!e.valid())
+            return nullptr;
+        std::uint32_t rset = remote_.setOf(e.tag << kLineShift);
+        auto rway = wmt_.lookupRemoteWay(rset, lid);
+        if (!rway)
+            return nullptr;
+        rlid = LineID(rset, *rway);
+        return &e.data;
     }
-
-    const std::size_t raw_cost =
-        kWireRawHeaderBits + kLineBytes * kBitsPerByte;
-    int sp_line = spans_.open(Stage::Line, -1);
-    if (trace_)
-        chosen.trivial_words = popcount32(trivialMask16(
-            data.data(), cfg_.sig.trivial_threshold));
-    spans_.close(sp_line);
-    BitVec self_bits;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_self = spans_.open(Stage::Serialize, sp_line);
-        self_bits = engine_->compress(data, {});
-        spans_.close(sp_self);
-    }
-    std::size_t self_cost =
-        kWireCompressedHeaderBits + self_bits.sizeBits();
-
-    // Degraded mode: reference compression is disarmed while the
-    // metadata rebuilds after a desync (see compressForSend).
-    if (health_ == Health::Degraded) {
-        stats_.add("degraded_self_only", 1);
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self_bits);
-            chosen.self_only = true;
-        } else {
-            chosen.raw = true;
-        }
-        return chosen;
-    }
-
-    if (!cfg_.inclusive) {
-        // §IV-C: without inclusivity the remote cannot assume its
-        // lines exist at the home; fall back to non-dictionary
-        // (self) compression for write-backs.
-        if (self_cost <= raw_cost) {
-            chosen.diff = std::move(self_bits);
-            chosen.self_only = true;
-        } else {
-            chosen.raw = true;
-        }
-        return chosen;
-    }
-
-    stats_.add("wb_searches", 1);
-    SearchScratch &s = scratch_;
-    alloc_guard::Scope search_allocs;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_search_ns");
-        int sp_sig = spans_.open(Stage::Signature, sp_line);
-        extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
-        chosen.sigs_used = s.sigs.size();
-        spans_.close(sp_sig);
-        int sp_probe = spans_.open(Stage::Probe);
-        s.hits.clear();
-        for (std::uint32_t sig : s.sigs)
-            remote_ht_.lookup(sig, s.hits);
-        spans_.close(sp_probe);
-    }
-    chosen.ht_hits = static_cast<unsigned>(s.hits.size());
-
-    int sp_score = spans_.open(Stage::Score);
-    s.ranked.clear();
-    for (LineID lid : s.hits) {
-        if (lid == self)
-            continue;
-        auto it = std::find_if(s.ranked.begin(), s.ranked.end(),
-                               [&](const auto &p) {
-                                   return p.first == lid;
-                               });
-        if (it == s.ranked.end())
-            s.ranked.emplace_back(lid, 1);
-        else
-            ++it->second;
-    }
-    sortByDuplication(s.ranked);
-    if (s.ranked.size() > cfg_.data_accesses)
-        // cable-lint: allow(R001) shrink-only resize; capacity kept
-        s.ranked.resize(cfg_.data_accesses);
-
-    s.cand_rlids.clear();
-    s.cand_data.clear();
-    s.cbvs.clear();
-    unsigned npicks = 0;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
-        for (const auto &[lid, dup] : s.ranked) {
-            const Cache::Entry &e = remote_.entryAt(lid);
-            // Only clean shared remote lines are valid references:
-            // the home side must hold the identical data.
-            if (!e.valid() || e.dirty()) {
-                stats_.add("remote_ht_stale_hits", 1);
-                continue;
-            }
-            // The home side will translate through its WMT; skip
-            // lines it is not tracking.
-            if (!wmt_.occupant(lid.set, lid.way)) {
-                stats_.add("remote_ht_stale_hits", 1);
-                continue;
-            }
-            stats_.add("wb_data_reads", 1);
-            s.cand_rlids.push_back(lid);
-            s.cand_data.push_back(&e.data);
-            s.cbvs.push_back(coverageVector(data, e.data));
-        }
-        npicks = selectByCoverageInto(
-            s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
-            cfg_.max_refs, s.picks.data());
-    }
-    spans_.close(sp_score);
-    if (alloc_guard::hooksInstalled())
-        stats_.add("search_allocs", search_allocs.allocations());
-
-    chosen.ranked = static_cast<unsigned>(s.cand_rlids.size());
-    for (unsigned p = 0; p < npicks; ++p)
-        chosen.cbv_union |= s.cbvs[s.picks[p]];
-    chosen.covered_words = popcount32(chosen.cbv_union);
-    recordSearchShape(chosen, /*writeback=*/true);
-
-    Chosen with_refs;
-    with_refs.sigs_used = chosen.sigs_used;
-    with_refs.trivial_words = chosen.trivial_words;
-    with_refs.ht_hits = chosen.ht_hits;
-    with_refs.ranked = chosen.ranked;
-    with_refs.cbv_union = chosen.cbv_union;
-    with_refs.covered_words = chosen.covered_words;
-    for (unsigned p = 0; p < npicks; ++p)
-        with_refs.addRef(s.cand_rlids[s.picks[p]],
-                         s.cand_data[s.picks[p]]);
-
-    std::size_t refs_cost = raw_cost + 1;
-    if (with_refs.nrefs > 0) {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_refs = spans_.open(Stage::Serialize, sp_score);
-        s.engine_refs.assign(with_refs.refs.begin(),
-                             with_refs.refs.begin() + with_refs.nrefs);
-        with_refs.diff = engine_->compress(data, s.engine_refs);
-        refs_cost = kWireCompressedHeaderBits
-                    + with_refs.nrefs * rlid_bits_
-                    + with_refs.diff.sizeBits();
-        spans_.close(sp_refs,
-                     static_cast<std::uint16_t>(with_refs.nrefs));
-    }
-
-    if (refs_cost < self_cost && refs_cost < raw_cost)
-        return with_refs;
-    if (self_cost <= raw_cost) {
-        chosen.diff = std::move(self_bits);
-        chosen.self_only = true;
-        return chosen;
-    }
-    chosen.raw = true;
-    return chosen;
+    const Cache::Entry &e = remote_.entryAt(lid);
+    if (!e.valid() || e.dirty() || !wmt_.occupant(lid.set, lid.way))
+        return nullptr;
+    rlid = lid;
+    return &e.data;
 }
 
 // ---------------------------------------------------------------------
@@ -719,46 +590,26 @@ firstMismatchWord(const CacheLine &a, const CacheLine &b)
 } // namespace
 
 void
-CableChannel::verifyResponse(const Chosen &chosen,
-                             const CacheLine &original, Addr addr)
+CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
+                          const CacheLine &original, Addr addr)
 {
     if (!cfg_.verify_roundtrip || chosen.raw)
         return;
-    // Receiver-side reconstruction: read the references from the
-    // remote cache's own data array. The reference list is scratch,
-    // reused across transfers.
-    RefList &refs = scratch_.verify_refs;
-    refs.clear();
-    for (unsigned i = 0; i < chosen.nrefs; ++i)
-        refs.push_back(&remote_.entryAt(chosen.ref_rlids[i]).data);
-    CacheLine out;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_decompress_ns");
-        out = engine_->decompress(chosen.diff, refs);
-    }
-    if (out != original)
-        throw CableDesyncError(addr, /*writeback=*/false,
-                               chosen.refVector(),
-                               firstMismatchWord(out, original),
-                               "decoded line differs from original");
-}
-
-void
-CableChannel::verifyWriteBack(const Chosen &chosen,
-                              const CacheLine &original, Addr addr)
-{
-    if (!cfg_.verify_roundtrip || chosen.raw)
-        return;
-    // Home-side reconstruction: translate each RemoteLID through the
-    // WMT into a home slot and read the home data array.
+    // Receiver-side reconstruction from the receiver's own data
+    // array. The reference list is scratch, reused across transfers.
     RefList &refs = scratch_.verify_refs;
     refs.clear();
     for (unsigned i = 0; i < chosen.nrefs; ++i) {
         LineID rlid = chosen.ref_rlids[i];
+        if (!dir.writeback) {
+            refs.push_back(&remote_.entryAt(rlid).data);
+            continue;
+        }
+        // The home translates each RemoteLID through its WMT.
         auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
         if (!hlid)
             throw CableDesyncError(
-                addr, /*writeback=*/true, chosen.refVector(),
+                addr, dir.writeback, chosen.refVector(),
                 CableDesyncError::kNoWord,
                 "reference to untracked remote line");
         refs.push_back(&home_.entryAt(*hlid).data);
@@ -769,8 +620,7 @@ CableChannel::verifyWriteBack(const Chosen &chosen,
         out = engine_->decompress(chosen.diff, refs);
     }
     if (out != original)
-        throw CableDesyncError(addr, /*writeback=*/true,
-                               chosen.refVector(),
+        throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
                                firstMismatchWord(out, original),
                                "decoded line differs from original");
 }
@@ -780,11 +630,13 @@ CableChannel::verifyWriteBack(const Chosen &chosen,
 // ---------------------------------------------------------------------
 
 Transfer
-CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
-                       const CacheLine &original)
+CableChannel::encodeAndTransmit(const Direction &dir,
+                                const CacheLine &data, LineID self_lid,
+                                Addr addr)
 {
-    Transfer t = packageTransfer(chosen, writeback, original);
-    deliver(t, chosen, writeback, addr, original);
+    Chosen chosen = searchAndCompress(dir, data, self_lid);
+    Transfer t = packageTransfer(chosen, dir.writeback, data);
+    deliver(t, chosen, dir, addr, data);
     int sp_ack = spans_.open(Stage::Ack);
     accountTransfer(t);
     trackHealth(t);
@@ -815,7 +667,7 @@ CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
         ev.type = TraceEvent::Type::Encode;
         ev.when = trace_seq_;
         ev.addr = addr;
-        ev.writeback = writeback;
+        ev.writeback = dir.writeback;
         ev.engine = cfg_.engine.c_str();
         ev.mode = t.raw ? "raw" : (t.self_only ? "self" : "refs");
         ev.sigs = chosen.sigs_used;
@@ -848,8 +700,9 @@ CableChannel::transmit(Chosen &chosen, bool writeback, Addr addr,
 }
 
 void
-CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
-                      Addr addr, const CacheLine &original)
+CableChannel::deliver(Transfer &t, const Chosen &chosen,
+                      const Direction &dir, Addr addr,
+                      const CacheLine &original)
 {
     if (fault_ && cfg_.frame_crc_bits > 0) {
         // Receiver-side ARQ: corrupt a copy of the wire image, check
@@ -876,9 +729,9 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
                 // which forces the uncompressed escape hatch.
                 stats_.add("crc_undetected", 1);
                 traceControl(TraceEvent::Type::RawFallback, addr,
-                             writeback, /*aux=*/1);
+                             dir.writeback, /*aux=*/1);
                 rawFallbackResend(t, original);
-                checkArqWatchdog(t, addr, writeback);
+                checkArqWatchdog(t, addr, dir.writeback);
                 return;
             }
             stats_.add("crc_detected", 1);
@@ -886,20 +739,20 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
                 // Retry budget exhausted: stop resending the fragile
                 // compressed frame and fall back to raw.
                 traceControl(TraceEvent::Type::RawFallback, addr,
-                             writeback, /*aux=*/2);
+                             dir.writeback, /*aux=*/2);
                 rawFallbackResend(t, original);
-                checkArqWatchdog(t, addr, writeback);
+                checkArqWatchdog(t, addr, dir.writeback);
                 return;
             }
             ++attempt;
             t.retries += 1;
             stats_.add("retransmits", 1);
             traceControl(TraceEvent::Type::Retransmit, addr,
-                         writeback, attempt);
+                         dir.writeback, attempt);
             t.retrans_bits += t.bits + t.crc_bits;
             t.retry_cycles += cfg_.retry_backoff_cycles
                               << std::min(attempt - 1, 16u);
-            checkArqWatchdog(t, addr, writeback);
+            checkArqWatchdog(t, addr, dir.writeback);
         }
     }
 
@@ -907,10 +760,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
         return;
     int sp_link = spans_.open(Stage::Link);
     try {
-        if (writeback)
-            verifyWriteBack(chosen, original, addr);
-        else
-            verifyResponse(chosen, original, addr);
+        checkDecode(dir, chosen, original, addr);
         spans_.close(sp_link);
     } catch (const CableDesyncError &) {
         spans_.close(sp_link, /*aux=*/1);
@@ -921,7 +771,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
         if (!fault_)
             throw;
         stats_.add("desyncs_detected", 1);
-        traceControl(TraceEvent::Type::Desync, addr, writeback,
+        traceControl(TraceEvent::Type::Desync, addr, dir.writeback,
                      chosen.nrefs);
         // Strict mode: the desync is counted and traced, then
         // surfaced to the caller instead of being absorbed by the
@@ -938,10 +788,10 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen, bool writeback,
             throw;
         }
         recoverFromDesync();
-        traceControl(TraceEvent::Type::RawFallback, addr, writeback,
-                     /*aux=*/3);
+        traceControl(TraceEvent::Type::RawFallback, addr,
+                     dir.writeback, /*aux=*/3);
         rawFallbackResend(t, original);
-        checkArqWatchdog(t, addr, writeback);
+        checkArqWatchdog(t, addr, dir.writeback);
     }
 }
 
@@ -1438,11 +1288,10 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
             const Cache::Entry &re = remote_.entryAt(rlid);
             if (re.dirty()) {
                 // Flush the newer remote data over the link first.
-                Chosen chosen = compressForWriteBack(re.data, rlid);
-                Transfer t = transmit(chosen, true, vaddr, re.data);
+                result.backinval_writeback = encodeAndTransmit(
+                    Direction::kWriteBack, re.data, rlid, vaddr);
                 mem_wb.data = re.data;
                 mem_wb.dirty = true;
-                result.backinval_writeback = t;
             } else {
                 dropSignatures(remote_ht_, re.data, rlid);
             }
@@ -1498,8 +1347,8 @@ CableChannel::remoteEvictSlot(LineID rlid)
     if (was_dirty) {
         // Dirty victim: compressed write-back (§III-G). Metadata was
         // already detached at upgrade time.
-        Chosen chosen = compressForWriteBack(vdata, rlid);
-        Transfer t = transmit(chosen, true, vaddr, vdata);
+        out = encodeAndTransmit(Direction::kWriteBack, vdata, rlid,
+                                vaddr);
         if (!home_.probe(vaddr)) {
             if (cfg_.inclusive)
                 panic("inclusivity violated: dirty remote line %llx "
@@ -1510,7 +1359,6 @@ CableChannel::remoteEvictSlot(LineID rlid)
         } else {
             home_.writeLine(vaddr, vdata, true);
         }
-        out = t;
     }
 
     remote_.invalidate(vaddr);
@@ -1530,8 +1378,8 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
               static_cast<unsigned long long>(addr));
     const CacheLine data = home_.entryAt(home_lid).data;
 
-    Chosen chosen = compressForSend(data, home_lid);
-    Transfer t = transmit(chosen, false, addr, data);
+    Transfer t =
+        encodeAndTransmit(Direction::kResponse, data, home_lid, addr);
 
     std::uint32_t rset = remote_.setOf(addr);
     if (remote_.entryAt(LineID(rset, vway)).valid())
@@ -1636,8 +1484,8 @@ CableChannel::writeBack(Addr addr, const CacheLine &data)
     if (!rlid.valid)
         panic("writeBack: %llx not resident at remote",
               static_cast<unsigned long long>(addr));
-    Chosen chosen = compressForWriteBack(data, rlid);
-    Transfer t = transmit(chosen, true, addr, data);
+    Transfer t =
+        encodeAndTransmit(Direction::kWriteBack, data, rlid, addr);
     if (!home_.probe(addr)) {
         if (cfg_.inclusive)
             panic("writeBack: inclusivity violated for %llx",

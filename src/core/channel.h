@@ -557,16 +557,13 @@ class CableChannel
     {
         BitVec diff;
         unsigned sigs_used = 0; // search signatures extracted
-        unsigned nrefs = 0;     // references selected
+        unsigned nrefs = 0;     // references on the wire
         /** Remote LIDs on the wire; fixed capacity (kMaxRefsCap)
-         *  keeps the steady-state encode path allocation-free. Both
-         *  arrays are value-initialized: Chosen objects are copied
-         *  whole before all slots are filled, and copying
-         *  indeterminate bytes is undefined behaviour
-         *  (-Wmaybe-uninitialized flagged it). */
+         *  keeps the steady-state encode path allocation-free. The
+         *  array is value-initialized: a Chosen is moved whole before
+         *  all slots are filled, and copying indeterminate bytes is
+         *  undefined behaviour (-Wmaybe-uninitialized flagged it). */
         std::array<LineID, kMaxRefsCap> ref_rlids{};
-        /** Sender-side reference data, parallel to ref_rlids. */
-        std::array<const CacheLine *, kMaxRefsCap> refs{};
         bool self_only = false;
         bool raw = false;
         // ---- telemetry decision record ------------------------------
@@ -575,14 +572,6 @@ class CableChannel
         unsigned ranked = 0;        // candidates surviving pre-rank
         std::uint32_t cbv_union = 0; // union CBV of selected refs
         unsigned covered_words = 0;  // popcount of cbv_union
-
-        void
-        addRef(LineID rlid, const CacheLine *data)
-        {
-            ref_rlids[nrefs] = rlid;
-            refs[nrefs] = data;
-            ++nrefs;
-        }
 
         /** Cold-path copy of the wire LIDs (desync diagnostics). */
         std::vector<LineID>
@@ -617,30 +606,69 @@ class CableChannel
         RefList verify_refs; // reused receiver-side reference list
     };
 
-    /** Home→remote search (Fig 8) + engine delegation (§III-E). */
-    Chosen compressForSend(const CacheLine &data, LineID self_home);
-    /** Remote→home search for write-back compression (§III-G). */
-    Chosen compressForWriteBack(const CacheLine &data, LineID self);
+    /**
+     * One transfer direction. Responses (home → remote, Fig 8) and
+     * write-backs (remote → home, §III-G) share one search; what
+     * differs between them is data here (DESIGN.md §9).
+     */
+    struct Direction
+    {
+        bool writeback; ///< remote → home
+        /** The sender's table, probed for candidates. */
+        SignatureHashTable CableChannel::*table;
+        /** Skip the search at self_ratio_threshold (responses). */
+        bool self_ratio_early_out;
+        /** Needs writeback_compression, and searches only when
+         *  inclusive (§IV-C; write-backs). */
+        bool writeback_gates;
+        bool counts_ht_hits;    ///< probe hits feed `ht_hits`
+        const char *searches;   ///< counter: searches run
+        const char *data_reads; ///< counter: candidate data reads
+        const char *stale_hits; ///< counter: stale candidates
+        const char *sigs_hist;  ///< histogram: signatures per search
+
+        static const Direction kResponse;
+        static const Direction kWriteBack;
+    };
+
+    /** Signature search + engine delegation (§III-E) for one line;
+     *  @p self_lid (its own slot at the sender) is never a candidate. */
+    Chosen searchAndCompress(const Direction &dir,
+                             const CacheLine &data, LineID self_lid);
+    /**
+     * Sender-side data of candidate @p lid, or nullptr when stale;
+     * sets @p rlid to the RemoteLID the wire carries. The receiver
+     * decodes from its own copy, so a response candidate must be
+     * valid at the home and still translate through the WMT. A
+     * write-back candidate must be a valid, clean remote line (the
+     * home holds identical data) that the home's WMT tracks.
+     */
+    const CacheLine *resolveCandidate(const Direction &dir, LineID lid,
+                                      LineID &rlid) const;
 
     /** Frames @p chosen; raw frames serialize @p original. */
     Transfer packageTransfer(const Chosen &chosen, bool writeback,
                              const CacheLine &original);
     void accountTransfer(const Transfer &t);
-    void verifyResponse(const Chosen &chosen,
-                        const CacheLine &original, Addr addr);
-    void verifyWriteBack(const Chosen &chosen,
-                         const CacheLine &original, Addr addr);
+    /** Decodes @p chosen from the receiver's own data and compares
+     *  it with @p original; throws CableDesyncError on a mismatch or
+     *  an untracked reference. */
+    void checkDecode(const Direction &dir, const Chosen &chosen,
+                     const CacheLine &original, Addr addr);
 
     /**
-     * Full send: package → (under a fault model) corrupt / CRC-check
-     * / NACK-retransmit / raw-fallback → decode-verify → account.
-     * The single entry point every transfer goes through.
+     * Full send: search + compress → package → (under a fault model)
+     * corrupt / CRC-check / NACK-retransmit / raw-fallback → decode-
+     * verify → account. The single entry point every transfer goes
+     * through.
      */
-    Transfer transmit(Chosen &chosen, bool writeback, Addr addr,
-                      const CacheLine &original);
+    Transfer encodeAndTransmit(const Direction &dir,
+                               const CacheLine &data, LineID self_lid,
+                               Addr addr);
     /** Receiver-side ARQ + end-to-end decode verification. */
-    void deliver(Transfer &t, const Chosen &chosen, bool writeback,
-                 Addr addr, const CacheLine &original);
+    void deliver(Transfer &t, const Chosen &chosen,
+                 const Direction &dir, Addr addr,
+                 const CacheLine &original);
     /** Uncompressed escape hatch, resent until verified clean. */
     void rawFallbackResend(Transfer &t, const CacheLine &original);
     /** Flush + resynchronize + enter degraded mode. */
@@ -670,8 +698,10 @@ class CableChannel
     void traceControl(TraceEvent::Type type, Addr addr, bool writeback,
                       std::uint64_t aux,
                       const StageSpan *span = nullptr);
-    /** Records the candidate/coverage histograms for one search. */
-    void recordSearchShape(const Chosen &chosen, bool writeback);
+    /** Empties stats() and re-resolves the pointers cached into it
+     *  (span stage histograms, tail sketches), which a bare clear()
+     *  would leave dangling. Checkpoint restore calls this. */
+    void resetStats();
 
     Cache &home_;
     Cache &remote_;

@@ -638,7 +638,7 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
     // Histograms are telemetry, not replicated channel state: a
     // restored channel restarts them empty while every counter comes
     // back exactly (the reconciliation tests depend on counters).
-    ch.stats_.clear();
+    ch.resetStats();
     for (const auto &[name, value] : counters)
         ch.stats_.counter(name) = value;
 

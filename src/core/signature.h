@@ -18,10 +18,11 @@
  * bound structural (fixed capacity, overflow panics) where the old
  * vector-returning API merely documented it.
  *
- * The hot path (CableChannel::encode, once per transfer) uses the
- * allocation-free *Into forms over a caller-owned SigList; trivial-
- * word classification is one whole-line SIMD kernel
- * (common/simd.h trivialMask16) instead of 16 scalar clz tests.
+ * The hot path (CableChannel::searchAndCompress, once per
+ * transfer) uses the allocation-free *Into forms over a caller-owned
+ * SigList; trivial-word classification is one whole-line SIMD
+ * kernel (common/simd.h trivialMask16) instead of 16 scalar clz
+ * tests.
  */
 
 #ifndef CABLE_CORE_SIGNATURE_H

@@ -197,6 +197,14 @@ class SpanRecorder
         disarm();
     }
 
+    /** Forgets the cached stage histograms; call when the StatSet
+     *  they live in is cleared (its address stays the same). */
+    void
+    dropHistCache()
+    {
+        hist_stats_ = nullptr;
+    }
+
     // ---- measured-overhead self-report ------------------------------
 
     /** Transfers that recorded spans. */

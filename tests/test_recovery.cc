@@ -24,6 +24,8 @@
 #include "sim/chaos.h"
 #include "sim/fault.h"
 #include "sim/resync.h"
+#include "telemetry/spans.h"
+#include "telemetry/trace.h"
 #include "workload/profile.h"
 #include "workload/value_model.h"
 
@@ -151,6 +153,38 @@ TEST(Checkpoint, RoundTripRestoresStateAndBumpsEpoch)
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
     warm(rig, mem, 400, 14);
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
+}
+
+TEST(Checkpoint, RestoreRebindsTelemetryCaches)
+{
+    // Restore empties stats(). The span recorder's cached stage
+    // histograms and the channel's cached sketches point into it, so
+    // both must be re-resolved: otherwise post-restore samples land
+    // in freed map nodes (a heap-use-after-free under ASan) and the
+    // restored StatSet never sees them.
+    Rig rig;
+    NullTraceSink sink;
+    rig.channel.setTraceSink(&sink);
+    rig.channel.setSpanSampling(1);
+    rig.channel.setSketchesEnabled(true);
+    SyntheticMemory mem(similarValues(), 0, 15);
+    warm(rig, mem, 400, 15);
+
+    ChannelCheckpoint::restore(rig.channel,
+                               ChannelCheckpoint::capture(rig.channel));
+    std::uint64_t transfers0 = rig.channel.stats().get("transfers");
+    warm(rig, mem, 400, 16);
+    std::uint64_t n = rig.channel.stats().get("transfers") - transfers0;
+    ASSERT_GT(n, 0u);
+
+    const StatSet &s = rig.channel.stats();
+    const QuantileSketch *frame_bits = s.findSketch("frame_bits");
+    ASSERT_NE(frame_bits, nullptr);
+    EXPECT_EQ(frame_bits->samples(), n);
+    // Every sampled transfer closes exactly one Ack span.
+    const Histogram *ack = s.findHist(stageHistName(Stage::Ack));
+    ASSERT_NE(ack, nullptr);
+    EXPECT_EQ(ack->samples(), n);
 }
 
 TEST(Checkpoint, EveryCorruptionClassRejectedTyped)
