@@ -4,7 +4,9 @@
  * every data class (property-style, parameterized over engines and
  * seeds), known-size encodings for CPACK and BDI, dictionary
  * seeding, streaming-window behaviour and dictionary pollution for
- * gzip/LZSS, and ORACLE optimality properties.
+ * gzip/LZSS, ORACLE optimality properties, and a differential check
+ * of the LBE bit-matrix parse against the scanning reference encoder
+ * (tests/lbe_reference.h).
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +21,9 @@
 #include "compress/lzss.h"
 #include "compress/oracle.h"
 #include "compress/zero_run.h"
+#include "lbe_reference.h"
+#include "workload/profile.h"
+#include "workload/value_model.h"
 
 using namespace cable;
 
@@ -395,6 +400,278 @@ TEST(Lbe, StreamingGetsBetterOnRepeats)
     std::size_t first = lbe.compress(a, {}).sizeBits();
     std::size_t second = lbe.compress(a, {}).sizeBits();
     EXPECT_LT(second, first);
+}
+
+// ---------------------------------------------------------------------
+// LBE differential: the bit-matrix parse against the scanning
+// reference. Outputs must be bit-for-bit equal, not just the same
+// size, and must decode back to the line.
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+::testing::AssertionResult
+sameBits(const BitVec &got, const BitVec &want)
+{
+    if (got.sizeBits() != want.sizeBits())
+        return ::testing::AssertionFailure()
+               << "size " << got.sizeBits() << " vs reference "
+               << want.sizeBits();
+    for (std::size_t i = 0; i < got.sizeBits(); ++i)
+        if (got.bit(i) != want.bit(i))
+            return ::testing::AssertionFailure()
+                   << "first differing bit " << i << " of "
+                   << got.sizeBits();
+    return ::testing::AssertionSuccess();
+}
+
+/** Encodes @p line against @p refs with both encoders, compares the
+ *  bits and checks the round trip. */
+::testing::AssertionResult
+lbeMatchesReference(Lbe &lbe, const CacheLine &line,
+                    const RefList &refs)
+{
+    BitVec got = lbe.compress(line, refs);
+    ::testing::AssertionResult same =
+        sameBits(got, lbe_ref::encodeWithRefs(line, refs));
+    if (!same)
+        return same;
+    if (lbe.compressedBits(line, refs) != got.sizeBits())
+        return ::testing::AssertionFailure()
+               << "compressedBits disagrees with compress";
+    if (!(lbe.decompress(got, refs) == line))
+        return ::testing::AssertionFailure() << "round trip failed";
+    return ::testing::AssertionSuccess();
+}
+
+/** A word from a small alphabet that mixes zero, byte words and
+ *  full words, so equal words (and so copy runs) are common. */
+std::uint32_t
+alphabetWord(Rng &rng)
+{
+    static constexpr std::uint32_t kAlphabet[] = {
+        0u, 1u, 0x7fu, 0xffu, 0x100u, 0xdeadbeefu, 0xcafef00du,
+        0xffffffffu};
+    return kAlphabet[rng.below(std::size(kAlphabet))];
+}
+
+/** A line assembled from segments: copies out of the refs, copies of
+ *  its own earlier words, zero and byte runs, alphabet words and
+ *  random literals. */
+CacheLine
+structuredLine(Rng &rng, const RefList &refs)
+{
+    CacheLine l;
+    unsigned i = 0;
+    while (i < kWordsPerLine) {
+        unsigned len = 1 + static_cast<unsigned>(rng.below(
+                               rng.chance(0.3) ? kWordsPerLine : 4));
+        len = std::min(len, kWordsPerLine - i);
+        switch (rng.below(6)) {
+        case 0:
+            if (!refs.empty()) {
+                const CacheLine &r = *refs[rng.below(refs.size())];
+                unsigned from = static_cast<unsigned>(
+                    rng.below(kWordsPerLine - len + 1));
+                for (unsigned k = 0; k < len; ++k)
+                    l.setWord(i + k, r.word(from + k));
+                break;
+            }
+            [[fallthrough]];
+        case 1:
+            if (i > 0) {
+                unsigned from = static_cast<unsigned>(rng.below(i));
+                for (unsigned k = 0; k < len; ++k)
+                    l.setWord(i + k, l.word(from + k));
+                break;
+            }
+            [[fallthrough]];
+        case 2:
+            break; // zero run
+        case 3:
+            for (unsigned k = 0; k < len; ++k)
+                l.setWord(i + k, static_cast<std::uint32_t>(
+                                     1 + rng.below(255)));
+            break;
+        case 4:
+            for (unsigned k = 0; k < len; ++k)
+                l.setWord(i + k, alphabetWord(rng));
+            break;
+        default:
+            for (unsigned k = 0; k < len; ++k)
+                l.setWord(i + k, static_cast<std::uint32_t>(rng.next()));
+            break;
+        }
+        i += len;
+    }
+    return l;
+}
+
+CacheLine
+lineOf(std::initializer_list<std::uint32_t> words)
+{
+    CacheLine l;
+    unsigned i = 0;
+    for (std::uint32_t w : words)
+        l.setWord(i++, w);
+    return l;
+}
+
+CacheLine
+periodicLine(std::initializer_list<std::uint32_t> period)
+{
+    CacheLine l;
+    const std::uint32_t *p = period.begin();
+    for (unsigned i = 0; i < kWordsPerLine; ++i)
+        l.setWord(i, p[i % period.size()]);
+    return l;
+}
+
+} // namespace
+
+TEST(LbeDifferential, RandomLinesAtEveryDictionarySize)
+{
+    Lbe lbe;
+    Rng rng(0x1be);
+    for (int iter = 0; iter < 100000; ++iter) {
+        CacheLine r[3];
+        for (auto &ref : r)
+            ref = iter % 4 == 0 ? randomLine(rng)
+                                : structuredLine(rng, {});
+        const RefList dicts[4] = {
+            {}, {&r[0]}, {&r[0], &r[1]}, {&r[0], &r[1], &r[2]}};
+        for (const RefList &refs : dicts) {
+            CacheLine line = structuredLine(rng, refs);
+            ASSERT_TRUE(lbeMatchesReference(lbe, line, refs))
+                << "iteration " << iter << ", " << refs.size()
+                << " refs";
+        }
+    }
+}
+
+TEST(LbeDifferential, AdversarialLines)
+{
+    Rng rng(0xad5);
+    CacheLine r0 = randomLine(rng), r1 = randomLine(rng);
+    // A dictionary whose tail is a run of 17 equal words across the
+    // ref boundary: longer than one copy token can carry.
+    CacheLine eq_tail = r1;
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        eq_tail.setWord(w, w < 15 ? r1.word(w) : 0x5a5a5a5au);
+    CacheLine eq_head;
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        eq_head.setWord(w, 0x5a5a5a5au);
+
+    std::vector<CacheLine> lines;
+    lines.push_back(CacheLine{});
+    lines.push_back(periodicLine({0xdeadbeefu}));
+    lines.push_back(periodicLine({0x5a5a5a5au}));
+    lines.push_back(periodicLine({r0.word(3)}));
+    lines.push_back(periodicLine({0xdeadbeefu, 0xcafef00du}));
+    lines.push_back(periodicLine({0xdeadbeefu, 0u}));
+    lines.push_back(periodicLine({0x11u, 0xdeadbeefu}));
+    lines.push_back(periodicLine({0xdeadbeefu, 0xcafef00du, 0x1u}));
+    lines.push_back(periodicLine({0u, 0u, 0xabcdef01u}));
+    lines.push_back(periodicLine({r0.word(0), r0.word(1), r0.word(2)}));
+    // Zero and byte runs of 15 and 16 words at both ends of the line.
+    for (unsigned run : {15u, 16u}) {
+        for (bool at_end : {false, true}) {
+            CacheLine z = periodicLine({0xfeedfaceu});
+            CacheLine b = periodicLine({0xfeedfaceu});
+            for (unsigned k = 0; k < run; ++k) {
+                unsigned w = at_end ? kWordsPerLine - 1 - k : k;
+                z.setWord(w, 0);
+                b.setWord(w, 1 + (k % 200));
+            }
+            lines.push_back(z);
+            lines.push_back(b);
+        }
+    }
+    // Copies that start in the dictionary and continue into the
+    // line's own already-emitted words.
+    lines.push_back(lineOf({0x1111u, 0x2222u, 0x3333u, 0xabcdefu,
+                            r1.word(14), r1.word(15), 0x1111u, 0x2222u,
+                            0x3333u, 0xabcdefu, r1.word(15), 0x1111u}));
+    lines.push_back(lineOf({0x5a5a5a5au, 0x5a5a5a5au, 0x77777777u,
+                            0x5a5a5a5au, 0x5a5a5a5au, 0x5a5a5a5au,
+                            0x77777777u, 0x5a5a5a5au}));
+    // Lines equal to a reference, and off by one word from one.
+    lines.push_back(r0);
+    lines.push_back(r1);
+    lines.push_back(eq_tail);
+    lines.push_back(mutated(r1, rng, 1));
+
+    Lbe lbe;
+    const RefList dicts[] = {{},
+                             {&r0},
+                             {&r1},
+                             {&r0, &r1},
+                             {&eq_tail, &eq_head},
+                             {&r0, &eq_tail, &eq_head},
+                             {&r1, &r1, &r1}};
+    for (std::size_t li = 0; li < lines.size(); ++li)
+        for (const RefList &refs : dicts)
+            EXPECT_TRUE(lbeMatchesReference(lbe, lines[li], refs))
+                << "line " << li << ", " << refs.size() << " refs";
+}
+
+TEST(LbeDifferential, StreamsWrapTheFifo)
+{
+    // lbe256 (64 words, whole lines) and a 25-word FIFO whose head
+    // lands mid-line, over at least 1,000 lines each.
+    for (unsigned dict_bytes : {256u, 100u}) {
+        Rng rng(0x256 + dict_bytes);
+        CompressorPtr enc = dict_bytes == 256
+                                ? makeCompressor("lbe256")
+                                : std::make_unique<Lbe>(
+                                      Lbe::Config{dict_bytes, true});
+        Lbe dec(Lbe::Config{dict_bytes, true});
+        lbe_ref::Stream ref(dict_bytes / 4);
+        std::vector<CacheLine> recent;
+        for (int n = 0; n < 1500; ++n) {
+            RefList pool;
+            for (const CacheLine &l : recent)
+                pool.push_back(&l);
+            CacheLine line = n % 5 == 0 ? randomLine(rng)
+                                        : structuredLine(rng, pool);
+            BitVec got = enc->compress(line, {});
+            ASSERT_TRUE(sameBits(got, ref.encodeAndPush(line)))
+                << dict_bytes << "B dictionary, line " << n;
+            ASSERT_EQ(dec.decompress(got, {}), line)
+                << dict_bytes << "B dictionary, line " << n;
+            recent.push_back(line);
+            if (recent.size() > 6)
+                recent.erase(recent.begin());
+        }
+    }
+}
+
+TEST(LbeDifferential, SyntheticMemoryLines)
+{
+    Lbe lbe;
+    for (const char *bench : {"soplex", "mcf"}) {
+        SyntheticMemory mem(benchmarkProfile(bench).value, 0, 17);
+        lbe_ref::Stream stream(64);
+        Lbe persistent(Lbe::Config{256, true});
+        std::vector<CacheLine> lines;
+        for (std::uint64_t rel = 0; rel < 6000; ++rel)
+            lines.push_back(mem.generate(rel * 7 % 4096));
+        for (std::size_t n = 3; n < lines.size(); ++n) {
+            const RefList dicts[] = {
+                {},
+                {&lines[n - 1]},
+                {&lines[n - 2], &lines[n - 1]},
+                {&lines[n - 3], &lines[n - 2], &lines[n - 1]}};
+            for (const RefList &refs : dicts)
+                ASSERT_TRUE(lbeMatchesReference(lbe, lines[n], refs))
+                    << bench << " line " << n << ", " << refs.size()
+                    << " refs";
+            ASSERT_TRUE(sameBits(persistent.compress(lines[n], {}),
+                                 stream.encodeAndPush(lines[n])))
+                << bench << " stream line " << n;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
