@@ -1,11 +1,12 @@
 /**
  * @file
  * Compile-time-selected SIMD kernels for the encode hot path. CABLE
- * must compress at link speed (§IV), so the two per-candidate inner
- * loops — 16-word equality (CBV construction, §III-C) and 16-word
- * trivial-word classification (signature extraction, §III-A) — are
- * expressed as whole-line mask kernels that vectorize to one or two
- * compare instructions per line.
+ * must compress at link speed (§IV), so the per-candidate inner
+ * loops — 16-word equality (CBV construction, §III-C), 16-word
+ * trivial-word classification (signature extraction, §III-A) and
+ * one word against 16 (the rows of LBE's word-equality matrix) —
+ * are expressed as whole-line mask kernels that vectorize to one or
+ * two compare instructions per line.
  *
  * Backend selection happens at compile time from predefined macros:
  *
@@ -83,6 +84,24 @@ wordEqMask16Scalar(const std::uint8_t *a, const std::uint8_t *b)
 }
 
 /**
+ * Reference kernel: bit i of the result is set iff 32-bit word
+ * p[4i..4i+3] equals @p w, for i in [0, 16). One call yields 16
+ * columns of one row of LBE's word-equality matrix.
+ */
+inline std::uint32_t
+broadcastEqMask16Scalar(const std::uint8_t *p, std::uint32_t w)
+{
+    std::uint32_t mask = 0;
+    for (unsigned i = 0; i < 16; ++i) {
+        std::uint32_t v;
+        std::memcpy(&v, p + i * 4, 4);
+        if (v == w)
+            mask |= 1u << i;
+    }
+    return mask;
+}
+
+/**
  * Reference kernel: bit i of the result is set iff word i of the
  * 64-byte block is trivial per §III-A — at least @p threshold
  * leading zeroes or leading ones.
@@ -128,6 +147,21 @@ wordEqMask16(const std::uint8_t *a, const std::uint8_t *b)
 }
 
 inline std::uint32_t
+broadcastEqMask16(const std::uint8_t *p, std::uint32_t w)
+{
+    const __m256i b = _mm256_set1_epi32(static_cast<int>(w));
+    __m256i v0 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(p));
+    __m256i v1 = _mm256_loadu_si256(
+        reinterpret_cast<const __m256i *>(p + 32));
+    unsigned lo = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v0, b))));
+    unsigned hi = static_cast<unsigned>(_mm256_movemask_ps(
+        _mm256_castsi256_ps(_mm256_cmpeq_epi32(v1, b))));
+    return lo | (hi << 8);
+}
+
+inline std::uint32_t
 trivialMask16(const std::uint8_t *p, unsigned threshold)
 {
     if (threshold < 2)
@@ -167,6 +201,21 @@ wordEqMask16(const std::uint8_t *a, const std::uint8_t *b)
             reinterpret_cast<const __m128i *>(b + q * 16));
         unsigned m = static_cast<unsigned>(_mm_movemask_ps(
             _mm_castsi128_ps(_mm_cmpeq_epi32(va, vb))));
+        mask |= m << (q * 4);
+    }
+    return mask;
+}
+
+inline std::uint32_t
+broadcastEqMask16(const std::uint8_t *p, std::uint32_t w)
+{
+    const __m128i b = _mm_set1_epi32(static_cast<int>(w));
+    std::uint32_t mask = 0;
+    for (unsigned q = 0; q < 4; ++q) {
+        __m128i v = _mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(p + q * 16));
+        unsigned m = static_cast<unsigned>(_mm_movemask_ps(
+            _mm_castsi128_ps(_mm_cmpeq_epi32(v, b))));
         mask |= m << (q * 4);
     }
     return mask;
@@ -226,6 +275,19 @@ wordEqMask16(const std::uint8_t *a, const std::uint8_t *b)
 }
 
 inline std::uint32_t
+broadcastEqMask16(const std::uint8_t *p, std::uint32_t w)
+{
+    const uint32x4_t b = vdupq_n_u32(w);
+    std::uint32_t mask = 0;
+    for (unsigned q = 0; q < 4; ++q) {
+        uint32x4_t v = vld1q_u32(
+            reinterpret_cast<const std::uint32_t *>(p + q * 16));
+        mask |= detail::neonMask4(vceqq_u32(v, b)) << (q * 4);
+    }
+    return mask;
+}
+
+inline std::uint32_t
 trivialMask16(const std::uint8_t *p, unsigned threshold)
 {
     if (threshold < 2)
@@ -251,6 +313,12 @@ inline std::uint32_t
 wordEqMask16(const std::uint8_t *a, const std::uint8_t *b)
 {
     return wordEqMask16Scalar(a, b);
+}
+
+inline std::uint32_t
+broadcastEqMask16(const std::uint8_t *p, std::uint32_t w)
+{
+    return broadcastEqMask16Scalar(p, w);
 }
 
 inline std::uint32_t

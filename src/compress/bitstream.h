@@ -123,6 +123,14 @@ class BitWriter
             *p = static_cast<std::uint8_t>(value << (8 - left));
     }
 
+    /** Reserves room for @p nbits bits, so puts up to that length
+     *  never reallocate. */
+    void
+    reserveBits(std::size_t nbits)
+    {
+        vec_.bytes_.reserve((nbits + 7) >> 3);
+    }
+
     /** Appends every bit of @p other. */
     void
     appendBits(const BitVec &other)

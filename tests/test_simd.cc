@@ -93,6 +93,38 @@ TEST(Simd, WordEqMaskIdenticalLinesIsFull)
     EXPECT_EQ(wordEqMask16(a.data(), a.data()), 0xffffu);
 }
 
+TEST(Simd, BroadcastEqMaskMatchesScalar)
+{
+    Rng rng(105);
+    for (int iter = 0; iter < 2000; ++iter) {
+        CacheLine l = mixedLine(rng);
+        // Probe with every word of the line (at least one hit each),
+        // the mixed-line boundary values, and a random word.
+        for (unsigned w = 0; w < kWordsPerLine; ++w) {
+            std::uint32_t probe = l.word(w);
+            std::uint32_t m = broadcastEqMask16(l.data(), probe);
+            EXPECT_EQ(m, broadcastEqMask16Scalar(l.data(), probe));
+            EXPECT_TRUE(m & (1u << w));
+        }
+        for (std::uint32_t probe :
+             {0u, 0xffffffffu, 0x80000000u,
+              static_cast<std::uint32_t>(rng.next())})
+            EXPECT_EQ(broadcastEqMask16(l.data(), probe),
+                      broadcastEqMask16Scalar(l.data(), probe));
+    }
+}
+
+TEST(Simd, BroadcastEqMaskFullAndEmpty)
+{
+    CacheLine l = CacheLine::filledWords(0xdeadbeefu);
+    EXPECT_EQ(broadcastEqMask16(l.data(), 0xdeadbeefu), 0xffffu);
+    EXPECT_EQ(broadcastEqMask16(l.data(), 0xdeadbeeeu), 0u);
+    // Lanes differ in one byte only: the compare is whole-word.
+    l.setWord(7, 0xdeadbe00u);
+    EXPECT_EQ(broadcastEqMask16(l.data(), 0xdeadbeefu),
+              0xffffu & ~(1u << 7));
+}
+
 TEST(Simd, TrivialMaskMatchesScalarAcrossAllThresholds)
 {
     Rng rng(103);
