@@ -112,11 +112,13 @@ struct HtImage
     std::uint64_t lookup_lids = 0;
     struct Slot
     {
-        std::uint32_t set;
-        std::uint8_t way;
-        std::uint64_t age;
+        std::uint32_t set = 0;
+        std::uint8_t way = 0;
+        std::uint64_t age = 0; ///< 0: empty slot
     };
-    std::vector<std::vector<Slot>> buckets;
+    /** Bucket-major, bucket_ways per bucket; slots a short bucket
+     *  leaves out stay empty. */
+    std::vector<Slot> slots;
 };
 
 /** Parsed eviction-buffer section. */
@@ -176,11 +178,11 @@ ChannelCheckpoint::capture(const CableChannel &ch)
     // cable-wire: ckpt.geom rlid_bits kCkptRlidBits
     body.put(ch.rlid_bits_, kCkptRlidBits);
     // cable-wire: ckpt.geom home_buckets kCkptBucketCountBits
-    body.put(ch.home_ht_.buckets_.size(), kCkptBucketCountBits);
+    body.put(ch.home_ht_.num_buckets_, kCkptBucketCountBits);
     // cable-wire: ckpt.geom home_bucket_ways kCkptBucketWaysBits
     body.put(ch.home_ht_.cfg_.bucket_ways, kCkptBucketWaysBits);
     // cable-wire: ckpt.geom remote_buckets kCkptBucketCountBits
-    body.put(ch.remote_ht_.buckets_.size(), kCkptBucketCountBits);
+    body.put(ch.remote_ht_.num_buckets_, kCkptBucketCountBits);
     // cable-wire: ckpt.geom remote_bucket_ways kCkptBucketWaysBits
     body.put(ch.remote_ht_.cfg_.bucket_ways, kCkptBucketWaysBits);
     // cable-wire: ckpt.geom evbuf_cap kCkptEvbufCapBits
@@ -252,10 +254,14 @@ ChannelCheckpoint::capture(const CableChannel &ch)
         putCounter(body, ht.lookups_);
         // cable-wire: ckpt.ht lookup_lids kCkptCountBits
         putCounter(body, ht.lookup_lids_);
-        for (const auto &bucket : ht.buckets_) {
+        // Empty slots are written as set/way/age 0/0/0.
+        const unsigned ways = ht.cfg_.bucket_ways;
+        for (std::size_t first = 0; first < ht.slots_.size();
+             first += ways) {
             // cable-wire: ckpt.ht bucket_len kCkptSlotCountBits*buckets
-            body.put(bucket.size(), kCkptSlotCountBits);
-            for (const auto &slot : bucket) {
+            body.put(ways, kCkptSlotCountBits);
+            for (std::size_t k = first; k < first + ways; ++k) {
+                const auto &slot = ht.slots_[k];
                 // cable-wire: ckpt.ht slot_set kCkptSetBits*slots
                 body.put(slot.lid.set, kCkptSetBits);
                 // cable-wire: ckpt.ht slot_way kCkptWayBits*slots
@@ -412,9 +418,9 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
         || home_sets != ch.home_.numSets()
         || home_ways != ch.home_.numWays()
         || rlid_bits != ch.rlid_bits_
-        || home_buckets != ch.home_ht_.buckets_.size()
+        || home_buckets != ch.home_ht_.num_buckets_
         || home_bucket_ways != ch.home_ht_.cfg_.bucket_ways
-        || remote_buckets != ch.remote_ht_.buckets_.size()
+        || remote_buckets != ch.remote_ht_.num_buckets_
         || remote_bucket_ways != ch.remote_ht_.cfg_.bucket_ways
         || evbuf_cap != ch.evbuf_.capacity_)
         bad(Kind::GeometryMismatch,
@@ -497,16 +503,18 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
         img.lookups = cur.get(kCkptCountBits, ht_names[ti]);
         // cable-wire: ckpt.ht lookup_lids kCkptCountBits
         img.lookup_lids = cur.get(kCkptCountBits, ht_names[ti]);
-        img.buckets.resize(live.buckets_.size());
-        for (auto &bucket : img.buckets) {
+        const unsigned ways = live.cfg_.bucket_ways;
+        img.slots.assign(live.slots_.size(), HtImage::Slot{});
+        for (std::size_t first = 0; first < img.slots.size();
+             first += ways) {
             // cable-wire: ckpt.ht bucket_len kCkptSlotCountBits*buckets
             std::uint64_t count =
                 cur.get(kCkptSlotCountBits, ht_names[ti]);
-            if (count > live.cfg_.bucket_ways)
+            if (count > ways)
                 bad(Kind::BadSection,
                     "hash bucket deeper than its configured ways");
-            bucket.resize(static_cast<std::size_t>(count));
-            for (auto &slot : bucket) {
+            for (std::size_t k = first; k < first + count; ++k) {
+                HtImage::Slot &slot = img.slots[k];
                 // cable-wire: ckpt.ht slot_set kCkptSetBits*slots
                 slot.set = static_cast<std::uint32_t>(
                     cur.get(kCkptSetBits, ht_names[ti]));
@@ -518,6 +526,10 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
                 if (slot.set >= sets_limit || slot.way >= ways_limit)
                     bad(Kind::BadSection,
                         "hash-table LineID out of range");
+                // Live slots always have age >= 1.
+                if (slot.age == 0 && (slot.set != 0 || slot.way != 0))
+                    bad(Kind::BadSection,
+                        "empty hash-table slot names a LineID");
             }
         }
     }
@@ -616,11 +628,13 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
         live.remove_misses_ = img.remove_misses;
         live.lookups_ = img.lookups;
         live.lookup_lids_ = img.lookup_lids;
-        for (std::size_t b = 0; b < live.buckets_.size(); ++b) {
-            live.buckets_[b].clear();
-            for (const auto &slot : img.buckets[b])
-                live.buckets_[b].push_back(
-                    {LineID(slot.set, slot.way), slot.age});
+        for (std::size_t k = 0; k < live.slots_.size(); ++k) {
+            const HtImage::Slot &slot = img.slots[k];
+            live.slots_[k] =
+                slot.age == 0
+                    ? SignatureHashTable::Slot{}
+                    : SignatureHashTable::Slot{
+                          LineID(slot.set, slot.way), slot.age};
         }
     }
 

@@ -264,6 +264,32 @@ TEST(Checkpoint, GeometryMismatchRejected)
     }
 }
 
+TEST(Checkpoint, RestoreKeepsEmptySignatureSlotsEmpty)
+{
+    // Empty slots are captured as set/way/age 0/0/0. Restore must
+    // bring them back empty, not as live LineID(0, 0) entries that
+    // probes return as candidates and inserts evict.
+    Rig rig;
+    SyntheticMemory mem(similarValues(), 0, 20);
+    warm(rig, mem, 300, 20);
+    StatSet before = rig.channel.snapshotStructures();
+    ChannelCheckpoint::restore(rig.channel,
+                               ChannelCheckpoint::capture(rig.channel));
+    StatSet after = rig.channel.snapshotStructures();
+    for (std::string p : {"home_ht_", "remote_ht_"}) {
+        std::uint64_t occ = before.get(p + "occupancy");
+        ASSERT_GT(occ, 0u) << p;
+        ASSERT_LT(occ, before.get(p + "capacity")) << p;
+        EXPECT_EQ(occ, before.get(p + "inserts")
+                           - before.get(p + "evictions"))
+            << p;
+        EXPECT_EQ(after.get(p + "occupancy"), occ) << p;
+        EXPECT_EQ(after.get(p + "occupancy"),
+                  after.get(p + "inserts") - after.get(p + "evictions"))
+            << p;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Per-section malformed images
 // ---------------------------------------------------------------------
@@ -493,6 +519,49 @@ TEST(CheckpointSections, TrailingBitsAfterEverySectionRejectedTyped)
         expectBadSection(rig.channel, sealImage(body), digest0,
                          "trailing section bytes");
     }
+}
+
+TEST(CheckpointSections, EmptySlotNamingALineRejected)
+{
+    // Live slots always have age >= 1, so age 0 marks an empty slot,
+    // which is written as 0/0/0. An age-0 slot with a non-zero set is
+    // neither, and restore must reject it rather than guess.
+    Rig rig;
+    SyntheticMemory mem(similarValues(), 0, 21);
+    warm(rig, mem, 300, 21);
+    const BitVec image = ChannelCheckpoint::capture(rig.channel);
+    const std::uint64_t digest0 = fullDigest(rig.channel);
+
+    auto secs = walkSections(image);
+    ASSERT_EQ(secs.size(), 7u);
+    const Section &ht = secs[3];
+    ASSERT_EQ(ht.tag, kCkptTagHtHome);
+    BitReader r(image);
+    for (std::size_t skip = ht.begin + kCkptSectionTagBits
+                            + 8 * kCkptCountBits;
+         skip > 0; skip -= std::min<std::size_t>(skip, 64))
+        (void)r.get(static_cast<unsigned>(
+            std::min<std::size_t>(skip, 64)));
+    std::size_t empty_set = 0;
+    while (empty_set == 0 && r.pos() < ht.end) {
+        std::uint64_t len = r.get(kCkptSlotCountBits);
+        for (std::uint64_t k = 0; k < len && empty_set == 0; ++k) {
+            std::size_t at = r.pos();
+            std::uint64_t set = r.get(kCkptSetBits);
+            std::uint64_t way = r.get(kCkptWayBits);
+            if (r.get(kCkptCountBits) == 0) {
+                ASSERT_EQ(set, 0u);
+                ASSERT_EQ(way, 0u);
+                empty_set = at;
+            }
+        }
+    }
+    ASSERT_NE(empty_set, 0u) << "no empty slot in HT_HOME";
+    std::vector<bool> body =
+        bodyBits(image, image.sizeBits() - kCkptCrcBits);
+    body[empty_set - kCkptHeaderBits + kCkptSetBits - 1] = true;
+    expectBadSection(rig.channel, sealImage(body), digest0,
+                     "empty slot naming set 1");
 }
 
 TEST(Checkpoint, AtomicFileSaveLoad)
