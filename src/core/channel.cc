@@ -525,9 +525,11 @@ CableChannel::packageTransfer(const Chosen &chosen, bool writeback,
     t.raw_bits = kLineBytes * 8;
     t.sigs = chosen.sigs_used;
 
-    // Wire serialization chains onto whichever representation won
-    // the cost comparison (self/refs Serialize span, or the Line
-    // root for raw transfers).
+    // Wire serialization chains onto the last span closed. When a
+    // search ran, that is the refs Serialize (or Score, if no
+    // reference was compressed) even when self or raw won: the cost
+    // comparison has to wait for the refs branch. When the search
+    // was skipped, it is the self Serialize.
     int sp_ser = spans_.open(Stage::Serialize);
     BitWriter bw;
     if (!cfg_.compression_enabled) {

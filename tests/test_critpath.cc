@@ -6,8 +6,9 @@
  * tie-breaks, malformed-edge tolerance, SpanRecorder sampling /
  * drain / overhead self-report, exact reconciliation between span
  * durations and the t_stage_*_ns histograms, span topology
- * determinism on a live channel, and the allocation-guard contract
- * of span-carrying trace emission.
+ * determinism on a live channel, the literal (stage, dep, aux)
+ * topology of every encode outcome, and the allocation-guard
+ * contract of span-carrying trace emission.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <initializer_list>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -524,6 +526,220 @@ TEST(ChannelSpans, StageHistogramsReconcileWithAnalyzer)
     EXPECT_GE(checked, 4u) << "too few stages exercised";
     EXPECT_EQ(channel.spanRecorder().sampledTransfers(),
               analyzer.spannedEvents());
+}
+
+// ---------------------------------------------------------------------
+// Live channel: the literal span topology of each encode outcome
+// ---------------------------------------------------------------------
+
+/** One span's topology: stage, parent index, per-stage detail. */
+using SpanShape = std::tuple<Stage, int, unsigned>;
+
+/** What a topology test keeps of one Encode event. */
+struct EncodeShape
+{
+    std::string mode;
+    bool writeback = false;
+    unsigned refs = 0;
+    unsigned sigs = 0;
+    std::vector<SpanShape> spans; ///< full (stage, dep, aux) vector
+};
+
+/** Keeps every Encode event's shape until the test clears them. */
+class EncodeShapeSink : public TraceSink
+{
+  public:
+    void
+    emit(const TraceEvent &ev) override
+    {
+        ++emitted_;
+        if (ev.type != TraceEvent::Type::Encode)
+            return;
+        EncodeShape &e = encodes.emplace_back();
+        e.mode = ev.mode;
+        e.writeback = ev.writeback;
+        e.refs = ev.refs;
+        e.sigs = ev.sigs;
+        for (unsigned i = 0; i < ev.nspans; ++i)
+            e.spans.emplace_back(ev.spans[i].stage,
+                                 static_cast<int>(ev.spans[i].dep),
+                                 static_cast<unsigned>(ev.spans[i].aux));
+    }
+
+    std::vector<EncodeShape> encodes;
+};
+
+/** A line of 16 fresh random words. */
+CacheLine
+randomLine(Rng &rng)
+{
+    CacheLine l;
+    for (unsigned w = 0; w < kWordsPerLine; ++w)
+        l.setWord(w, static_cast<std::uint32_t>(rng.next()));
+    return l;
+}
+
+struct TopologyRig
+{
+    Cache home{{"home", 1u << 20, 8}};
+    Cache remote{{"remote", 128u << 10, 8}};
+    CableChannel channel{home, remote, CableConfig{}};
+    EncodeShapeSink sink;
+
+    TopologyRig()
+    {
+        channel.setTraceSink(&sink);
+        channel.setSpanSampling(1);
+    }
+
+    /** Fetches @p data into a clean remote; returns its encode. */
+    EncodeShape
+    fetch(Addr addr, const CacheLine &data)
+    {
+        (void)channel.homeInstall(addr, data);
+        (void)channel.remoteFetch(addr, false);
+        return sink.encodes.back();
+    }
+};
+
+TEST(ChannelSpans, EveryEncodeOutcomeHasItsPinnedTopology)
+{
+    // Span indices: the Line root (0) forks the self-compress
+    // Serialize (1) and, when a search runs, the Signature → Probe →
+    // Score chain (2..4) plus the refs Serialize (5, aux = refs).
+    // The wire Serialize chains onto the last span closed before
+    // it, and the Ack closes every transfer.
+    TopologyRig rig;
+    Rng rng(91);
+
+    // Self via the self-ratio early-out: no search spans at all.
+    EncodeShape e = rig.fetch(0x0000, CacheLine{});
+    EXPECT_EQ(e.mode, "self");
+    EXPECT_EQ(e.spans, (std::vector<SpanShape>{
+                           {Stage::Line, -1, 0},
+                           {Stage::Serialize, 0, 0},
+                           {Stage::Serialize, 1, 0},
+                           {Stage::Frame, 2, 0},
+                           {Stage::Link, 3, 0},
+                           {Stage::Ack, 4, 0},
+                       }));
+
+    // Raw after a search that found nothing: the wire Serialize
+    // chains onto Score, and a raw frame skips the Link decode.
+    const CacheLine r1 = randomLine(rng);
+    e = rig.fetch(0x1000, r1);
+    EXPECT_EQ(e.mode, "raw");
+    EXPECT_EQ(e.spans, (std::vector<SpanShape>{
+                           {Stage::Line, -1, 0},
+                           {Stage::Serialize, 0, 0},
+                           {Stage::Signature, 0, 0},
+                           {Stage::Probe, 2, 0},
+                           {Stage::Score, 3, 0},
+                           {Stage::Serialize, 4, 0},
+                           {Stage::Frame, 5, 0},
+                           {Stage::Ack, 6, 0},
+                       }));
+
+    // Refs won: a near-duplicate of r1 references it.
+    CacheLine r2 = r1;
+    r2.setWord(0, ~r1.word(0));
+    e = rig.fetch(0x2000, r2);
+    EXPECT_EQ(e.mode, "refs");
+    EXPECT_EQ(e.refs, 1u);
+    const std::vector<SpanShape> refs_topology = {
+        {Stage::Line, -1, 0},      {Stage::Serialize, 0, 0},
+        {Stage::Signature, 0, 0},  {Stage::Probe, 2, 0},
+        {Stage::Score, 3, 0},      {Stage::Serialize, 4, 1},
+        {Stage::Serialize, 5, 0},  {Stage::Frame, 6, 0},
+        {Stage::Link, 7, 0},       {Stage::Ack, 8, 0},
+    };
+    EXPECT_EQ(e.spans, refs_topology);
+
+    // Self after a search that found no reference: half zero words
+    // keep the self ratio under the early-out threshold.
+    CacheLine half;
+    for (unsigned w = kWordsPerLine / 2; w < kWordsPerLine; ++w)
+        half.setWord(w, static_cast<std::uint32_t>(rng.next()));
+    e = rig.fetch(0x3000, half);
+    EXPECT_EQ(e.mode, "self");
+    EXPECT_GT(e.sigs, 0u);
+    EXPECT_EQ(e.spans, (std::vector<SpanShape>{
+                           {Stage::Line, -1, 0},
+                           {Stage::Serialize, 0, 0},
+                           {Stage::Signature, 0, 0},
+                           {Stage::Probe, 2, 0},
+                           {Stage::Score, 3, 0},
+                           {Stage::Serialize, 4, 0},
+                           {Stage::Frame, 5, 0},
+                           {Stage::Link, 6, 0},
+                           {Stage::Ack, 7, 0},
+                       }));
+
+    // A write-back carrying refs has the response's refs topology.
+    CacheLine dirty = r1;
+    dirty.setWord(5, ~r1.word(5));
+    rig.channel.remoteUpgrade(0x2000);
+    rig.remote.writeLine(0x2000, dirty, true);
+    (void)rig.channel.writeBack(0x2000, dirty);
+    e = rig.sink.encodes.back();
+    EXPECT_TRUE(e.writeback);
+    EXPECT_EQ(e.mode, "refs");
+    EXPECT_EQ(e.refs, 1u);
+    EXPECT_EQ(e.spans, refs_topology);
+}
+
+TEST(ChannelSpans, SelfWinningOverRefsChainsOntoRefsSerialize)
+{
+    // When references were compressed but lost the cost comparison,
+    // the wire Serialize still chains onto the refs Serialize span:
+    // that comparison had to wait for the refs branch. Rare, so the
+    // seeded workload runs until the first such transfer (a
+    // write-back: no self-ratio early-out there).
+    TopologyRig rig;
+    ValueProfile vp;
+    vp.template_count = 16;
+    vp.region_lines = 8;
+    vp.template_vocab = 6;
+    vp.mutation_rate = 0.05;
+    SyntheticMemory mem(vp, 0, 41);
+    Rng rng(42);
+    std::vector<SpanShape> lost;
+    std::uint64_t transfers = 0;
+    for (int i = 0; i < 30000 && lost.empty(); ++i) {
+        Addr addr = rng.below(1 << 12) * kLineBytes;
+        bool store = rng.chance(0.3);
+        if (rig.remote.access(addr)) {
+            if (store
+                && !rig.remote.entryAt(rig.remote.find(addr)).dirty())
+                rig.channel.remoteUpgrade(addr);
+            continue;
+        }
+        if (!rig.home.probe(addr))
+            (void)rig.channel.homeInstall(addr, mem.lineAt(addr));
+        (void)rig.channel.remoteFetch(addr, store);
+        // A fetch may also encode its victim's write-back: check
+        // every encode it made.
+        for (const EncodeShape &enc : rig.sink.encodes)
+            if (enc.mode == "self" && enc.spans.size() > 6
+                && std::get<0>(enc.spans[6]) == Stage::Serialize)
+                lost = enc.spans;
+        rig.sink.encodes.clear();
+        transfers = rig.channel.stats().get("transfers");
+    }
+    ASSERT_FALSE(lost.empty())
+        << "no self-won transfer with refs in " << transfers;
+    EXPECT_EQ(lost, (std::vector<SpanShape>{
+                        {Stage::Line, -1, 0},
+                        {Stage::Serialize, 0, 0},
+                        {Stage::Signature, 0, 0},
+                        {Stage::Probe, 2, 0},
+                        {Stage::Score, 3, 0},
+                        {Stage::Serialize, 4, 2},
+                        {Stage::Serialize, 5, 0},
+                        {Stage::Frame, 6, 0},
+                        {Stage::Link, 7, 0},
+                        {Stage::Ack, 8, 0},
+                    }));
 }
 
 TEST(ChannelSpans, DisabledSamplingRecordsNothing)

@@ -4,18 +4,25 @@
  * corruption, the ARQ path retries with backoff and falls back to
  * raw, lost sync messages desynchronize only CABLE metadata (never
  * delivered data), the periodic audit catches and repairs desyncs,
- * degraded mode re-arms after a healthy window, and the whole
+ * degraded mode re-arms after a healthy window, resync work lands
+ * in one t_stage_resync_ns sample per control event, and the whole
  * injection pipeline is deterministic under a fixed seed.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "cache/cache.h"
 #include "common/crc.h"
 #include "common/rng.h"
 #include "core/channel.h"
+#include "core/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/memlink.h"
+#include "sim/resync.h"
+#include "telemetry/trace.h"
 #include "workload/profile.h"
 #include "workload/value_model.h"
 
@@ -456,6 +463,107 @@ TEST(FaultChannel, StrictDesyncSurfacesTypedError)
     // Strict mode counts and surfaces — it never enters recovery.
     EXPECT_EQ(rig.channel.stats().get("desyncs_detected"), 1u);
     EXPECT_EQ(rig.channel.stats().get("desync_recoveries"), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Control-path spans: resync work lands in t_stage_resync_ns
+// ---------------------------------------------------------------------
+
+namespace
+{
+
+/** Records every event, so a test can inspect what one call emitted. */
+class EventLog : public TraceSink
+{
+  public:
+    void
+    emit(const TraceEvent &ev) override
+    {
+        ++emitted_;
+        events.push_back(ev);
+    }
+
+    std::vector<TraceEvent> events;
+};
+
+/**
+ * Runs @p work and checks the single Resync span it emits on a
+ * @p type control event: one new t_stage_resync_ns sample equal to
+ * the span's duration, two recorder clock reads, and no span on any
+ * other event (the transfers around it are not sampled).
+ */
+template <typename Work>
+void
+expectOneResyncSpan(CableChannel &ch, EventLog &log,
+                    TraceEvent::Type type, Work &&work)
+{
+    const Histogram *h = ch.stats().findHist("t_stage_resync_ns");
+    const std::uint64_t samples0 = h ? h->samples() : 0;
+    const std::uint64_t sum0 = h ? h->sum() : 0;
+    const std::uint64_t reads0 = ch.spanRecorder().clockReads();
+    log.events.clear();
+    work();
+
+    const TraceEvent *control = nullptr;
+    for (const TraceEvent &ev : log.events) {
+        if (ev.nspans == 0)
+            continue;
+        ASSERT_EQ(ev.type, type) << "unexpected spans on another event";
+        ASSERT_EQ(control, nullptr) << "more than one spanned event";
+        control = &ev;
+    }
+    ASSERT_NE(control, nullptr) << "no control event carried a span";
+    ASSERT_EQ(control->nspans, 1u);
+    EXPECT_EQ(control->spans[0].stage, Stage::Resync);
+    EXPECT_EQ(control->spans[0].dep, -1);
+
+    h = ch.stats().findHist("t_stage_resync_ns");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->samples(), samples0 + 1);
+    EXPECT_EQ(h->sum(), sum0 + control->spans[0].durationNs());
+    EXPECT_EQ(ch.spanRecorder().clockReads(), reads0 + 2);
+}
+
+} // namespace
+
+TEST(ControlSpans, ResyncAfterRestoreRecordsOneResyncSpan)
+{
+    Rig rig;
+    EventLog log;
+    rig.channel.setTraceSink(&log);
+    rig.channel.setSpanSampling(64);
+    SyntheticMemory mem(similarValues(), 0, 9);
+    Rng rng(9);
+    for (int i = 0; i < 1000; ++i)
+        rig.fetch(mem, rng.below(512) * kLineBytes, rng.chance(0.2));
+
+    BitVec image = ChannelCheckpoint::capture(rig.channel);
+    rig.channel.crashMetadata();
+    ChannelCheckpoint::restore(rig.channel, image);
+    expectOneResyncSpan(rig.channel, log, TraceEvent::Type::Resync, [&] {
+        EXPECT_TRUE(ResyncSession(rig.channel).run().completed);
+    });
+}
+
+TEST(ControlSpans, DesyncRecoveryRecordsOneResyncSpan)
+{
+    Rig rig;
+    ScriptedFault fault;
+    rig.channel.setFaultModel(&fault);
+    EventLog log;
+    rig.channel.setTraceSink(&log);
+    rig.channel.setSpanSampling(64);
+    ValueProfile v;
+    v.random_line_frac = 1.0;
+    SyntheticMemory mem(v, 0, 6);
+
+    Addr wb_addr = 0x6000;
+    rig.fetch(mem, wb_addr);
+    CacheLine dup = armDeliveryDesync(rig, mem, 0x5000);
+    expectOneResyncSpan(rig.channel, log, TraceEvent::Type::Recovery, [&] {
+        EXPECT_TRUE(rig.channel.writeBack(wb_addr, dup).raw_fallback);
+    });
+    EXPECT_EQ(rig.channel.stats().get("desync_recoveries"), 1u);
 }
 
 TEST(FaultChannel, SecondDesyncWithinAuditWindowRecovers)
