@@ -13,7 +13,6 @@
 #include "compress/lzss.h"
 #include "compress/oracle.h"
 #include "core/cbv.h"
-#include "telemetry/timing.h"
 
 namespace cable
 {
@@ -240,7 +239,7 @@ CableChannel::resetStats()
 void
 CableChannel::traceControl(TraceEvent::Type type, Addr addr,
                            bool writeback, std::uint64_t aux,
-                           const StageSpan *span)
+                           std::optional<std::uint64_t> resync_begin_ns)
 {
     if (!trace_)
         return;
@@ -250,15 +249,9 @@ CableChannel::traceControl(TraceEvent::Type type, Addr addr,
     ev.addr = addr;
     ev.writeback = writeback;
     ev.aux = aux;
-    if (span) {
-        // Control-path work (resync) rides its own event and lands
-        // in the same stage histograms the critpath report
-        // reconciles against.
-        ev.nspans = 1;
-        ev.spans[0] = *span;
-        stats_.hist(stageHistName(span->stage))
-            .record(span->durationNs());
-    }
+    if (resync_begin_ns)
+        spans_.recordControl(ev, stats_, Stage::Resync,
+                             *resync_begin_ns);
     trace_->emit(ev);
 }
 
@@ -315,13 +308,9 @@ CableChannel::searchAndCompress(const Direction &dir,
     spans_.close(sp_line);
 
     // Self-compression runs concurrently with the search (§III-E).
-    BitVec self;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
-        int sp_self = spans_.open(Stage::Serialize, sp_line);
-        self = engine_->compress(data, {});
-        spans_.close(sp_self);
-    }
+    int sp_self = spans_.open(Stage::Serialize, sp_line);
+    BitVec self = engine_->compress(data, {});
+    spans_.close(sp_self);
     const std::size_t self_cost =
         kWireCompressedHeaderBits + self.sizeBits();
     // The fallback whenever references are skipped or lose.
@@ -372,21 +361,18 @@ CableChannel::searchAndCompress(const Direction &dir,
     // select). test_parallel asserts the counter stops growing once
     // the scratch arena reaches its high-water capacity.
     alloc_guard::Scope search_allocs;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_search_ns");
-        // The search branch forks off the Line span, parallel to the
-        // self-compress Serialize span (§III-E concurrency) — the
-        // critpath analyzer sees a genuine two-branch DAG.
-        int sp_sig = spans_.open(Stage::Signature, sp_line);
-        extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
-        spans_.close(sp_sig);
-        int sp_probe = spans_.open(Stage::Probe);
-        const SignatureHashTable &table = this->*dir.table;
-        s.hits.clear();
-        for (std::uint32_t sig : s.sigs)
-            table.lookup(sig, s.hits);
-        spans_.close(sp_probe);
-    }
+    // The search branch forks off the Line span, parallel to the
+    // self-compress Serialize span (§III-E concurrency) — the
+    // critpath analyzer sees a genuine two-branch DAG.
+    int sp_sig = spans_.open(Stage::Signature, sp_line);
+    extractSearchSignaturesInto(data, cfg_.sig, s.sigs);
+    spans_.close(sp_sig);
+    int sp_probe = spans_.open(Stage::Probe);
+    const SignatureHashTable &table = this->*dir.table;
+    s.hits.clear();
+    for (std::uint32_t sig : s.sigs)
+        table.lookup(sig, s.hits);
+    spans_.close(sp_probe);
     chosen.sigs_used = s.sigs.size();
     chosen.ht_hits = static_cast<unsigned>(s.hits.size());
     if (dir.counts_ht_hits)
@@ -418,28 +404,24 @@ CableChannel::searchAndCompress(const Direction &dir,
     s.cand_rlids.clear();
     s.cand_data.clear();
     s.cbvs.clear();
-    unsigned npicks = 0;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_cbv_ns");
-        for (const auto &[lid, dup] : s.ranked) {
-            LineID rlid;
-            const CacheLine *ref = resolveCandidate(dir, lid, rlid);
-            // Stale candidates — the hash table pointed at a slot
-            // that no longer holds usable reference data. Expected
-            // in an inexact table (§III-B); the rate is the cost.
-            if (!ref) {
-                stats_.add(dir.stale_hits, 1);
-                continue;
-            }
-            stats_.add(dir.data_reads, 1);
-            s.cand_rlids.push_back(rlid);
-            s.cand_data.push_back(ref);
-            s.cbvs.push_back(coverageVector(data, *ref));
+    for (const auto &[lid, dup] : s.ranked) {
+        LineID rlid;
+        const CacheLine *ref = resolveCandidate(dir, lid, rlid);
+        // Stale candidates — the hash table pointed at a slot that
+        // no longer holds usable reference data. Expected in an
+        // inexact table (§III-B); the rate is the cost.
+        if (!ref) {
+            stats_.add(dir.stale_hits, 1);
+            continue;
         }
-        npicks = selectByCoverageInto(
-            s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
-            cfg_.max_refs, s.picks.data());
+        stats_.add(dir.data_reads, 1);
+        s.cand_rlids.push_back(rlid);
+        s.cand_data.push_back(ref);
+        s.cbvs.push_back(coverageVector(data, *ref));
     }
+    const unsigned npicks = selectByCoverageInto(
+        s.cbvs.data(), static_cast<unsigned>(s.cbvs.size()),
+        cfg_.max_refs, s.picks.data());
     spans_.close(sp_score);
     if (alloc_guard::hooksInstalled())
         stats_.add("search_allocs", search_allocs.allocations());
@@ -472,7 +454,6 @@ CableChannel::searchAndCompress(const Direction &dir,
 
     std::size_t refs_cost = raw_cost + 1;
     if (chosen.nrefs > 0) {
-        CABLE_TIMED_SCOPE(stats_, "t_compress_ns");
         int sp_refs = spans_.open(Stage::Serialize, sp_score);
         chosen.diff = engine_->compress(data, s.engine_refs);
         refs_cost = kWireCompressedHeaderBits
@@ -616,11 +597,7 @@ CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
                 "reference to untracked remote line");
         refs.push_back(&home_.entryAt(*hlid).data);
     }
-    CacheLine out;
-    {
-        CABLE_TIMED_SCOPE(stats_, "t_decompress_ns");
-        out = engine_->decompress(chosen.diff, refs);
-    }
+    CacheLine out = engine_->decompress(chosen.diff, refs);
     if (out != original)
         throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
                                firstMismatchWord(out, original),
@@ -862,8 +839,9 @@ CableChannel::recoverFromDesync()
     // Recovery is rare and expensive — when span sampling is on it
     // is always timed (not 1-in-N) and rides the Recovery control
     // event as a Resync span.
-    bool timed = trace_ && spans_.enabled();
-    std::uint64_t span_begin = timed ? spans_.nowNs() : 0;
+    std::optional<std::uint64_t> span_begin;
+    if (trace_ && spans_.enabled())
+        span_begin = spans_.nowNs();
     stats_.add("desync_recoveries", 1);
     bool was_degraded = health_ == Health::Degraded;
     health_ = recoveryAdvance(health_,
@@ -886,17 +864,8 @@ CableChannel::recoverFromDesync()
         recoveryAdvance(health_, RecoveryEvent::RecoverEngage);
     health_ = engage.to;
     epoch_ += engage.epoch_delta;
-    if (timed) {
-        StageSpan sp;
-        sp.stage = Stage::Resync;
-        sp.dep = -1;
-        sp.begin_ns = span_begin;
-        sp.end_ns = spans_.nowNs();
-        traceControl(TraceEvent::Type::Recovery, 0, false, relinked,
-                     &sp);
-    } else {
-        traceControl(TraceEvent::Type::Recovery, 0, false, relinked);
-    }
+    traceControl(TraceEvent::Type::Recovery, 0, false, relinked,
+                 span_begin);
     if (!was_degraded)
         stats_.add("degraded_entries", 1);
     healthy_streak_ = 0;

@@ -338,6 +338,10 @@ class CableChannel
     }
     /** Recorder counters for the measured-overhead self-report. */
     const SpanRecorder &spanRecorder() const { return spans_; }
+    /** The resync protocol (sim layer) times its session with the
+     *  channel's recorder, so its span lands in the same stage
+     *  histograms and overhead self-report. */
+    [[nodiscard]] SpanRecorder &spanRecorder() { return spans_; }
 
     /**
      * Tail-quantile sketches (DESIGN.md §14): when enabled, every
@@ -363,13 +367,6 @@ class CableChannel
         }
     }
     bool sketchesEnabled() const { return q_frame_bits_ != nullptr; }
-    /** Recorder clock (counted reads) — the resync protocol (sim
-     *  layer) stamps its handshake span with the same clock so its
-     *  cost lands in the same overhead self-report. */
-    [[nodiscard]] std::uint64_t spanClockNs()
-    {
-        return spans_.nowNs();
-    }
 
     // ---- fault tolerance --------------------------------------------
 
@@ -691,13 +688,14 @@ class CableChannel
 
     /**
      * Emits a non-encode (control) trace event, if tracing is on.
-     * A non-null @p span rides on the event (recovery paths) and is
-     * recorded into its stage-duration histogram, so control-path
-     * work reconciles with the critpath report like encode spans.
+     * Given @p resync_begin_ns (a recorder stamp), the event carries
+     * the Resync span from then to now, recorded into its stage
+     * histogram like encode spans (SpanRecorder::recordControl).
      */
     void traceControl(TraceEvent::Type type, Addr addr, bool writeback,
                       std::uint64_t aux,
-                      const StageSpan *span = nullptr);
+                      std::optional<std::uint64_t> resync_begin_ns =
+                          std::nullopt);
     /** Empties stats() and re-resolves the pointers cached into it
      *  (span stage histograms, tail sketches), which a bare clear()
      *  would leave dangling. Checkpoint restore calls this. */

@@ -26,9 +26,9 @@ ResyncSession::run()
     // is on it is always timed (no 1-in-N) and its cost rides the
     // Resync trace event, stamped with the channel recorder's clock
     // so it lands in the same overhead self-report.
-    bool timed =
-        ch_.spanRecorder().enabled() && ch_.traceSink() != nullptr;
-    std::uint64_t span_begin = timed ? ch_.spanClockNs() : 0;
+    SpanRecorder &spans = ch_.spanRecorder();
+    bool timed = spans.enabled() && ch_.traceSink() != nullptr;
+    std::uint64_t span_begin = timed ? spans.nowNs() : 0;
 
     // Hello: both sides announce their channel epoch. A survivor
     // seeing a lower epoch than its own knows the peer restarted.
@@ -114,18 +114,11 @@ ResyncSession::run()
         ev.type = TraceEvent::Type::Resync;
         ev.when = res.epoch;
         ev.aux = res.lines_relinked;
-        if (timed) {
-            StageSpan &sp = ev.spans[0];
-            sp.stage = Stage::Resync;
-            sp.dep = -1;
-            sp.aux = static_cast<std::uint16_t>(
-                res.rounds < 0xffff ? res.rounds : 0xffff);
-            sp.begin_ns = span_begin;
-            sp.end_ns = ch_.spanClockNs();
-            ev.nspans = 1;
-            stats.hist(stageHistName(Stage::Resync))
-                .record(sp.durationNs());
-        }
+        if (timed)
+            spans.recordControl(
+                ev, stats, Stage::Resync, span_begin,
+                static_cast<std::uint16_t>(
+                    res.rounds < 0xffff ? res.rounds : 0xffff));
         ts->emit(ev);
     }
     return res;

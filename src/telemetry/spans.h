@@ -1,12 +1,15 @@
 /**
  * @file
- * SpanRecorder: the per-channel capture side of critical-path
- * profiling (DESIGN.md §13). The encode hot path opens and closes
- * causal stage spans (line → signature → probe → score → serialize
- * → frame → link → ack, plus retransmit/resync on fault paths);
- * the recorder stamps them with a monotonic nanosecond clock and
- * fixed-capacity storage, then drains them onto the transfer's
- * TraceEvent and into per-stage duration histograms.
+ * SpanRecorder: the simulator's one host-time stage probe
+ * (DESIGN.md §13). The encode hot path opens and closes causal
+ * stage spans (line → signature → probe → score → serialize →
+ * frame → link → ack, plus retransmit on fault paths); the recorder
+ * stamps them with a monotonic nanosecond clock and fixed-capacity
+ * storage, then drains them onto the transfer's TraceEvent and into
+ * the per-stage duration histograms (`t_stage_<name>_ns`). Control
+ * paths (resync sessions, desync recovery) close a single Resync
+ * span onto their own event through recordControl(). Every
+ * `t_stage_*_ns` sample is written here and nowhere else.
  *
  * Cost contract:
  *
@@ -14,7 +17,8 @@
  *    recorder, so a transfer pays a single branch;
  *  - enabled: only 1-in-`period` transfers are armed
  *    (deterministically, by transfer ordinal), and only armed
- *    transfers read the clock — two reads per span;
+ *    transfers read the clock — two reads per span; control spans
+ *    are rare and always timed while recording is enabled;
  *  - the overhead is self-reported: the recorder counts its clock
  *    reads and multiplies by a once-calibrated per-read cost, so
  *    every critpath report carries an honest estimate of what the
@@ -22,10 +26,10 @@
  *
  * Storage is a fixed array (TraceEvent::kMaxSpans); recording never
  * allocates, keeping the `// cable-lint: no-alloc` contract of the
- * search pipeline intact. Like telemetry/timing.h, these are host
- * wall-clock measurements of the simulator's own stages — profiling
- * data for "make the hot path faster" PRs — not simulated link
- * cycles (core/pipeline.h covers those).
+ * search pipeline intact. These are host wall-clock measurements of
+ * the simulator's own stages — profiling data for "make the hot
+ * path faster" PRs — not simulated link cycles (core/pipeline.h
+ * covers those).
  */
 
 #ifndef CABLE_TELEMETRY_SPANS_H
@@ -143,23 +147,6 @@ class SpanRecorder
         last_ = idx;
     }
 
-    /** Appends a pre-measured span (control paths, tests). */
-    int
-    record(Stage stage, int dep, std::uint64_t begin_ns,
-           std::uint64_t end_ns, std::uint16_t aux = 0)
-    {
-        if (!active_ || n_ >= TraceEvent::kMaxSpans)
-            return -1;
-        StageSpan &s = spans_[n_];
-        s.stage = stage;
-        s.dep = static_cast<std::int8_t>(dep);
-        s.aux = aux;
-        s.begin_ns = begin_ns;
-        s.end_ns = end_ns;
-        last_ = static_cast<int>(n_);
-        return static_cast<int>(n_++);
-    }
-
     /**
      * Copies the recorded spans onto @p ev, records each duration
      * into @p stats under its stage histogram (t_stage_<name>_ns —
@@ -167,10 +154,8 @@ class SpanRecorder
      * both sides derive from the same measurements), then disarms.
      * No-op when the current transfer was not sampled.
      */
-    // cable-lint: no-alloc (fixed-capacity copy; each stage's
-    // histogram is resolved by name once — std::map nodes are
-    // pointer-stable — and recorded through the cached pointer
-    // afterwards, so the steady state never builds a key string)
+    // cable-lint: no-alloc (fixed-capacity copy; stage histograms
+    // come from the stageHist() cache)
     void
     drainTo(TraceEvent &ev, StatSet &stats)
     {
@@ -178,23 +163,35 @@ class SpanRecorder
             ev.nspans = 0;
             return;
         }
-        if (&stats != hist_stats_) {
-            hist_stats_ = &stats;
-            for (unsigned i = 0; i < kStageCount; ++i)
-                hists_[i] = nullptr;
-        }
         ev.nspans = static_cast<std::uint8_t>(n_);
         for (unsigned i = 0; i < n_; ++i) {
             ev.spans[i] = spans_[i];
-            unsigned si = static_cast<unsigned>(spans_[i].stage);
-            if (si >= kStageCount)
-                continue;
-            if (hists_[si] == nullptr)
-                hists_[si] =
-                    &stats.hist(stageHistName(spans_[i].stage));
-            hists_[si]->record(spans_[i].durationNs());
+            stageHist(stats, spans_[i].stage)
+                .record(spans_[i].durationNs());
         }
         disarm();
+    }
+
+    /**
+     * Closes a control-path span (resync session, desync recovery)
+     * that began at @p begin_ns (a nowNs() stamp): stamps the end
+     * now, makes it the single, root span of @p ev and records its
+     * duration under the @p stage histogram. Control work is rare,
+     * so callers time every occurrence while recording is enabled
+     * rather than 1-in-period, and need not arm the recorder.
+     */
+    void
+    recordControl(TraceEvent &ev, StatSet &stats, Stage stage,
+                  std::uint64_t begin_ns, std::uint16_t aux = 0)
+    {
+        StageSpan &s = ev.spans[0];
+        s.stage = stage;
+        s.dep = -1;
+        s.aux = aux;
+        s.begin_ns = begin_ns;
+        s.end_ns = nowNs();
+        ev.nspans = 1;
+        stageHist(stats, stage).record(s.durationNs());
     }
 
     /** Forgets the cached stage histograms; call when the StatSet
@@ -244,6 +241,26 @@ class SpanRecorder
     }
 
   private:
+    /**
+     * @p stage's duration histogram in @p stats, resolved by name
+     * once per StatSet (std::map nodes are pointer-stable) and
+     * through the cached pointer afterwards, so the steady state
+     * never builds a key string.
+     */
+    Histogram &
+    stageHist(StatSet &stats, Stage stage)
+    {
+        if (&stats != hist_stats_) {
+            hist_stats_ = &stats;
+            for (Histogram *&h : hists_)
+                h = nullptr;
+        }
+        Histogram *&h = hists_[static_cast<unsigned>(stage)];
+        if (h == nullptr)
+            h = &stats.hist(stageHistName(stage));
+        return *h;
+    }
+
     StageSpan spans_[TraceEvent::kMaxSpans] = {};
     unsigned n_ = 0;
     int last_ = -1;
@@ -252,7 +269,7 @@ class SpanRecorder
     std::uint64_t mask_ = 0; ///< period_ - 1 for powers of two, else 0
     std::uint64_t sampled_ = 0;
     std::uint64_t clock_reads_ = 0;
-    /** Per-stage histogram cache for drainTo (keyed by StatSet). */
+    /** Per-stage histogram cache for stageHist (keyed by StatSet). */
     StatSet *hist_stats_ = nullptr;
     Histogram *hists_[kStageCount] = {};
     std::chrono::steady_clock::time_point origin_ =

@@ -1,151 +1,27 @@
 /**
  * @file
- * Per-stage wall-clock timing scopes. CABLE_TIMED_SCOPE(stats, "x")
- * measures the enclosing block with the steady clock and records the
- * elapsed nanoseconds into `stats.hist("x")` (log2 buckets), so hot
- * paths — hash lookup, CBV compute, delegate compress — become
- * individually attributable histograms in the metrics export.
+ * Stub left from the retired sampled timed scopes. Host-time stage
+ * timing is the span recorder's job alone (telemetry/spans.h,
+ * DESIGN.md §13): span sampling (`setSpanSampling`) is the only
+ * timer period.
  *
- * Timing is gated by a runtime sample period:
- *
- *   0  (the default)  off — a scope is one relaxed atomic load and
- *                     no clock read, so simulation-speed runs pay
- *                     effectively nothing;
- *   1                 record every scope entry (exact histograms;
- *                     cable_sim: `--timing-sample 1`);
- *   N                 record 1-in-N entries *per call site* (each
- *                     site keeps its own thread-local tick, so a
- *                     fixed scope rotation cannot alias one site
- *                     into always-sampled and another into never).
- *
- * Sampled histograms hold 1/N of the events; multiply sums by the
- * period to estimate totals. setTimingEnabled() is the boolean
- * convenience over periods {0, 1}. bench/micro_trace.cc measures and
- * asserts the overhead of the sampled mode (<2% at the default
- * 1-in-64 sample rate, ~0 when disabled).
- *
- * These are host-time measurements of the simulator's own stages —
- * profiling data for "make the hot path faster" PRs — not simulated
- * link cycles, which the pipeline model (core/pipeline.h) covers.
+ * This header stays only because benchmark/probe.cc includes it and
+ * calls setTimingSamplePeriod(), and that harness is left unchanged
+ * here. Nothing else may call it; delete this file together with
+ * those calls when benchmark/ next changes.
  */
 
 #ifndef CABLE_TELEMETRY_TIMING_H
 #define CABLE_TELEMETRY_TIMING_H
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
-
-#include "common/stats.h"
 
 namespace cable
 {
 
-namespace detail
-{
-/** Global sample period: 0 = off, 1 = every entry, N = 1-in-N. */
-inline std::atomic<std::uint64_t> g_timing_period{0};
-} // namespace detail
-
-inline bool
-timingEnabled()
-{
-    return detail::g_timing_period.load(std::memory_order_relaxed)
-           != 0;
-}
-
-inline void
-setTimingEnabled(bool on)
-{
-    detail::g_timing_period.store(on ? 1 : 0,
-                                  std::memory_order_relaxed);
-}
-
-/** Runtime sampled mode: record 1-in-@p period scope entries per
- *  call site; 0 disables timing entirely. */
-inline void
-setTimingSamplePeriod(std::uint64_t period)
-{
-    detail::g_timing_period.store(period, std::memory_order_relaxed);
-}
-
-inline std::uint64_t
-timingSamplePeriod()
-{
-    return detail::g_timing_period.load(std::memory_order_relaxed);
-}
-
-/**
- * RAII scope: on destruction, records elapsed nanoseconds into
- * @p stats under histogram @p name. @p name must outlive the scope
- * (string literals at every call site). The three-argument form
- * takes the call site's thread-local tick counter (supplied by the
- * CABLE_TIMED_SCOPE macro) and implements the 1-in-N sampling; the
- * two-argument form records on every entry while timing is enabled.
- */
-class TimedScope
-{
-  public:
-    TimedScope(StatSet &stats, const char *name)
-        : stats_(timingEnabled() ? &stats : nullptr), name_(name)
-    {
-        if (stats_)
-            start_ = std::chrono::steady_clock::now();
-    }
-
-    TimedScope(StatSet &stats, const char *name, std::uint64_t &tick)
-        : stats_(nullptr), name_(name)
-    {
-        std::uint64_t period =
-            detail::g_timing_period.load(std::memory_order_relaxed);
-        if (period == 0)
-            return;
-        // Countdown instead of `tick % period`: the skip path — the
-        // overwhelmingly common one — must not pay a runtime integer
-        // division. The first entry of each site samples (tick
-        // starts at 0), then every period-th after it.
-        if (tick > 0) {
-            --tick;
-            return;
-        }
-        tick = period - 1;
-        stats_ = &stats;
-        start_ = std::chrono::steady_clock::now();
-    }
-
-    ~TimedScope()
-    {
-        if (!stats_)
-            return;
-        auto ns =
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
-        stats_->hist(name_).record(
-            ns > 0 ? static_cast<std::uint64_t>(ns) : 0);
-    }
-
-    TimedScope(const TimedScope &) = delete;
-    TimedScope &operator=(const TimedScope &) = delete;
-
-  private:
-    StatSet *stats_;
-    const char *name_;
-    std::chrono::steady_clock::time_point start_;
-};
+/** No-op: there is no stage timer besides the span recorder. */
+inline void setTimingSamplePeriod(std::uint64_t) {}
 
 } // namespace cable
-
-#define CABLE_TIMED_SCOPE_CAT2(a, b) a##b
-#define CABLE_TIMED_SCOPE_CAT(a, b) CABLE_TIMED_SCOPE_CAT2(a, b)
-#define CABLE_TIMED_SCOPE_IMPL(stats, name, id)                       \
-    static thread_local std::uint64_t CABLE_TIMED_SCOPE_CAT(          \
-        cable_timed_tick_, id){0};                                    \
-    ::cable::TimedScope CABLE_TIMED_SCOPE_CAT(cable_timed_scope_,     \
-                                              id)(                    \
-        (stats), (name),                                              \
-        CABLE_TIMED_SCOPE_CAT(cable_timed_tick_, id))
-#define CABLE_TIMED_SCOPE(stats, name)                                \
-    CABLE_TIMED_SCOPE_IMPL(stats, name, __COUNTER__)
 
 #endif // CABLE_TELEMETRY_TIMING_H

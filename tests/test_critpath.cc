@@ -311,8 +311,9 @@ TEST(SpanRecorder, DrainReconcilesWithStageHistograms)
     int sp_ser = rec.open(Stage::Serialize);
     ASSERT_EQ(sp_ser, 1);
     rec.close(sp_ser, /*aux=*/3);
-    int sp_pre = rec.record(Stage::Resync, -1, 100, 250);
-    ASSERT_EQ(sp_pre, 2);
+    int sp_ack = rec.open(Stage::Ack, sp_line);
+    ASSERT_EQ(sp_ack, 2);
+    rec.close(sp_ack);
 
     TraceEvent ev;
     StatSet stats;
@@ -320,7 +321,7 @@ TEST(SpanRecorder, DrainReconcilesWithStageHistograms)
     ASSERT_EQ(ev.nspans, 3u);
     EXPECT_EQ(ev.spans[1].dep, 0);
     EXPECT_EQ(ev.spans[1].aux, 3u);
-    EXPECT_EQ(ev.spans[2].durationNs(), 150u);
+    EXPECT_EQ(ev.spans[2].dep, 0);
 
     // Exact reconciliation: the histograms and the event spans come
     // from the same measurements.
@@ -347,11 +348,35 @@ TEST(SpanRecorder, CapacityOverflowReturnsSentinel)
     for (unsigned i = 0; i < TraceEvent::kMaxSpans; ++i)
         EXPECT_EQ(rec.open(Stage::Line, -1), static_cast<int>(i));
     EXPECT_EQ(rec.open(Stage::Line, -1), -1);
-    EXPECT_EQ(rec.record(Stage::Resync, -1, 0, 1), -1);
     TraceEvent ev;
     StatSet stats;
     rec.drainTo(ev, stats);
     EXPECT_EQ(ev.nspans, TraceEvent::kMaxSpans);
+}
+
+TEST(SpanRecorder, ControlSpanIsTheEventsOnlySpan)
+{
+    // Control paths are timed whenever recording is enabled, armed
+    // or not; the span lands on their own event and in the same
+    // stage histogram cache that drainTo() fills.
+    SpanRecorder rec;
+    rec.configure(64);
+    StatSet stats;
+    TraceEvent ev;
+    std::uint64_t begin = rec.nowNs();
+    std::uint64_t reads = rec.clockReads();
+    rec.recordControl(ev, stats, Stage::Resync, begin, /*aux=*/7);
+    EXPECT_EQ(rec.clockReads(), reads + 1); // the end stamp
+    ASSERT_EQ(ev.nspans, 1u);
+    EXPECT_EQ(ev.spans[0].stage, Stage::Resync);
+    EXPECT_EQ(ev.spans[0].dep, -1);
+    EXPECT_EQ(ev.spans[0].aux, 7u);
+    EXPECT_EQ(ev.spans[0].begin_ns, begin);
+    const Histogram *h = stats.findHist(stageHistName(Stage::Resync));
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->samples(), 1u);
+    EXPECT_EQ(h->sum(), ev.spans[0].durationNs());
+    EXPECT_FALSE(rec.active());
 }
 
 TEST(SpanRecorder, OverheadSelfReportCountsClockReads)

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -21,7 +22,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "core/channel.h"
-#include "telemetry/timing.h"
 #include "telemetry/trace.h"
 #include "workload/value_model.h"
 
@@ -438,33 +438,18 @@ TEST(SamplingTrace, DeterministicOneInN)
     (void)text1;
 }
 
-TEST(Timing, ScopeRecordsWhenEnabled)
-{
-    StatSet s;
-    setTimingEnabled(false);
-    {
-        CABLE_TIMED_SCOPE(s, "t_test_ns");
-    }
-    EXPECT_EQ(s.findHist("t_test_ns"), nullptr);
-    setTimingEnabled(true);
-    {
-        CABLE_TIMED_SCOPE(s, "t_test_ns");
-    }
-    setTimingEnabled(false);
-    ASSERT_NE(s.findHist("t_test_ns"), nullptr);
-    EXPECT_EQ(s.findHist("t_test_ns")->samples(), 1u);
-}
-
 TEST(Timing, EveryEncodeSearchTimesEachStageOnce)
 {
-    // With every scope entry sampled, each reference search — in
-    // either direction — must record exactly one t_search_ns and one
-    // t_cbv_ns sample: a stage timed twice, or skipped in one
-    // direction, breaks the equality.
-    setTimingSamplePeriod(1);
+    // With a sink attached and every transfer's spans sampled, each
+    // reference search — in either direction — must record exactly
+    // one signature, probe and score span: a stage timed twice, or
+    // skipped in one direction, breaks the equality.
     Cache home({"home", 1u << 20, 8});
     Cache remote({"remote", 128u << 10, 8});
     CableChannel channel(home, remote, CableConfig{});
+    NullTraceSink sink;
+    channel.setTraceSink(&sink);
+    channel.setSpanSampling(1);
     ValueProfile vp;
     vp.template_count = 16;
     vp.region_lines = 8;
@@ -484,16 +469,17 @@ TEST(Timing, EveryEncodeSearchTimesEachStageOnce)
             (void)channel.homeInstall(addr, mem.lineAt(addr));
         (void)channel.remoteFetch(addr, store);
     }
-    setTimingSamplePeriod(0);
 
     const StatSet &s = channel.stats();
     std::uint64_t searches = s.get("searches") + s.get("wb_searches");
     ASSERT_GT(s.get("searches"), 0u);
     ASSERT_GT(s.get("wb_searches"), 0u);
-    ASSERT_NE(s.findHist("t_search_ns"), nullptr);
-    ASSERT_NE(s.findHist("t_cbv_ns"), nullptr);
-    EXPECT_EQ(s.findHist("t_search_ns")->samples(), searches);
-    EXPECT_EQ(s.findHist("t_cbv_ns")->samples(), searches);
+    for (const char *name : {"t_stage_signature_ns", "t_stage_probe_ns",
+                             "t_stage_score_ns"}) {
+        const Histogram *h = s.findHist(name);
+        ASSERT_NE(h, nullptr) << name;
+        EXPECT_EQ(h->samples(), searches) << name;
+    }
 }
 
 TEST(Log, ParseAndGating)
