@@ -1,14 +1,14 @@
 /**
  * @file
- * Stub left from the retired sampled timed scopes. Host-time stage
- * timing is the span recorder's job alone (telemetry/spans.h,
- * DESIGN.md §13): span sampling (`setSpanSampling`) is the only
- * timer period.
+ * Host-time stage timing is the span recorder's job alone
+ * (telemetry/spans.h, DESIGN.md §13): span sampling
+ * (`setSpanSampling`) is the only timer period, and nothing here
+ * measures anything.
  *
- * This header stays only because benchmark/probe.cc includes it and
- * calls setTimingSamplePeriod(), and that harness is left unchanged
- * here. Nothing else may call it; delete this file together with
- * those calls when benchmark/ next changes.
+ * This header holds one no-op only because benchmark/probe.cc
+ * includes it and calls setTimingSamplePeriod(), and that harness is
+ * left unchanged. Nothing else may call it; delete this file
+ * together with those calls when benchmark/ next changes.
  */
 
 #ifndef CABLE_TELEMETRY_TIMING_H

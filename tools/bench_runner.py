@@ -8,7 +8,7 @@ Two subcommands:
       already-built bench binaries (fig14_throughput, fig03_dict_sweep,
       fig20_engines, micro_search, micro_crc, ext_fault_sweep) through their
       CABLE_METRICS_OUT / --benchmark_out JSON exports, plus one
-      `cable_sim ratio` run for the search-stage timing histograms and
+      `cable_sim ratio` run for the search-shape histograms and
       wire-level metrics, and appends one entry -- benches + a flat
       metric map + commit/host identity -- to a top-level trajectory
       file (default BENCH_cable.json, schema "cable-trajectory-v1").
@@ -75,8 +75,6 @@ METRIC_POLICY = {
     # the detector is splitting phases differently or the encoder's
     # behaviour inside a phase got less stable.
     "phase_ratio_spread": {"higher_is_better": None, "threshold": 0.02},
-    "t_search_ns_mean": {"higher_is_better": False, "threshold": 0.25},
-    "t_compress_ns_mean": {"higher_is_better": False, "threshold": 0.25},
     # Kernel micro-metrics: intra-entry speedup ratios (scalar or
     # serial reference / optimized path within the same run), so they
     # self-normalize across hosts; still timing-derived, hence the
@@ -278,9 +276,7 @@ def cmd_run(args):
     for hist, key in (("ht_hits_per_search", "search_ht_hits_mean"),
                       ("ranked_candidates", "search_ranked_mean"),
                       ("cbv_covered_words",
-                       "search_covered_words_mean"),
-                      ("t_search_ns", "t_search_ns_mean"),
-                      ("t_compress_ns", "t_compress_ns_mean")):
+                       "search_covered_words_mean")):
         m = hist_mean(ratio_doc, hist)
         if m is not None:
             metrics[key] = m
