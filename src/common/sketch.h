@@ -32,6 +32,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
+#include <ostream>
 #include <vector>
 
 #include "common/json.h"
@@ -231,6 +232,15 @@ class QuantileSketch
         }
         jw.endArray();
         jw.endObject();
+    }
+
+    /** The one-line form StatSet::dump() prints after the name. */
+    void
+    dumpText(std::ostream &os) const
+    {
+        os << " n=" << count_ << " min=" << min() << " max=" << max()
+           << " mean=" << mean() << " p50=" << quantile(0.50)
+           << " p99=" << quantile(0.99);
     }
 
   private:

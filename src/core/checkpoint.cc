@@ -301,9 +301,9 @@ ChannelCheckpoint::capture(const CableChannel &ch)
             body.put(e.data.byte(i), kCkptByteBits);
     }
 
-    // COUNTERS — every StatSet counter; std::map iteration order is
-    // sorted, so identical state yields a bit-identical image.
-    const auto &counters = ch.stats_.counters();
+    // COUNTERS — every touched StatSet counter, sorted by name, so
+    // identical state yields a bit-identical image.
+    const auto counters = ch.stats_.counters();
     // cable-wire: ckpt.counters tag kCkptSectionTagBits
     body.put(kCkptTagCounters, kCkptSectionTagBits);
     // cable-wire: ckpt.counters count kCkptNumCountersBits
@@ -652,9 +652,12 @@ ChannelCheckpoint::restore(CableChannel &ch, const BitVec &image)
     // Histograms are telemetry, not replicated channel state: a
     // restored channel restarts them empty while every counter comes
     // back exactly (the reconciliation tests depend on counters).
-    ch.resetStats();
+    // clear() keeps every handle valid; enabled sketches stay
+    // visible, empty.
+    ch.stats_.clear();
+    ch.setSketchesEnabled(ch.sketchesEnabled());
     for (const auto &[name, value] : counters)
-        ch.stats_.counter(name) = value;
+        ch.stats_.add(name, value);
 
     // Every restore opens a new channel generation — the resync
     // handshake compares epochs to detect a restarted peer. The

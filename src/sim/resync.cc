@@ -116,7 +116,7 @@ ResyncSession::run()
         ev.aux = res.lines_relinked;
         if (timed)
             spans.recordControl(
-                ev, stats, Stage::Resync, span_begin,
+                ev, Stage::Resync, span_begin,
                 static_cast<std::uint16_t>(
                     res.rounds < 0xffff ? res.rounds : 0xffff));
         ts->emit(ev);

@@ -51,6 +51,23 @@ const char *stageHistName(Stage s);
 class SpanRecorder
 {
   public:
+    SpanRecorder() = default;
+    // Holds a pointer to its owner's StatSet: never copied along.
+    SpanRecorder(const SpanRecorder &) = delete;
+    SpanRecorder &operator=(const SpanRecorder &) = delete;
+
+    /** Registers the `t_stage_*_ns` histograms in @p stats, which
+     *  drainTo() and recordControl() then record into. Call once,
+     *  with the StatSet of the recorder's owner. */
+    void
+    bind(StatSet &stats)
+    {
+        stats_ = &stats;
+        for (unsigned s = 0; s < kStageCount; ++s)
+            stage_hists_[s] =
+                stats.histId(stageHistName(static_cast<Stage>(s)));
+    }
+
     /** 1-in-@p period transfers record spans; 0 disables. */
     void
     configure(std::uint64_t period)
@@ -149,15 +166,15 @@ class SpanRecorder
 
     /**
      * Copies the recorded spans onto @p ev, records each duration
-     * into @p stats under its stage histogram (t_stage_<name>_ns —
-     * the aggregate timers the critpath report reconciles against,
-     * both sides derive from the same measurements), then disarms.
-     * No-op when the current transfer was not sampled.
+     * under its stage histogram (t_stage_<name>_ns — the aggregate
+     * timers the critpath report reconciles against, both sides
+     * derive from the same measurements), then disarms. No-op when
+     * the current transfer was not sampled.
      */
     // cable-lint: no-alloc (fixed-capacity copy; stage histograms
-    // come from the stageHist() cache)
+    // are updated through their bind() handles)
     void
-    drainTo(TraceEvent &ev, StatSet &stats)
+    drainTo(TraceEvent &ev)
     {
         if (!active_) {
             ev.nspans = 0;
@@ -166,8 +183,7 @@ class SpanRecorder
         ev.nspans = static_cast<std::uint8_t>(n_);
         for (unsigned i = 0; i < n_; ++i) {
             ev.spans[i] = spans_[i];
-            stageHist(stats, spans_[i].stage)
-                .record(spans_[i].durationNs());
+            stageHist(spans_[i].stage).record(spans_[i].durationNs());
         }
         disarm();
     }
@@ -181,8 +197,8 @@ class SpanRecorder
      * rather than 1-in-period, and need not arm the recorder.
      */
     void
-    recordControl(TraceEvent &ev, StatSet &stats, Stage stage,
-                  std::uint64_t begin_ns, std::uint16_t aux = 0)
+    recordControl(TraceEvent &ev, Stage stage, std::uint64_t begin_ns,
+                  std::uint16_t aux = 0)
     {
         StageSpan &s = ev.spans[0];
         s.stage = stage;
@@ -191,15 +207,7 @@ class SpanRecorder
         s.begin_ns = begin_ns;
         s.end_ns = nowNs();
         ev.nspans = 1;
-        stageHist(stats, stage).record(s.durationNs());
-    }
-
-    /** Forgets the cached stage histograms; call when the StatSet
-     *  they live in is cleared (its address stays the same). */
-    void
-    dropHistCache()
-    {
-        hist_stats_ = nullptr;
+        stageHist(stage).record(s.durationNs());
     }
 
     // ---- measured-overhead self-report ------------------------------
@@ -241,24 +249,10 @@ class SpanRecorder
     }
 
   private:
-    /**
-     * @p stage's duration histogram in @p stats, resolved by name
-     * once per StatSet (std::map nodes are pointer-stable) and
-     * through the cached pointer afterwards, so the steady state
-     * never builds a key string.
-     */
     Histogram &
-    stageHist(StatSet &stats, Stage stage)
+    stageHist(Stage stage)
     {
-        if (&stats != hist_stats_) {
-            hist_stats_ = &stats;
-            for (Histogram *&h : hists_)
-                h = nullptr;
-        }
-        Histogram *&h = hists_[static_cast<unsigned>(stage)];
-        if (h == nullptr)
-            h = &stats.hist(stageHistName(stage));
-        return *h;
+        return stats_->hist(stage_hists_[static_cast<unsigned>(stage)]);
     }
 
     StageSpan spans_[TraceEvent::kMaxSpans] = {};
@@ -269,9 +263,8 @@ class SpanRecorder
     std::uint64_t mask_ = 0; ///< period_ - 1 for powers of two, else 0
     std::uint64_t sampled_ = 0;
     std::uint64_t clock_reads_ = 0;
-    /** Per-stage histogram cache for stageHist (keyed by StatSet). */
-    StatSet *hist_stats_ = nullptr;
-    Histogram *hists_[kStageCount] = {};
+    StatSet *stats_ = nullptr; ///< the owner's, set by bind()
+    HistId stage_hists_[kStageCount] = {};
     std::chrono::steady_clock::time_point origin_ =
         std::chrono::steady_clock::now();
 };

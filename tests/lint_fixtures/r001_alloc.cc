@@ -12,9 +12,16 @@ struct Scratch
     std::vector<int> hits;
 };
 
+struct Stats
+{
+    void add(const std::string &name, int delta);
+    void add(int handle, int delta);
+    Scratch &hist(const std::string &name, int scale = 0);
+};
+
 // cable-lint: no-alloc
 void
-searchPipeline(Scratch &s)
+searchPipeline(Scratch &s, Stats &stats, int handle)
 {
     s.hits.clear();       // allowed: capacity retained
     s.hits.push_back(1);  // allowed: capacity retained
@@ -29,6 +36,10 @@ searchPipeline(Scratch &s)
     std::vector<int> local;                    // expect: R001
     local.reserve(8);                          // expect: R001
     s.hits.resize(2);                          // expect: R001
+    stats.add("transfers", 1);                 // expect: R001
+    stats.hist("refs_per_line", 1);            // expect: R001
+    stats.add(handle, 1);      // allowed: registered handle
+    // stats.add("in_a_comment", 1) is not code
 
     // cable-lint: allow(R001) shrink-only resize; capacity kept
     s.hits.resize(1);

@@ -494,7 +494,7 @@ TEST(Stats, CountersAndRatios)
     StatSet s;
     s.add("a", 10);
     s.add("a", 5);
-    s.counter("b") = 3;
+    s.add(s.counterId("b"), 3);
     EXPECT_EQ(s.get("a"), 15u);
     EXPECT_EQ(s.get("b"), 3u);
     EXPECT_EQ(s.get("missing"), 0u);

@@ -317,7 +317,8 @@ TEST(SpanRecorder, DrainReconcilesWithStageHistograms)
 
     TraceEvent ev;
     StatSet stats;
-    rec.drainTo(ev, stats);
+    rec.bind(stats);
+    rec.drainTo(ev);
     ASSERT_EQ(ev.nspans, 3u);
     EXPECT_EQ(ev.spans[1].dep, 0);
     EXPECT_EQ(ev.spans[1].aux, 3u);
@@ -336,7 +337,7 @@ TEST(SpanRecorder, DrainReconcilesWithStageHistograms)
     // Draining disarms: a second drain reports no spans.
     EXPECT_FALSE(rec.active());
     TraceEvent ev2;
-    rec.drainTo(ev2, stats);
+    rec.drainTo(ev2);
     EXPECT_EQ(ev2.nspans, 0u);
 }
 
@@ -350,7 +351,8 @@ TEST(SpanRecorder, CapacityOverflowReturnsSentinel)
     EXPECT_EQ(rec.open(Stage::Line, -1), -1);
     TraceEvent ev;
     StatSet stats;
-    rec.drainTo(ev, stats);
+    rec.bind(stats);
+    rec.drainTo(ev);
     EXPECT_EQ(ev.nspans, TraceEvent::kMaxSpans);
 }
 
@@ -358,14 +360,15 @@ TEST(SpanRecorder, ControlSpanIsTheEventsOnlySpan)
 {
     // Control paths are timed whenever recording is enabled, armed
     // or not; the span lands on their own event and in the same
-    // stage histogram cache that drainTo() fills.
+    // stage histograms that drainTo() fills.
     SpanRecorder rec;
     rec.configure(64);
     StatSet stats;
+    rec.bind(stats);
     TraceEvent ev;
     std::uint64_t begin = rec.nowNs();
     std::uint64_t reads = rec.clockReads();
-    rec.recordControl(ev, stats, Stage::Resync, begin, /*aux=*/7);
+    rec.recordControl(ev, Stage::Resync, begin, /*aux=*/7);
     EXPECT_EQ(rec.clockReads(), reads + 1); // the end stamp
     ASSERT_EQ(ev.nspans, 1u);
     EXPECT_EQ(ev.spans[0].stage, Stage::Resync);
