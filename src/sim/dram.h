@@ -45,7 +45,7 @@ class DramModel
         unsigned ch = channelOf(addr);
         Cycles start = now > busy_until_[ch] ? now : busy_until_[ch];
         busy_until_[ch] = start + cfg_.burst_cycles;
-        stats_.add(write ? "writes" : "reads", 1);
+        stats_.add(write ? writes_ : reads_, 1);
         // Writes are posted; reads pay the access latency.
         return write ? busy_until_[ch]
                      : start + cfg_.access_cycles + cfg_.burst_cycles;
@@ -65,6 +65,8 @@ class DramModel
     Config cfg_;
     std::vector<Cycles> busy_until_;
     StatSet stats_;
+    CounterId reads_ = stats_.counterId("reads"),
+              writes_ = stats_.counterId("writes");
 };
 
 } // namespace cable
