@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -294,16 +295,120 @@ TEST(StatSet, EpochDeltaClampsCounterWrap)
 TEST(StatSet, MergeCombinesAllKinds)
 {
     StatSet a, b;
-    a.add("c", 1);
-    b.add("c", 2);
+    // The two sets register "c" and "z" in opposite orders, so the
+    // same name sits in different slots: merge must match by name.
+    CounterId a_c = a.counterId("c");
+    CounterId a_z = a.counterId("z");
+    CounterId b_z = b.counterId("z");
+    CounterId b_c = b.counterId("c");
+    ASSERT_NE(a_c.index, b_c.index);
+    a.add(a_c, 1);
+    a.add(a_z, 10);
+    b.add(b_c, 2);
+    b.add(b_z, 20);
+    b.add("fresh", 5); // registered only in b
     b.hist("h").record(4);
     b.dist("d").record(0.5);
     a.merge(b);
     EXPECT_EQ(a.get("c"), 3u);
+    EXPECT_EQ(a.get("z"), 30u);
+    EXPECT_EQ(a.get("fresh"), 5u);
     ASSERT_NE(a.findHist("h"), nullptr);
     EXPECT_EQ(a.findHist("h")->samples(), 1u);
     ASSERT_NE(a.findDist("d"), nullptr);
     EXPECT_DOUBLE_EQ(a.findDist("d")->mean(), 0.5);
+}
+
+TEST(StatSet, HandlesSurviveClearAndCopy)
+{
+    StatSet s;
+    CounterId c = s.counterId("transfers");
+    HistId h = s.histId("refs", Histogram::Scale::Linear, 1, 8);
+    SketchId q = s.sketchId("bits");
+    s.add(c, 3);
+    s.hist(h).record(2);
+    s.sketch(q).record(64);
+    StatSet copy = s;
+
+    // clear() empties in place: nothing visible, every handle valid.
+    s.clear();
+    EXPECT_FALSE(s.has("transfers"));
+    EXPECT_EQ(s.findHist("refs"), nullptr);
+    EXPECT_EQ(s.findSketch("bits"), nullptr);
+    s.add(c, 4);
+    s.hist(h).record(9);
+    s.sketch(q).record(128);
+    EXPECT_EQ(s.get("transfers"), 4u);
+    EXPECT_EQ(s.value(c), 4u);
+    // The Linear(width 1, 8 buckets) registration survived: 9 lands
+    // in the overflow bucket 7, where Log2 would have used bucket 4.
+    const Histogram *refs = s.findHist("refs");
+    ASSERT_NE(refs, nullptr);
+    EXPECT_EQ(refs->samples(), 1u);
+    ASSERT_EQ(refs->buckets().size(), 8u);
+    EXPECT_EQ(refs->buckets()[7], 1u);
+    ASSERT_NE(s.findSketch("bits"), nullptr);
+    EXPECT_EQ(s.findSketch("bits")->samples(), 1u);
+
+    // The copy answers to the same handles with its own values.
+    copy.add(c, 1);
+    copy.hist(h).record(0);
+    EXPECT_EQ(copy.get("transfers"), 4u);
+    EXPECT_EQ(copy.findHist("refs")->samples(), 2u);
+    EXPECT_EQ(s.get("transfers"), 4u);
+}
+
+TEST(StatSet, RegisteredButUntouchedIsInvisible)
+{
+    StatSet s;
+    CounterId idle = s.counterId("idle");
+    (void)s.histId("idle_hist", Histogram::Scale::Linear, 1, 4);
+    (void)s.sketchId("idle_sketch");
+    (void)s.distId("idle_dist");
+    s.add("seen", 2);
+
+    auto text = [](const StatSet &set) {
+        std::ostringstream os;
+        set.dump(os);
+        return os.str();
+    };
+    auto json = [](const StatSet &set) {
+        std::ostringstream os;
+        JsonWriter jw(os);
+        set.dumpJson(jw);
+        return os.str();
+    };
+    const std::string only_seen = "seen 2\n";
+    const std::string only_seen_json =
+        "{\"counters\":{\"seen\":2},\"histograms\":{},"
+        "\"distributions\":{},\"sketches\":{}}";
+    const std::map<std::string, std::uint64_t> only_seen_counters = {
+        {"seen", 2}};
+
+    EXPECT_EQ(text(s), only_seen);
+    EXPECT_EQ(json(s), only_seen_json);
+    EXPECT_EQ(s.counters(), only_seen_counters);
+    EXPECT_FALSE(s.has("idle"));
+    EXPECT_EQ(s.get("idle"), 0u);
+    EXPECT_FALSE(s.ratioOpt("seen", "idle").has_value());
+    EXPECT_EQ(s.findHist("idle_hist"), nullptr);
+    EXPECT_EQ(s.findSketch("idle_sketch"), nullptr);
+    EXPECT_EQ(s.findDist("idle_dist"), nullptr);
+
+    // Neither merge nor delta carries the idle registrations along.
+    StatSet merged;
+    merged.merge(s);
+    EXPECT_EQ(text(merged), only_seen);
+    EXPECT_EQ(json(merged), only_seen_json);
+    StatSet d = s.delta(StatSet{});
+    EXPECT_EQ(text(d), only_seen);
+    EXPECT_EQ(json(d), only_seen_json);
+    EXPECT_EQ(d.counters(), only_seen_counters);
+
+    // A touch — even adding zero — makes the stat visible.
+    s.add(idle, 0);
+    EXPECT_TRUE(s.has("idle"));
+    EXPECT_EQ(text(s), "idle 0\nseen 2\n");
 }
 
 TEST(StatSet, DumpJsonIsWellFormed)
