@@ -237,20 +237,17 @@ def cmd_run(args):
         if not os.path.exists(sim):
             fail("cable_sim binary '%s' not built" % sim)
         out = os.path.join(tmp, "ratio_mcf.json")
-        snap = os.path.join(tmp, "ratio_mcf_structures.json")
         critpath = os.path.join(tmp, "ratio_mcf_critpath.json")
         phases = os.path.join(tmp, "ratio_mcf_phases.json")
         ops = "50000" if args.quick else "400000"
         interval = "10000" if args.quick else "40000"
         print("[ratio_mcf]", flush=True)
         run_cmd([sim, "ratio", "mcf", "--scheme", "cable", "--ops",
-                 ops, "--metrics-out", out, "--snapshot-out", snap,
+                 ops, "--metrics-out", out,
                  "--critpath-out", critpath, "--stats-interval",
                  interval, "--phase-out", phases])
         ratio_doc = read_json(out, "cable_sim metrics")
         entry["benches"]["ratio_mcf"] = ratio_doc
-        entry["benches"]["ratio_mcf_structures"] = read_json(
-            snap, "cable_sim snapshot")
         entry["benches"]["ratio_mcf_critpath"] = read_json(
             critpath, "cable_sim critpath report")
         entry["benches"]["ratio_mcf_phases"] = read_json(

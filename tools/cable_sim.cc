@@ -54,11 +54,6 @@
  *                       (schema "cable-metrics-v1"); also enables
  *                       stage-span recording (the t_stage_*_ns
  *                       histograms and the critpath section)
- *   --snapshot-out F    end-of-run dictionary-structure snapshot
- *                       (schema "cable-structures-v1"): hash-table
- *                       occupancy/duplication histograms, WMT
- *                       residency, eviction-buffer traffic.
- *                       Requires --scheme cable.
  *   --trace-out F       structured per-line trace events
  *   --trace-format T    jsonl (default) or chrome (trace_event)
  *   --trace-sample N    keep 1-in-N encode events (deterministic,
@@ -96,6 +91,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -236,7 +232,7 @@ const std::set<std::string> kNodeFlags = {"nodes"};
 const std::set<std::string> kBatchFlags = {"replicas", "jobs"};
 /** Telemetry export flags (ratio command). */
 const std::set<std::string> kTelemetryFlags = {
-    "metrics-out", "snapshot-out", "trace-out", "trace-format",
+    "metrics-out", "trace-out", "trace-format",
     "trace-sample", "stats-interval", "critpath-out",
     "critpath-sample", "live-stats", "phase-out",
 };
@@ -440,7 +436,6 @@ memCfg(const Args &a)
 struct TelemetryArgs
 {
     std::string metrics_path;
-    std::string snapshot_path;
     std::string trace_path;
     std::string critpath_path;
     std::string phases_path;
@@ -480,7 +475,6 @@ telemetryArgs(const Args &a)
 {
     TelemetryArgs t;
     t.metrics_path = a.str("metrics-out", "");
-    t.snapshot_path = a.str("snapshot-out", "");
     t.trace_path = a.str("trace-out", "");
     t.trace_format = a.str("trace-format", "jsonl");
     if (t.trace_format != "jsonl" && t.trace_format != "chrome")
@@ -785,39 +779,6 @@ writeMetrics(const TelemetryArgs &tel, const Args &a,
              tel.metrics_path.c_str());
 }
 
-/**
- * Writes the standalone cable-structures-v1 document: run identity
- * plus the end-of-run structure probe of every CABLE metadata
- * structure (tools/check_metrics.py validates the occupancy
- * invariants against the counters).
- */
-void
-writeSnapshot(const TelemetryArgs &tel, const Args &a,
-              const MemSystemConfig &cfg, std::uint64_t ops,
-              const StatSet &structures)
-{
-    std::ofstream os(tel.snapshot_path);
-    if (!os)
-        fail("cannot open --snapshot-out file '%s'",
-             tel.snapshot_path.c_str());
-    JsonWriter jw(os);
-    jw.beginObject();
-    jw.field("schema", "cable-structures-v1");
-    jw.field("tool", "cable_sim");
-    jw.field("command", a.command);
-    jw.field("benchmark", a.benchmark);
-    jw.field("scheme", cfg.scheme);
-    jw.field("ops", ops);
-    jw.field("seed", cfg.seed);
-    jw.key("structures");
-    structures.dumpJson(jw);
-    jw.endObject();
-    os << "\n";
-    if (!os)
-        fail("write to --snapshot-out file '%s' failed",
-             tel.snapshot_path.c_str());
-}
-
 void
 printFaultStats(MemLinkSystem &sys)
 {
@@ -869,10 +830,6 @@ cmdRatio(const Args &a)
     checkFlags(a, allowed);
     MemSystemConfig cfg = memCfg(a);
     TelemetryArgs tel = telemetryArgs(a);
-    if (!tel.snapshot_path.empty() && cfg.scheme != "cable")
-        fail("--snapshot-out requires --scheme cable; scheme '%s' "
-             "has no dictionary structures to probe",
-             cfg.scheme.c_str());
     std::uint64_t ops = a.num("ops", 400000);
     if (ops < 1)
         fail("--ops must be at least 1");
@@ -993,10 +950,9 @@ cmdRatio(const Args &a)
 
     // End-of-run structure probe (before the trace flush so its
     // struct_snapshot control event lands in the stream).
-    std::unique_ptr<StatSet> structures;
+    std::optional<StatSet> structures;
     if (CableChannel *ch = sys.protocol().cableChannel())
-        structures =
-            std::make_unique<StatSet>(ch->snapshotStructures());
+        structures = ch->snapshotStructures();
     if (analyzer_sink)
         analyzer_sink->flush();
     else if (sampler)
@@ -1024,13 +980,8 @@ cmdRatio(const Args &a)
     }
     if (!tel.metrics_path.empty())
         writeMetrics(tel, a, cfg, ops, sys, epochs, sampler.get(),
-                     structures.get(),
+                     structures ? &*structures : nullptr,
                      analyzer_sink ? &analyzer : nullptr);
-    if (!tel.snapshot_path.empty()) {
-        if (!structures)
-            fail("--snapshot-out: no cable channel in this system");
-        writeSnapshot(tel, a, cfg, ops, *structures);
-    }
     if (!tel.critpath_path.empty())
         writeCritPath(tel, a, cfg, ops, sys, analyzer);
     if (!tel.phases_path.empty())

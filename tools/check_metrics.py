@@ -7,7 +7,6 @@ Usage:
 Dispatches on the document's "schema" field:
 
   cable-metrics-v1      cable_sim --metrics-out documents
-  cable-structures-v1   cable_sim --snapshot-out documents
   cable-bench-v1        bench-binary CABLE_METRICS_OUT documents
   cable-trajectory-v1   bench_runner.py BENCH_cable.json files
   cable-chaos-v1        cable_sim chaos --chaos-out documents
@@ -68,10 +67,6 @@ SCHEMA_KEYS = {
         "schema", "tool", "command", "benchmark", "scheme", "config",
         "results", "stats", "structures", "fault", "recovery",
         "epochs", "trace", "critpath",
-    },
-    "cable-structures-v1": {
-        "schema", "tool", "command", "benchmark", "scheme", "ops",
-        "seed", "structures",
     },
     "cable-bench-v1": {"schema", "sections", "unoptimized"},
     "cable-trajectory-v1": {"schema", "entries"},
@@ -471,20 +466,6 @@ def check_metrics_v1(m, trace_path):
               f"{len(epochs)} epochs)")
 
 
-def check_structures_v1(m):
-    for key in ("tool", "benchmark", "scheme", "ops", "structures"):
-        if key not in m:
-            err(f"missing top-level key '{key}'")
-    if errors:
-        return
-    if m["scheme"] != "cable":
-        err(f"structures snapshot for non-cable scheme '{m['scheme']}'")
-    check_structures(m["structures"], "structures")
-    if not errors:
-        n = len(m["structures"]["counters"])
-        print(f"check_metrics: OK (structures snapshot, {n} counters)")
-
-
 def check_bench_v1(m, announce=True):
     if "sections" not in m:
         err("missing top-level key 'sections'")
@@ -558,8 +539,10 @@ def check_trajectory_v1(m):
                 if len(errors) > before:
                     err(f"{where}: bench '{name}' failed "
                         f"cable-bench-v1 validation")
-        # Structure snapshots riding along get the full invariant
-        # check too.
+        # Structure snapshots riding along (the retired
+        # cable-structures-v1 document, in entries before it was
+        # folded into the metrics "structures" section) get the full
+        # invariant check too.
         snap = e["benches"].get("ratio_mcf_structures")
         if isinstance(snap, dict) \
                 and snap.get("schema") == "cable-structures-v1":
@@ -959,8 +942,6 @@ def main():
         check_unknown_keys(m, SCHEMA_KEYS[schema], "top level")
     if schema == "cable-metrics-v1":
         check_metrics_v1(m, trace_path)
-    elif schema == "cable-structures-v1":
-        check_structures_v1(m)
     elif schema == "cable-bench-v1":
         check_bench_v1(m)
     elif schema == "cable-trajectory-v1":
