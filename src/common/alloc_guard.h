@@ -61,7 +61,7 @@ allocationCount() noexcept
  *
  *   alloc_guard::Scope guard;
  *   ... search pipeline ...
- *   stats.add("search_allocs", guard.allocations());
+ *   stats.add(search_allocs, guard.allocations()); // a CounterId
  *
  * allocations() is 0 whenever the hooks are not linked, so callers
  * can record it unconditionally without branching on configuration.
