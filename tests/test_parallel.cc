@@ -182,13 +182,16 @@ TEST(AllocGuard, ScopeObservesHeapAllocations)
 
 TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
 {
-    // The search pipeline (extract -> probe -> rank -> CBV ->
-    // select) runs out of SearchScratch, whose containers keep
-    // their high-water capacity. After a warm-up phase the
-    // channel's own per-search counter must therefore stop moving:
-    // zero heap allocations per steady-state encode search, in both
-    // directions. Stores dirty remote lines, so evictions write
-    // back and the remote->home search runs beside the response one.
+    // The whole encode runs out of SearchScratch, whose containers
+    // keep their high-water capacity: the self draft, the search
+    // pipeline (extract -> probe -> rank -> CBV -> select), the refs
+    // draft and the winner's emission into the DIFF bitstream.
+    // After a warm-up phase the channel's own allocation counter
+    // must therefore stop moving: zero heap allocations per
+    // steady-state encode, in both directions, whether the search
+    // ran or the self ratio skipped it. Stores dirty remote lines,
+    // so evictions write back and the remote->home search runs
+    // beside the response one.
     //
     // Two inputs: fault-free, and metadata soft errors. Injected
     // hash-table bindings produce stale candidates, so the second
@@ -250,6 +253,7 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
         std::uint64_t searches_before = stats.get("searches");
         std::uint64_t wb_searches_before = stats.get("wb_searches");
         std::uint64_t stale_before = stats.get("home_ht_stale_hits");
+        std::uint64_t skips_before = stats.get("self_threshold_hits");
         std::uint64_t allocs_before = stats.get("search_allocs");
         for (int i = 0; i < 4000; ++i)
             access(rng.below(1 << 13) * kLineBytes, rng.chance(0.4));
@@ -264,13 +268,16 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
         EXPECT_GT(new_wb_searches, 500u)
             << "write-back search never ran; the assertion below "
                "does not cover it";
+        EXPECT_GT(stats.get("self_threshold_hits"), skips_before)
+            << "no transfer skipped the search; the self-only encode "
+               "is not covered";
         if (faults.enabled()) {
             EXPECT_GT(stats.get("home_ht_stale_hits"), stale_before)
                 << "no stale candidate in the window; the metadata-"
                    "fault case does not cover the stale-hit path";
         }
         EXPECT_EQ(stats.get("search_allocs"), allocs_before)
-            << "steady-state encode search touched the heap";
+            << "steady-state encode touched the heap";
     }
 }
 
