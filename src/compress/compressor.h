@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/line.h"
@@ -61,8 +62,53 @@ class Compressor
         return compress(line, refs).sizeBits();
     }
 
+    /** Drafts one caller can hold at once: CABLE costs a line's
+     *  self and refs representations, then emits the cheaper. */
+    static constexpr unsigned kDraftSlots = 2;
+
+    /**
+     * First half of a two-phase compress: costs @p line against
+     * @p refs, keeps what emit() needs in draft slot @p slot, and
+     * returns the exact size compress() would produce. The default
+     * compresses once and keeps the bits, so on an engine with
+     * persistent state it advances the stream as compress() does.
+     * LBE overrides it with a token plan that writes no bits and
+     * leaves the stream alone.
+     */
+    virtual std::size_t
+    draft(const CacheLine &line, const RefList &refs, unsigned slot)
+    {
+        BitVec &d = drafts_[checkedSlot(slot)];
+        d = compress(line, refs);
+        return d.sizeBits();
+    }
+
+    /**
+     * Second half: replaces @p out with the bits drafted in @p slot.
+     * Call it at most once per draft; the default hands over the
+     * bits it kept.
+     */
+    virtual void
+    emit(unsigned slot, BitVec &out)
+    {
+        out = std::move(drafts_[checkedSlot(slot)]);
+    }
+
     /** Clears any persistent cross-line state. */
     virtual void reset() {}
+
+  protected:
+    static unsigned
+    checkedSlot(unsigned slot)
+    {
+        if (slot >= kDraftSlots)
+            panic("Compressor: draft slot %u out of %u", slot,
+                  kDraftSlots);
+        return slot;
+    }
+
+  private:
+    BitVec drafts_[kDraftSlots];
 };
 
 using CompressorPtr = std::unique_ptr<Compressor>;

@@ -581,9 +581,15 @@ class CableChannel
      *  ref-count field (core/wire_format.h). */
     static constexpr unsigned kMaxRefsCap = kWireMaxRefs;
 
+    /** Engine draft slots of a line's two representations. */
+    static constexpr unsigned kSelfDraft = 0;
+    static constexpr unsigned kRefsDraft = 1;
+
     struct Chosen
     {
-        BitVec diff;
+        /** Draft slot of the winning DIFF; packageTransfer emits it
+         *  unless the line goes raw. */
+        unsigned draft = kSelfDraft;
         unsigned sigs_used = 0; // search signatures extracted
         unsigned nrefs = 0;     // references on the wire
         /** Remote LIDs on the wire; fixed capacity (kMaxRefsCap)
@@ -611,14 +617,13 @@ class CableChannel
     };
 
     /**
-     * Reusable arena for the per-transfer search pipeline (extract →
-     * probe → pre-rank → CBV → select → verify). Every container is
-     * either fixed-capacity or a vector that is clear()ed per
-     * transfer and so retains its capacity: after warm-up the encode
-     * search path performs zero heap allocations. (The compressed
-     * bitstreams themselves — Chosen::diff, the raw image and the
-     * engine's internals — still allocate; see DESIGN.md "Encode
-     * kernels & the allocation-free search path".)
+     * Reusable arena for the per-transfer encode (draft → extract →
+     * probe → pre-rank → CBV → select → draft → emit → verify). Every
+     * container is either fixed-capacity or a vector that is
+     * clear()ed per transfer and so retains its capacity: after
+     * warm-up the encode performs zero heap allocations. (The wire
+     * image and the raw payload still allocate; see DESIGN.md
+     * "Encode kernels & the allocation-free search path".)
      */
     struct SearchScratch
     {
@@ -632,6 +637,7 @@ class CableChannel
         std::array<unsigned, kMaxRefsCap> picks; // greedy selection
         RefList engine_refs; // reused argument for engine calls
         RefList verify_refs; // reused receiver-side reference list
+        BitVec diff; // the winner's DIFF, emitted by packageTransfer
     };
 
     /** One direction's search stats: searches, candidate data
@@ -680,12 +686,13 @@ class CableChannel
     const CacheLine *resolveCandidate(const Direction &dir, LineID lid,
                                       LineID &rlid) const;
 
-    /** Frames @p chosen; raw frames serialize @p original. */
+    /** Frames @p chosen, emitting its DIFF into the scratch arena;
+     *  raw frames serialize @p original. */
     Transfer packageTransfer(const Chosen &chosen, bool writeback,
                              const CacheLine &original);
-    /** Decodes @p chosen from the receiver's own data and compares
-     *  it with @p original; throws CableDesyncError on a mismatch or
-     *  an untracked reference. */
+    /** Decodes the emitted DIFF of @p chosen from the receiver's own
+     *  data and compares it with @p original; throws
+     *  CableDesyncError on a mismatch or an untracked reference. */
     void checkDecode(const Direction &dir, const Chosen &chosen,
                      const CacheLine &original, Addr addr);
 
