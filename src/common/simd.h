@@ -190,35 +190,48 @@ trivialMask16(const std::uint8_t *p, unsigned threshold)
 
 #elif defined(CABLE_SIMD_SSE2)
 
+namespace detail
+{
+
+/** The 16 dword lanes of four compare results as a 16-bit mask:
+ *  two saturating packs narrow them to bytes, one pmovmskb reads
+ *  them out (versus four movmskps and their shifts). */
+inline std::uint32_t
+packMask16(__m128i c0, __m128i c1, __m128i c2, __m128i c3)
+{
+    const __m128i bytes = _mm_packs_epi16(_mm_packs_epi32(c0, c1),
+                                          _mm_packs_epi32(c2, c3));
+    return static_cast<std::uint32_t>(_mm_movemask_epi8(bytes));
+}
+
+inline __m128i
+load16(const std::uint8_t *p, unsigned q)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p + q * 16));
+}
+
+} // namespace detail
+
 inline std::uint32_t
 wordEqMask16(const std::uint8_t *a, const std::uint8_t *b)
 {
-    std::uint32_t mask = 0;
-    for (unsigned q = 0; q < 4; ++q) {
-        __m128i va = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(a + q * 16));
-        __m128i vb = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(b + q * 16));
-        unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpeq_epi32(va, vb))));
-        mask |= m << (q * 4);
-    }
-    return mask;
+    using detail::load16;
+    return detail::packMask16(
+        _mm_cmpeq_epi32(load16(a, 0), load16(b, 0)),
+        _mm_cmpeq_epi32(load16(a, 1), load16(b, 1)),
+        _mm_cmpeq_epi32(load16(a, 2), load16(b, 2)),
+        _mm_cmpeq_epi32(load16(a, 3), load16(b, 3)));
 }
 
 inline std::uint32_t
 broadcastEqMask16(const std::uint8_t *p, std::uint32_t w)
 {
+    using detail::load16;
     const __m128i b = _mm_set1_epi32(static_cast<int>(w));
-    std::uint32_t mask = 0;
-    for (unsigned q = 0; q < 4; ++q) {
-        __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(p + q * 16));
-        unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmpeq_epi32(v, b))));
-        mask |= m << (q * 4);
-    }
-    return mask;
+    return detail::packMask16(_mm_cmpeq_epi32(load16(p, 0), b),
+                              _mm_cmpeq_epi32(load16(p, 1), b),
+                              _mm_cmpeq_epi32(load16(p, 2), b),
+                              _mm_cmpeq_epi32(load16(p, 3), b));
 }
 
 inline std::uint32_t
@@ -233,16 +246,12 @@ trivialMask16(const std::uint8_t *p, unsigned threshold)
     const __m128i koff = _mm_set1_epi32(static_cast<int>(k));
     const __m128i lim = _mm_set1_epi32(
         static_cast<int>((2 * k) ^ 0x80000000u));
-    std::uint32_t mask = 0;
-    for (unsigned q = 0; q < 4; ++q) {
-        __m128i v = _mm_loadu_si128(
-            reinterpret_cast<const __m128i *>(p + q * 16));
-        __m128i s = _mm_xor_si128(_mm_add_epi32(v, koff), bias);
-        unsigned m = static_cast<unsigned>(_mm_movemask_ps(
-            _mm_castsi128_ps(_mm_cmplt_epi32(s, lim))));
-        mask |= m << (q * 4);
-    }
-    return mask;
+    auto small = [&](unsigned q) {
+        const __m128i v = detail::load16(p, q);
+        return _mm_cmplt_epi32(_mm_xor_si128(_mm_add_epi32(v, koff), bias),
+                               lim);
+    };
+    return detail::packMask16(small(0), small(1), small(2), small(3));
 }
 
 #elif defined(CABLE_SIMD_NEON)
