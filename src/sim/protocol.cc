@@ -108,16 +108,14 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
     if (trace_)
         (void)spans_.arm(stats_.value(ctr_.transfers));
     int sp_line = spans_.open(Stage::Line, -1);
-    spans_.close(sp_line);
+    int sp_ser = spans_.handoff(sp_line, Stage::Serialize);
 
     if (!engine || !enabled_) {
-        int sp_raw = spans_.open(Stage::Serialize, sp_line);
         t.raw = true;
         t.wire = CableChannel::bitsOf(data);
         t.bits = t.wire.sizeBits();
-        spans_.close(sp_raw);
+        spans_.close(sp_ser);
     } else {
-        int sp_ser = spans_.open(Stage::Serialize, sp_line);
         BitVec enc = engine->compress(data, {});
         BitWriter bw;
         if (enc.sizeBits() + 1 < kLineBytes * 8 + 1) {
