@@ -295,6 +295,33 @@ TEST(BitStream, PutEveryWidthMatchesBitSerial)
     }
 }
 
+TEST(BitStream, PackerMatchesBitSerialInAReusedBuffer)
+{
+    // Fields of 0-32 bits (junk above them masked), written into one
+    // BitVec over and over: a longer stale stream must not leak into
+    // a shorter one's bytes or pad bits.
+    Rng rng(13);
+    BitVec out;
+    for (int iter = 0; iter < 2000; ++iter) {
+        RefBits ref;
+        std::vector<std::pair<std::uint32_t, unsigned>> fields;
+        const unsigned n = static_cast<unsigned>(rng.below(40));
+        for (unsigned i = 0; i < n; ++i) {
+            const auto nbits = static_cast<unsigned>(rng.below(33));
+            const auto value = static_cast<std::uint32_t>(rng.next());
+            fields.emplace_back(value, nbits);
+            ref.put(nbits == 32 ? value
+                                : value & ((1u << nbits) - 1),
+                    nbits);
+        }
+        BitPacker pk(out, ref.bits.size());
+        for (const auto &[value, nbits] : fields)
+            pk.put(value, nbits);
+        pk.finish();
+        expectSameBits(out, ref);
+    }
+}
+
 TEST(BitStream, RandomFieldSequencesMatchBitSerial)
 {
     Rng rng(12);

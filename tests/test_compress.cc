@@ -427,7 +427,8 @@ sameBits(const BitVec &got, const BitVec &want)
 }
 
 /** Encodes @p line against @p refs with both encoders, compares the
- *  bits and checks the round trip. */
+ *  bits and checks the round trip. The draft must cost exactly what
+ *  its emission writes, and emit the same bits as compress(). */
 ::testing::AssertionResult
 lbeMatchesReference(Lbe &lbe, const CacheLine &line,
                     const RefList &refs)
@@ -440,6 +441,17 @@ lbeMatchesReference(Lbe &lbe, const CacheLine &line,
     if (lbe.compressedBits(line, refs) != got.sizeBits())
         return ::testing::AssertionFailure()
                << "compressedBits disagrees with compress";
+    const unsigned slot = static_cast<unsigned>(refs.size() % 2);
+    const std::size_t drafted = lbe.draft(line, refs, slot);
+    BitVec emitted;
+    lbe.emit(slot, emitted);
+    if (drafted != emitted.sizeBits())
+        return ::testing::AssertionFailure()
+               << "draft costs " << drafted << " bits, emit wrote "
+               << emitted.sizeBits();
+    same = sameBits(emitted, got);
+    if (!same)
+        return same << " (emit vs compress)";
     if (!(lbe.decompress(got, refs) == line))
         return ::testing::AssertionFailure() << "round trip failed";
     return ::testing::AssertionSuccess();
@@ -670,6 +682,118 @@ TEST(LbeDifferential, SyntheticMemoryLines)
             ASSERT_TRUE(sameBits(persistent.compress(lines[n], {}),
                                  stream.encodeAndPush(lines[n])))
                 << bench << " stream line " << n;
+        }
+    }
+}
+
+TEST(LbePlan, ThreeRefsFillTheNarrowMask)
+{
+    // 48 reference words plus the 16-word self window use all 64
+    // bits of the narrow source mask. Runs that end on the last
+    // reference word and copies of the line's own later words
+    // exercise its top bits.
+    Rng rng(0x64);
+    Lbe lbe;
+    for (int iter = 0; iter < 2000; ++iter) {
+        CacheLine r[3] = {randomLine(rng), randomLine(rng),
+                          randomLine(rng)};
+        const RefList refs = {&r[0], &r[1], &r[2]};
+        CacheLine tail_copy;
+        for (unsigned w = 0; w < kWordsPerLine; ++w)
+            tail_copy.setWord(w, w < 8 ? r[2].word(8 + w)
+                                       : tail_copy.word(w - 8));
+        for (const CacheLine &line :
+             {structuredLine(rng, refs), tail_copy, r[2]})
+            ASSERT_TRUE(lbeMatchesReference(lbe, line, refs))
+                << "iteration " << iter;
+    }
+}
+
+TEST(LbePlan, DraftsHoldTwoSlotsForOneLine)
+{
+    // The channel drafts self into one slot and refs into the other,
+    // then emits either; each slot keeps its own plan.
+    Rng rng(0x5107);
+    Lbe lbe;
+    for (int iter = 0; iter < 500; ++iter) {
+        CacheLine ref = randomLine(rng);
+        const RefList refs = {&ref};
+        CacheLine line = structuredLine(rng, refs);
+        const std::size_t self_bits = lbe.draft(line, {}, 0);
+        const std::size_t refs_bits = lbe.draft(line, refs, 1);
+        BitVec out;
+        lbe.emit(iter % 2, out);
+        const BitVec want = iter % 2 ? lbe_ref::encodeWithRefs(line, refs)
+                                     : lbe_ref::encodeWithRefs(line, {});
+        ASSERT_TRUE(sameBits(out, want)) << "iteration " << iter;
+        EXPECT_EQ(out.sizeBits(), iter % 2 ? refs_bits : self_bits);
+        // Emission reuses the buffer: the other slot after it.
+        lbe.emit(1 - iter % 2, out);
+        EXPECT_EQ(out.sizeBits(), iter % 2 ? self_bits : refs_bits);
+        EXPECT_EQ(lbe.decompress(out, iter % 2 ? RefList{} : refs),
+                  line);
+    }
+}
+
+TEST(LbePlan, WideMaskStreamsAndTailDictionaries)
+{
+    // lbe256 (64 + 16 sources) and a 50-word FIFO (66 sources: three
+    // whole lines and a two-word tail) take the 128-bit mask; a
+    // 10-word FIFO (40 bytes, all tail) fits the 64-bit one. Drafts
+    // read the stream without advancing it: drafting a line twice
+    // and emitting it gives the bits compress() gives on a copy of
+    // the engine taken before the drafts, and the streams stay in
+    // step afterwards.
+    for (unsigned dict_bytes : {256u, 200u, 40u}) {
+        Rng rng(0x40 + dict_bytes);
+        Lbe lbe(Lbe::Config{dict_bytes, true});
+        Lbe dec(Lbe::Config{dict_bytes, true});
+        lbe_ref::Stream ref(dict_bytes / 4);
+        std::vector<CacheLine> recent;
+        for (int n = 0; n < 1200; ++n) {
+            RefList pool;
+            for (const CacheLine &l : recent)
+                pool.push_back(&l);
+            CacheLine line = n % 7 == 0 ? randomLine(rng)
+                                        : structuredLine(rng, pool);
+            Lbe fresh = lbe;
+            const std::size_t first = lbe.draft(line, {}, 0);
+            ASSERT_EQ(lbe.draft(line, {}, 1), first);
+            BitVec emitted;
+            lbe.emit(1, emitted);
+            BitVec want = fresh.compress(line, {});
+            ASSERT_TRUE(sameBits(emitted, want))
+                << dict_bytes << "B dictionary, line " << n;
+            ASSERT_TRUE(sameBits(lbe.compress(line, {}),
+                                 ref.encodeAndPush(line)))
+                << dict_bytes << "B dictionary, line " << n;
+            ASSERT_EQ(dec.decompress(want, {}), line)
+                << dict_bytes << "B dictionary, line " << n;
+            recent.push_back(line);
+            if (recent.size() > 6)
+                recent.erase(recent.begin());
+        }
+    }
+}
+
+TEST(EngineDraft, DefaultDraftEmitsWhatCompressWrites)
+{
+    // Engines without a plan of their own draft by compressing: the
+    // drafted size is the emitted size and the bits are compress()'s.
+    Rng rng(0xd4af7);
+    for (const std::string &name : compressorNames()) {
+        SCOPED_TRACE(name);
+        CompressorPtr drafting = makeCompressor(name);
+        CompressorPtr plain = makeCompressor(name);
+        for (int i = 0; i < 200; ++i) {
+            CacheLine base = randomLine(rng);
+            CacheLine line = mutated(base, rng, 2);
+            const RefList refs = {&base};
+            const std::size_t bits = drafting->draft(line, refs, 1);
+            BitVec out;
+            drafting->emit(1, out);
+            EXPECT_EQ(out.sizeBits(), bits);
+            ASSERT_TRUE(sameBits(out, plain->compress(line, refs)));
         }
     }
 }
