@@ -4,12 +4,9 @@ namespace cable
 {
 
 void
-CritPathAnalyzer::addEvent(const TraceEvent &ev)
+CritPathAnalyzer::addSpans(const TraceEvent &ev)
 {
-    ++events_;
     unsigned n = ev.nspans;
-    if (n == 0)
-        return;
     if (n > TraceEvent::kMaxSpans)
         n = TraceEvent::kMaxSpans;
     ++spanned_;

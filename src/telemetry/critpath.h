@@ -56,8 +56,15 @@ struct CritPathOverhead
 class CritPathAnalyzer
 {
   public:
-    /** Consumes one trace event; events without spans only count. */
-    void addEvent(const TraceEvent &ev);
+    /** Consumes one trace event; events without spans only count.
+     *  Inline, so the unsampled majority costs no call. */
+    void
+    addEvent(const TraceEvent &ev)
+    {
+        ++events_;
+        if (ev.nspans != 0)
+            addSpans(ev);
+    }
 
     std::uint64_t events() const { return events_; }
     std::uint64_t spannedEvents() const { return spanned_; }
@@ -91,6 +98,9 @@ class CritPathAnalyzer
                      const CritPathOverhead *overhead) const;
 
   private:
+    /** The critical-path walk over a spanned event. */
+    void addSpans(const TraceEvent &ev);
+
     StageAgg stages_[kStageCount];
     std::uint64_t events_ = 0;
     std::uint64_t spanned_ = 0;
