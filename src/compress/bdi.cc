@@ -3,8 +3,6 @@
 #include <cstdint>
 #include <optional>
 
-#include "common/log.h"
-
 namespace cable
 {
 
@@ -31,18 +29,13 @@ struct Shape
     unsigned delta_bytes;
 };
 
-Shape
+/** Base and delta sizes of kB8D1..kB2D1, in encoding order. */
+constexpr Shape kShapes[] = {{8, 1}, {8, 2}, {8, 4}, {4, 1}, {4, 2}, {2, 1}};
+
+const Shape &
 shapeOf(unsigned enc)
 {
-    switch (enc) {
-      case kB8D1: return {8, 1};
-      case kB8D2: return {8, 2};
-      case kB8D4: return {8, 4};
-      case kB4D1: return {4, 1};
-      case kB4D2: return {4, 2};
-      case kB2D1: return {2, 1};
-      default: panic("Bdi: shapeOf(%u)", enc);
-    }
+    return kShapes[enc - kB8D1];
 }
 
 std::uint64_t
@@ -51,9 +44,9 @@ element(const CacheLine &line, unsigned base_bytes, unsigned i)
     switch (base_bytes) {
       case 8: return line.word64(i);
       case 4: return line.word(i);
-      case 2: return static_cast<std::uint64_t>(line.byte(i * 2))
-                   | (static_cast<std::uint64_t>(line.byte(i * 2 + 1)) << 8);
-      default: panic("Bdi: element size %u", base_bytes);
+      default: // 2, the only other size in kShapes
+        return static_cast<std::uint64_t>(line.byte(i * 2))
+               | (static_cast<std::uint64_t>(line.byte(i * 2 + 1)) << 8);
     }
 }
 
@@ -64,11 +57,9 @@ setElement(CacheLine &line, unsigned base_bytes, unsigned i,
     switch (base_bytes) {
       case 8: line.setWord64(i, v); break;
       case 4: line.setWord(i, static_cast<std::uint32_t>(v)); break;
-      case 2:
+      default: // 2
         line.setByte(i * 2, static_cast<std::uint8_t>(v));
         line.setByte(i * 2 + 1, static_cast<std::uint8_t>(v >> 8));
-        break;
-      default: panic("Bdi: element size %u", base_bytes);
     }
 }
 
@@ -152,7 +143,7 @@ Bdi::compress(const CacheLine &line, const RefList &)
         return bw.take();
     }
 
-    Shape s = shapeOf(best_enc);
+    const Shape &s = shapeOf(best_enc);
     unsigned n = kLineBytes / s.base_bytes;
     bw.put(best_enc, 4);
     bw.put(best_base, s.base_bytes * 8);
@@ -169,30 +160,32 @@ Bdi::compress(const CacheLine &line, const RefList &)
     return bw.take();
 }
 
-CacheLine
-Bdi::decompress(const BitVec &bits, const RefList &)
+DecodeResult
+Bdi::decode(const BitVec &bits, const RefList &)
 {
     BitReader br(bits);
     CacheLine line;
     unsigned enc = static_cast<unsigned>(br.get(4));
+    if (enc > kRaw)
+        return DecodeResult::fail(br, DecodeError::BadOpcode);
 
     if (enc == kZero)
-        return line;
+        return DecodeResult::of(br, line);
 
     if (enc == kRep8) {
         std::uint64_t v = br.get(64);
         for (unsigned i = 0; i < kLineBytes / 8; ++i)
             line.setWord64(i, v);
-        return line;
+        return DecodeResult::of(br, line);
     }
 
     if (enc == kRaw) {
         for (unsigned i = 0; i < kLineBytes / 8; ++i)
             line.setWord64(i, br.get(64));
-        return line;
+        return DecodeResult::of(br, line);
     }
 
-    Shape s = shapeOf(enc);
+    const Shape &s = shapeOf(enc);
     unsigned n = kLineBytes / s.base_bytes;
     std::uint64_t base = br.get(s.base_bytes * 8);
     std::uint64_t mask = s.base_bytes == 8
@@ -210,7 +203,7 @@ Bdi::decompress(const BitVec &bits, const RefList &)
             & mask;
         setElement(line, s.base_bytes, i, v);
     }
-    return line;
+    return DecodeResult::of(br, line);
 }
 
 } // namespace cable

@@ -26,7 +26,7 @@ class Bdi : public Compressor
   public:
     std::string name() const override { return "bdi"; }
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
+    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
 };
 
 } // namespace cable

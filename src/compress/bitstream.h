@@ -1,9 +1,9 @@
 /**
  * @file
  * Bit-granular streams used by every compression engine. Encoders
- * emit into a BitWriter; decoders consume from a BitReader. The
- * backing BitVec records the exact encoded length in bits, which is
- * what the link model quantizes into flits.
+ * emit into a BitWriter or a BitPacker; decoders consume from a
+ * BitReader. The backing BitVec records the exact encoded length in
+ * bits, which is what the link model quantizes into flits.
  */
 
 #ifndef CABLE_COMPRESS_BITSTREAM_H
@@ -243,55 +243,77 @@ class BitPacker
     std::size_t put_ = 0;
 };
 
-/** Sequential reader over a BitVec. */
+/**
+ * Sequential reader over a BitVec, the reading twin of BitPacker:
+ * fields come out of a 64-bit accumulator refilled four bytes at a
+ * time. Reading never aborts. A read past the end returns 0, consumes
+ * the rest of the stream and sets the sticky overrun() flag, so a
+ * decoder can check once, at the end, whether it ran out of bits.
+ */
 class BitReader
 {
   public:
-    explicit BitReader(const BitVec &vec) : vec_(vec) {}
+    explicit BitReader(const BitVec &vec)
+        : p_(vec.data()), end_(vec.data() + ((vec.sizeBits() + 7) >> 3)),
+          size_(vec.sizeBits())
+    {
+    }
 
-    /**
-     * Reads the next @p nbits bits as an unsigned value, a byte at a
-     * time. Fields wider than 64 bits keep their low 64 bits.
-     */
+    /** Reads the next @p nbits (at most 64) bits as an unsigned
+     *  value; 0 if fewer than @p nbits remain. */
     std::uint64_t
     get(unsigned nbits)
     {
-        if (pos_ + nbits > vec_.sizeBits())
-            panic("BitReader: read past end (pos=%zu n=%u size=%zu)",
-                  pos_, nbits, vec_.sizeBits());
-        if (nbits > 64) {
-            pos_ += nbits - 64;
-            nbits = 64;
-        }
-        if (nbits == 0)
+        if (nbits > 64)
+            panic("BitReader::get: nbits=%u", nbits);
+        if (nbits > size_ - pos_) {
+            overrun_ = true;
+            pos_ = size_;
             return 0;
-        const std::uint8_t *p = vec_.data() + (pos_ >> 3);
-        const unsigned off = pos_ & 7;
-        pos_ += nbits;
-        unsigned need = nbits; // bits still to gather
-        std::uint64_t v = 0;
-        if (off > 0) {
-            const unsigned avail = 8 - off;
-            const unsigned head = *p++ & (0xffu >> off);
-            if (need <= avail)
-                return head >> (avail - need);
-            v = head;
-            need -= avail;
         }
-        for (; need >= 8; need -= 8)
-            v = (v << 8) | *p++;
-        if (need > 0)
-            v = (v << need) | static_cast<unsigned>(*p >> (8 - need));
-        return v;
+        pos_ += nbits;
+        if (nbits <= 32)
+            return take(nbits);
+        const std::uint64_t hi = take(nbits - 32);
+        return (hi << 32) | take(32);
     }
 
     std::size_t pos() const { return pos_; }
-    bool exhausted() const { return pos_ >= vec_.sizeBits(); }
-    std::size_t remaining() const { return vec_.sizeBits() - pos_; }
+    bool exhausted() const { return pos_ >= size_; }
+    std::size_t remaining() const { return size_ - pos_; }
+    /** Whether any read ran past the end. */
+    bool overrun() const { return overrun_; }
 
   private:
-    const BitVec &vec_;
+    /** The next @p nbits (at most 32) bits, known to be in the
+     *  stream. */
+    std::uint64_t
+    take(unsigned nbits)
+    {
+        if (n_ < nbits) {
+            // n_ < 32 pending bits stay below the 32 loaded.
+            if (end_ - p_ >= 4) {
+                acc_ = (acc_ << 32) | (std::uint64_t{p_[0]} << 24)
+                       | (std::uint64_t{p_[1]} << 16)
+                       | (std::uint64_t{p_[2]} << 8) | p_[3];
+                p_ += 4;
+                n_ += 32;
+            } else {
+                for (; p_ != end_; ++p_, n_ += 8)
+                    acc_ = (acc_ << 8) | *p_;
+            }
+        }
+        n_ -= nbits;
+        return (acc_ >> n_) & ((std::uint64_t{1} << nbits) - 1);
+    }
+
+    const std::uint8_t *p_;   ///< next byte to load
+    const std::uint8_t *end_; ///< one past the last byte
+    std::size_t size_;
     std::size_t pos_ = 0;
+    std::uint64_t acc_ = 0; ///< low n_ bits pending
+    unsigned n_ = 0;
+    bool overrun_ = false;
 };
 
 } // namespace cable

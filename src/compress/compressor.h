@@ -5,16 +5,23 @@
  * compress one 64-byte line at a time, optionally seeded with up to
  * three reference lines that form a temporary dictionary (Fig 10).
  *
+ * An engine costs a line with draft() and emit()s the kept draft. It
+ * reads a line back with decode(), the receiver: on damaged or cut
+ * bits it returns a typed DecodeError, never aborting.
+ *
  * Engines may also keep persistent state across lines (a streaming
  * window or FIFO dictionary); such engines model link compressors
  * like gzip or CPACK128 where the dictionary survives between
  * transfers. Encoder and decoder instances must then be kept in
- * lock-step, which the link endpoints in src/sim do.
+ * lock-step, which the link endpoints in src/sim do. After a decode
+ * error, a persistent engine's decoder state is undefined until
+ * reset().
  */
 
 #ifndef CABLE_COMPRESS_COMPRESSOR_H
 #define CABLE_COMPRESS_COMPRESSOR_H
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -29,9 +36,54 @@ namespace cable
 /** Up to three reference lines seeding the temporary dictionary. */
 using RefList = std::vector<const CacheLine *>;
 
+/** Why decode() produced no line. */
+enum class DecodeError : std::uint8_t
+{
+    None,        ///< decoded
+    Truncated,   ///< the bits ran out before the line was complete
+    BadOpcode,   ///< a token or selector the encoder never writes
+    BadDistance, ///< a copy from outside the dictionary or the
+                 ///< already-decoded part of the line
+    BadShape,    ///< a run or copy past the end of the line
+};
+
+/** "truncated", "bad opcode", ... for messages. */
+inline const char *
+decodeErrorName(DecodeError e)
+{
+    static constexpr const char *kNames[] = {
+        "none", "truncated", "bad opcode", "bad distance", "bad shape"};
+    return kNames[static_cast<unsigned>(e)];
+}
+
+/** A decoded line, or the error that stopped the decode. */
+struct DecodeResult
+{
+    CacheLine line; ///< meaningful only when ok()
+    DecodeError error = DecodeError::None;
+
+    bool ok() const { return error == DecodeError::None; }
+
+    /** @p line as read through @p br: Truncated if a read overran. */
+    static DecodeResult
+    of(const BitReader &br, const CacheLine &line)
+    {
+        return {line, br.overrun() ? DecodeError::Truncated
+                                   : DecodeError::None};
+    }
+
+    /** Error @p e, or Truncated if @p br overran first: bits past
+     *  the end read as zeros, so a cut image can look malformed. */
+    static DecodeResult
+    fail(const BitReader &br, DecodeError e)
+    {
+        return {CacheLine{}, br.overrun() ? DecodeError::Truncated : e};
+    }
+};
+
 /**
- * Abstract line compressor. compress() and decompress() must be
- * exact inverses given identical persistent state and references.
+ * Abstract line compressor. decode() inverts compress() given
+ * identical persistent state and references.
  */
 class Compressor
 {
@@ -43,23 +95,25 @@ class Compressor
 
     /**
      * Encodes @p line. @p refs seed the temporary dictionary; an
-     * empty list means self-compression only.
+     * empty list means self-compression only. The default draft()
+     * is one compress().
      */
     virtual BitVec compress(const CacheLine &line, const RefList &refs) = 0;
 
-    /** Decodes @p bits back into a line with the same @p refs. */
-    virtual CacheLine decompress(const BitVec &bits,
-                                 const RefList &refs) = 0;
+    /** Decodes @p bits with the same @p refs the encoder had. */
+    virtual DecodeResult decode(const BitVec &bits,
+                                const RefList &refs) = 0;
 
-    /**
-     * Size-only query. The default implementation encodes and
-     * discards; engines with persistent state must override so that
-     * probing does not mutate the stream window.
-     */
-    virtual std::size_t
-    compressedBits(const CacheLine &line, const RefList &refs)
+    /** decode() for trusted bits (benchmarks, tests): panics on a
+     *  decode error. */
+    CacheLine
+    decompress(const BitVec &bits, const RefList &refs)
     {
-        return compress(line, refs).sizeBits();
+        DecodeResult r = decode(bits, refs);
+        if (!r.ok())
+            panic("%s: decode failed: %s", name().c_str(),
+                  decodeErrorName(r.error));
+        return r.line;
     }
 
     /** Drafts one caller can hold at once: CABLE costs a line's

@@ -125,81 +125,64 @@ Cpack::encode(const CacheLine &line, Dict &dict) const
     return bw.take();
 }
 
-CacheLine
-Cpack::decode(const BitVec &bits, Dict &dict) const
+DecodeResult
+Cpack::decodeWith(const BitVec &bits, Dict &dict) const
 {
     BitReader br(bits);
     CacheLine line;
     for (unsigned i = 0; i < kWordsPerLine; ++i) {
-        unsigned p2 = static_cast<unsigned>(br.get(2));
-        std::uint32_t w = 0;
-        bool push = false;
-        if (p2 == kCodeZzzz) {
-            w = 0;
-        } else if (p2 == kCodeXxxx) {
-            w = static_cast<std::uint32_t>(br.get(32));
-            push = true;
-        } else if (p2 == kCodeMmmm) {
-            auto index = br.get(idx_bits_);
-            w = dict.at(index);
-        } else {
-            unsigned p4 = (p2 << 2) | static_cast<unsigned>(br.get(2));
-            if (p4 == kCodeMmxx) {
-                auto index = br.get(idx_bits_);
-                w = (dict.at(index) & 0xffff0000u)
-                    | static_cast<std::uint32_t>(br.get(16));
-            } else if (p4 == kCodeZzzx) {
-                w = static_cast<std::uint32_t>(br.get(8));
-            } else if (p4 == kCodeMmmx) {
-                auto index = br.get(idx_bits_);
-                w = (dict.at(index) & 0xffffff00u)
-                    | static_cast<std::uint32_t>(br.get(8));
-            } else {
-                panic("Cpack::decode: bad pattern code");
-            }
-            push = true;
-        }
-        line.setWord(i, w);
-        if (push)
+        unsigned code = static_cast<unsigned>(br.get(2));
+        if (code == kCodeZzzz)
+            continue; // line starts zeroed
+        if (code == kCodeXxxx) {
+            const auto w = static_cast<std::uint32_t>(br.get(32));
+            line.setWord(i, w);
             dict.push(w);
+            continue;
+        }
+        if (code != kCodeMmmm)
+            code = (code << 2) | static_cast<unsigned>(br.get(2));
+        if (code == kCodeZzzx) {
+            const auto w = static_cast<std::uint32_t>(br.get(8));
+            line.setWord(i, w);
+            dict.push(w);
+            continue;
+        }
+        if (code > kCodeMmmx)
+            return DecodeResult::fail(br, DecodeError::BadOpcode);
+        const std::size_t index = br.get(idx_bits_);
+        if (index >= dict.size())
+            return DecodeResult::fail(br, DecodeError::BadDistance);
+        std::uint32_t w = dict.at(index);
+        if (code == kCodeMmmm) {
+            line.setWord(i, w);
+            continue;
+        }
+        w = code == kCodeMmxx
+                ? (w & 0xffff0000u) | static_cast<std::uint32_t>(br.get(16))
+                : (w & 0xffffff00u) | static_cast<std::uint32_t>(br.get(8));
+        line.setWord(i, w);
+        dict.push(w);
     }
-    return line;
+    return DecodeResult::of(br, line);
 }
 
 BitVec
 Cpack::compress(const CacheLine &line, const RefList &refs)
 {
-    if (!refs.empty()) {
-        Dict d = makeSeededDict(refs);
-        return encode(line, d);
-    }
-    if (cfg_.persistent)
+    if (refs.empty() && cfg_.persistent)
         return encode(line, enc_dict_);
-    Dict d(cfg_.dict_entries);
+    Dict d = makeSeededDict(refs); // empty without refs
     return encode(line, d);
 }
 
-CacheLine
-Cpack::decompress(const BitVec &bits, const RefList &refs)
+DecodeResult
+Cpack::decode(const BitVec &bits, const RefList &refs)
 {
-    if (!refs.empty()) {
-        Dict d = makeSeededDict(refs);
-        return decode(bits, d);
-    }
-    if (cfg_.persistent)
-        return decode(bits, dec_dict_);
-    Dict d(cfg_.dict_entries);
-    return decode(bits, d);
-}
-
-std::size_t
-Cpack::compressedBits(const CacheLine &line, const RefList &refs)
-{
-    if (!refs.empty() || !cfg_.persistent)
-        return compress(line, refs).sizeBits();
-    // Probe without disturbing the streaming dictionary.
-    Dict snapshot = enc_dict_;
-    return encode(line, snapshot).sizeBits();
+    if (refs.empty() && cfg_.persistent)
+        return decodeWith(bits, dec_dict_);
+    Dict d = makeSeededDict(refs);
+    return decodeWith(bits, d);
 }
 
 void

@@ -49,12 +49,8 @@ class Cpack : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
-    std::size_t compressedBits(const CacheLine &line,
-                               const RefList &refs) override;
+    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
     void reset() override;
-
-    unsigned dictEntries() const { return cfg_.dict_entries; }
 
   private:
     /** FIFO dictionary of 32-bit words. */
@@ -78,14 +74,14 @@ class Cpack : public Compressor
     };
 
     BitVec encode(const CacheLine &line, Dict &dict) const;
-    CacheLine decode(const BitVec &bits, Dict &dict) const;
+    DecodeResult decodeWith(const BitVec &bits, Dict &dict) const;
     Dict makeSeededDict(const RefList &refs) const;
 
     Config cfg_;
     unsigned idx_bits_;
     // Persistent mode keeps one dictionary per direction so a single
     // object can act as a loop-back encoder/decoder pair; deployed
-    // endpoints use compress() on one side and decompress() on the
+    // endpoints use compress() on one side and decode() on the
     // other, which keeps the two dictionaries in lock-step.
     Dict enc_dict_;
     Dict dec_dict_;

@@ -1,7 +1,5 @@
 #include "compress/fpc.h"
 
-#include "common/log.h"
-
 namespace cable
 {
 
@@ -89,17 +87,19 @@ Fpc::compress(const CacheLine &line, const RefList &)
     return bw.take();
 }
 
-CacheLine
-Fpc::decompress(const BitVec &bits, const RefList &)
+DecodeResult
+Fpc::decode(const BitVec &bits, const RefList &)
 {
     BitReader br(bits);
     CacheLine line;
     unsigned i = 0;
     while (i < kWordsPerLine) {
-        unsigned p = static_cast<unsigned>(br.get(3));
-        switch (p) {
+        // All eight 3-bit codes are patterns.
+        switch (static_cast<unsigned>(br.get(3))) {
           case kZeroRun: {
             unsigned run = static_cast<unsigned>(br.get(3)) + 1;
+            if (i + run > kWordsPerLine)
+                return DecodeResult::fail(br, DecodeError::BadShape);
             i += run; // line starts zeroed
             break;
           }
@@ -146,11 +146,9 @@ Fpc::decompress(const BitVec &bits, const RefList &)
             line.setWord(i++,
                          static_cast<std::uint32_t>(br.get(32)));
             break;
-          default:
-            panic("Fpc::decompress: bad pattern");
         }
     }
-    return line;
+    return DecodeResult::of(br, line);
 }
 
 } // namespace cable

@@ -33,7 +33,7 @@ class Fpc : public Compressor
   public:
     std::string name() const override { return "fpc"; }
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
+    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
 };
 
 } // namespace cable

@@ -324,53 +324,6 @@ Lbe::emit(unsigned slot, BitVec &out)
     write(plans_[checkedSlot(slot)], out);
 }
 
-CacheLine
-Lbe::decode(const BitVec &bits, const DictView &dict) const
-{
-    BitReader br(bits);
-    CacheLine line;
-    const std::size_t dsize = dict.size();
-    const unsigned off_bits = dict.off_bits;
-    auto source = [&](std::size_t off) {
-        return off < dsize
-                   ? dict.word(off)
-                   : line.word(static_cast<unsigned>(off - dsize));
-    };
-
-    unsigned i = 0;
-    while (i < kWordsPerLine) {
-        unsigned op = static_cast<unsigned>(br.get(2));
-        if (op == kOpZeroRun) {
-            unsigned len = static_cast<unsigned>(br.get(4)) + 1;
-            i += len; // line starts zeroed
-        } else if (op == kOpCopy) {
-            std::size_t off = br.get(off_bits);
-            unsigned len = static_cast<unsigned>(br.get(4)) + 1;
-            for (unsigned k = 0; k < len; ++k) {
-                line.setWord(i, source(off + k));
-                ++i;
-            }
-        } else if (op == kOpLiteral) {
-            unsigned len = static_cast<unsigned>(br.get(4)) + 1;
-            for (unsigned k = 0; k < len; ++k) {
-                line.setWord(i,
-                             static_cast<std::uint32_t>(br.get(32)));
-                ++i;
-            }
-        } else if (op == kOpByteRun) {
-            unsigned len = static_cast<unsigned>(br.get(4)) + 1;
-            for (unsigned k = 0; k < len; ++k) {
-                line.setWord(i,
-                             static_cast<std::uint32_t>(br.get(8)));
-                ++i;
-            }
-        } else {
-            panic("Lbe::decode: bad opcode");
-        }
-    }
-    return line;
-}
-
 BitVec
 Lbe::compress(const CacheLine &line, const RefList &refs)
 {
@@ -383,21 +336,49 @@ Lbe::compress(const CacheLine &line, const RefList &refs)
     return out;
 }
 
-CacheLine
-Lbe::decompress(const BitVec &bits, const RefList &refs)
+DecodeResult
+Lbe::decode(BitReader &br, const RefList &refs)
 {
-    CacheLine line = decode(bits, dictFor(refs, dec_dict_));
-    if (refs.empty() && cfg_.persistent)
+    const DictView dict = dictFor(refs, dec_dict_);
+    const std::size_t dsize = dict.size();
+    CacheLine line;
+    unsigned i = 0;
+    while (i < kWordsPerLine) {
+        const auto op = static_cast<unsigned>(br.get(2));
+        const std::size_t off = op == kOpCopy ? br.get(dict.off_bits) : 0;
+        const unsigned len = static_cast<unsigned>(br.get(4)) + 1;
+        if (i + len > kWordsPerLine)
+            return DecodeResult::fail(br, DecodeError::BadShape);
+        switch (op) {
+          case kOpZeroRun:
+            break; // line starts zeroed
+          case kOpCopy:
+            // Every source word precedes the run: the encoder only
+            // copies from the dictionary and already-decoded words.
+            if (off + len > dsize + i)
+                return DecodeResult::fail(br, DecodeError::BadDistance);
+            for (unsigned k = 0; k < len; ++k) {
+                const std::size_t src = off + k;
+                line.setWord(i + k,
+                             src < dsize ? dict.word(src)
+                                         : line.word(static_cast<unsigned>(
+                                               src - dsize)));
+            }
+            break;
+          case kOpLiteral:
+            for (unsigned k = 0; k < len; ++k)
+                line.setWord(i + k, static_cast<std::uint32_t>(br.get(32)));
+            break;
+          default: // kOpByteRun
+            for (unsigned k = 0; k < len; ++k)
+                line.setWord(i + k, static_cast<std::uint32_t>(br.get(8)));
+        }
+        i += len;
+    }
+    const DecodeResult r = DecodeResult::of(br, line);
+    if (r.ok() && refs.empty() && cfg_.persistent)
         streamPush(dec_dict_, dec_head_, dict_words_, line);
-    return line;
-}
-
-std::size_t
-Lbe::compressedBits(const CacheLine &line, const RefList &refs)
-{
-    Plan p;
-    planLine(line, refs, p);
-    return p.bits;
+    return r;
 }
 
 void

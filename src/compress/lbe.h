@@ -55,9 +55,15 @@ class Lbe : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
-    std::size_t compressedBits(const CacheLine &line,
-                               const RefList &refs) override;
+    DecodeResult
+    decode(const BitVec &bits, const RefList &refs) override
+    {
+        BitReader br(bits);
+        return decode(br, refs);
+    }
+    /** Decodes one line from @p br's position, leaving @p br after
+     *  it: for a container that carries LBE bits after its own. */
+    DecodeResult decode(BitReader &br, const RefList &refs);
     /** Plans @p line without writing bits; a persistent stream is
      *  read, never advanced. */
     std::size_t draft(const CacheLine &line, const RefList &refs,
@@ -110,7 +116,6 @@ class Lbe : public Compressor
     static void write(const Plan &plan, BitVec &out);
     /** The copy sources for @p refs, or else the @p stream FIFO. */
     DictView dictFor(const RefList &refs, const WordDict &stream) const;
-    CacheLine decode(const BitVec &bits, const DictView &dict) const;
     /** The facts of @p line, rebuilt only when the line changes. */
     const LineFacts &factsOf(const CacheLine &line);
     static void streamPush(WordDict &dict, std::size_t &head,
@@ -121,7 +126,7 @@ class Lbe : public Compressor
     unsigned stream_off_bits_;
     // Persistent mode keeps one dictionary per direction so one
     // object can loop back on itself in tests; real endpoints call
-    // compress() on one side and decompress() on the other.
+    // compress() on one side and decode() on the other.
     WordDict enc_dict_;
     std::size_t enc_head_ = 0;
     WordDict dec_dict_;

@@ -174,86 +174,31 @@ Lzss::encodeWithRefs(const CacheLine &line, const RefList &refs,
     return bw.take();
 }
 
-CacheLine
-Lzss::decodeWithRefs(const BitVec &bits, const RefList &refs,
-                     unsigned dist_bits) const
-{
-    std::vector<std::uint8_t> buf;
-    buf.reserve(refs.size() * kLineBytes + kLineBytes);
-    for (const CacheLine *ref : refs)
-        buf.insert(buf.end(), ref->data(), ref->data() + kLineBytes);
-    const std::size_t base = buf.size();
-
-    BitReader br(bits);
-    while (buf.size() < base + kLineBytes) {
-        if (br.get(1)) {
-            std::size_t dist = br.get(dist_bits);
-            unsigned len = static_cast<unsigned>(br.get(8)) + kMinMatch;
-            if (dist == 0 || dist > buf.size())
-                panic("Lzss::decode: bad distance");
-            std::size_t from = buf.size() - dist;
-            for (unsigned k = 0; k < len; ++k)
-                buf.push_back(buf[from + k]);
-        } else {
-            buf.push_back(static_cast<std::uint8_t>(br.get(8)));
-        }
-    }
-    return CacheLine::fromBytes(buf.data() + base);
-}
-
 BitVec
 Lzss::compress(const CacheLine &line, const RefList &refs)
 {
-    if (!refs.empty()) {
-        unsigned db = bitsToIndex(refs.size() * kLineBytes
-                                  + kLineBytes + 1);
-        return encodeWithRefs(line, refs, db);
-    }
-    BitVec out = encodeStream(line, cfg_.persistent);
-    if (!cfg_.persistent) {
-        // Per-line mode: self-compression only; state already rolled
-        // back by encodeStream(update=false).
-    }
-    return out;
+    if (!refs.empty())
+        return encodeWithRefs(line, refs, refDistBits(refs.size()));
+    // Per-line mode rolls the window back after each line.
+    return encodeStream(line, cfg_.persistent);
 }
 
-CacheLine
-Lzss::decompress(const BitVec &bits, const RefList &refs)
+DecodeResult
+Lzss::decode(const BitVec &bits, const RefList &refs)
 {
-    if (!refs.empty()) {
-        unsigned db = bitsToIndex(refs.size() * kLineBytes
-                                  + kLineBytes + 1);
-        return decodeWithRefs(bits, refs, db);
-    }
-
-    CacheLine line;
     BitReader br(bits);
-    std::size_t produced = 0;
-    while (produced < kLineBytes) {
-        if (br.get(1)) {
-            std::size_t dist = br.get(dist_bits_);
-            unsigned len = static_cast<unsigned>(br.get(8)) + kMinMatch;
-            if (dist == 0 || dist > dec_history_.size() + produced)
-                panic("Lzss::decompress: bad distance");
-            for (unsigned k = 0; k < len; ++k) {
-                std::size_t total = dec_history_.size() + produced;
-                std::size_t from = total - dist;
-                std::uint8_t b = from < dec_history_.size()
-                                     ? dec_history_[from]
-                                     : line.byte(static_cast<unsigned>(
-                                           from - dec_history_.size()));
-                line.setByte(static_cast<unsigned>(produced), b);
-                ++produced;
-            }
-        } else {
-            line.setByte(static_cast<unsigned>(produced),
-                         static_cast<std::uint8_t>(br.get(8)));
-            ++produced;
-        }
+    if (!refs.empty()) {
+        std::vector<std::uint8_t> ref_bytes;
+        ref_bytes.reserve(refs.size() * kLineBytes);
+        for (const CacheLine *ref : refs)
+            ref_bytes.insert(ref_bytes.end(), ref->data(),
+                             ref->data() + kLineBytes);
+        return decodeAfter(br, ref_bytes, refDistBits(refs.size()));
     }
-    if (cfg_.persistent) {
-        dec_history_.insert(dec_history_.end(), line.data(),
-                            line.data() + kLineBytes);
+    const DecodeResult r = decodeAfter(br, dec_history_, dist_bits_);
+    if (r.ok() && cfg_.persistent) {
+        dec_history_.insert(dec_history_.end(), r.line.data(),
+                            r.line.data() + kLineBytes);
         if (dec_history_.size() > 2 * cfg_.window_bytes) {
             std::size_t drop = dec_history_.size() - cfg_.window_bytes;
             dec_history_.erase(dec_history_.begin(),
@@ -261,15 +206,36 @@ Lzss::decompress(const BitVec &bits, const RefList &refs)
                                    + static_cast<long>(drop));
         }
     }
-    return line;
+    return r;
 }
 
-std::size_t
-Lzss::compressedBits(const CacheLine &line, const RefList &refs)
+DecodeResult
+Lzss::decodeAfter(BitReader &br, const std::vector<std::uint8_t> &prefix,
+                  unsigned dist_bits)
 {
-    if (!refs.empty())
-        return compress(line, refs).sizeBits();
-    return encodeStream(line, false).sizeBits();
+    CacheLine line;
+    const std::size_t plen = prefix.size();
+    unsigned produced = 0;
+    while (produced < kLineBytes) {
+        if (!br.get(1)) {
+            line.setByte(produced++, static_cast<std::uint8_t>(br.get(8)));
+            continue;
+        }
+        const std::size_t dist = br.get(dist_bits);
+        const unsigned len = static_cast<unsigned>(br.get(8)) + kMinMatch;
+        if (produced + len > kLineBytes)
+            return DecodeResult::fail(br, DecodeError::BadShape);
+        if (dist == 0 || dist > plen + produced)
+            return DecodeResult::fail(br, DecodeError::BadDistance);
+        // A copy may overlap its own output (LZ run semantics).
+        std::size_t from = plen + produced - dist;
+        for (unsigned k = 0; k < len; ++k, ++from)
+            line.setByte(produced++,
+                         from < plen ? prefix[from]
+                                     : line.byte(static_cast<unsigned>(
+                                           from - plen)));
+    }
+    return DecodeResult::of(br, line);
 }
 
 void

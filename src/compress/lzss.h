@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bitops.h"
 #include "compress/compressor.h"
 
 namespace cable
@@ -45,9 +46,7 @@ class Lzss : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
-    std::size_t compressedBits(const CacheLine &line,
-                               const RefList &refs) override;
+    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
     void reset() override;
 
   private:
@@ -56,11 +55,21 @@ class Lzss : public Compressor
     static constexpr std::uint64_t kNone = ~std::uint64_t{0};
     static constexpr unsigned kHashBits = 15;
 
+    /** Distance width over @p nrefs reference lines and the line. */
+    static unsigned
+    refDistBits(std::size_t nrefs)
+    {
+        return bitsToIndex((nrefs + 1) * kLineBytes + 1);
+    }
+
     /** Reference-seeded per-line path (small buffers, brute force). */
     BitVec encodeWithRefs(const CacheLine &line, const RefList &refs,
                           unsigned dist_bits) const;
-    CacheLine decodeWithRefs(const BitVec &bits, const RefList &refs,
-                             unsigned dist_bits) const;
+    /** Decodes a line that follows @p prefix: the reference bytes or
+     *  the stream window. */
+    static DecodeResult decodeAfter(BitReader &br,
+                                    const std::vector<std::uint8_t> &prefix,
+                                    unsigned dist_bits);
 
     /** Streaming path over the persistent window. */
     BitVec encodeStream(const CacheLine &line, bool update);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <limits>
 #include <vector>
 
@@ -31,18 +32,12 @@ Oracle::compress(const CacheLine &line, const RefList &refs)
     return bw.take();
 }
 
-CacheLine
-Oracle::decompress(const BitVec &bits, const RefList &refs)
+DecodeResult
+Oracle::decode(const BitVec &bits, const RefList &refs)
 {
     BitReader br(bits);
-    if (br.get(1)) {
-        // Strip the selector and replay the LBE payload.
-        BitWriter rest;
-        while (!br.exhausted())
-            rest.put(br.get(1), 1);
-        return lbe_.decompress(rest.bits(), refs);
-    }
-    return dpDecode(bits, br, refs);
+    // The selector picks the word-aligned LBE payload or the byte DP.
+    return br.get(1) ? lbe_.decode(br, refs) : dpDecode(br, refs);
 }
 
 BitVec
@@ -50,15 +45,9 @@ Oracle::dpEncode(const CacheLine &line, const RefList &refs) const
 {
     // Combined source buffer: references then the line itself (the
     // prefix part only becomes addressable as it is produced).
-    std::vector<std::uint8_t> src;
-    src.reserve(refs.size() * kLineBytes + kLineBytes);
-    for (const CacheLine *ref : refs)
-        src.insert(src.end(), ref->data(), ref->data() + kLineBytes);
-    const std::size_t rlen = src.size();
-    src.insert(src.end(), line.data(), line.data() + kLineBytes);
-
-    if (rlen + kLineBytes > (std::size_t{1} << kOffsetBits))
-        panic("Oracle: source buffer exceeds offset field");
+    std::array<std::uint8_t, kSourceBytes> src{};
+    const unsigned rlen = refBytes(refs, src.data());
+    std::memcpy(src.data() + rlen, line.data(), kLineBytes);
 
     // maxlen[i]: longest copy available at line position i, and the
     // offset achieving it. Sources must *start* before the decode
@@ -69,7 +58,7 @@ Oracle::dpEncode(const CacheLine &line, const RefList &refs) const
     std::array<unsigned, kLineBytes> maxlen{};
     std::array<unsigned, kLineBytes> bestoff{};
     for (unsigned i = 0; i < kLineBytes; ++i) {
-        unsigned avail = static_cast<unsigned>(rlen) + i;
+        unsigned avail = rlen + i;
         unsigned best = 0, boff = 0;
         for (unsigned o = 0; o < avail; ++o) {
             unsigned lim =
@@ -139,40 +128,43 @@ Oracle::dpEncode(const CacheLine &line, const RefList &refs) const
     return bw.take();
 }
 
-CacheLine
-Oracle::dpDecode(const BitVec &, BitReader &br,
-                 const RefList &refs) const
+DecodeResult
+Oracle::dpDecode(BitReader &br, const RefList &refs) const
 {
-    std::vector<std::uint8_t> src;
-    src.reserve(refs.size() * kLineBytes + kLineBytes);
-    for (const CacheLine *ref : refs)
-        src.insert(src.end(), ref->data(), ref->data() + kLineBytes);
-
-    CacheLine line;
-    unsigned produced = 0;
-    while (produced < kLineBytes) {
-        if (br.get(1)) {
-            unsigned off = static_cast<unsigned>(br.get(kOffsetBits));
-            unsigned len =
-                static_cast<unsigned>(br.get(kLenBits)) + kMinCopy;
-            if (off >= src.size())
-                panic("Oracle::decompress: copy source beyond "
-                      "frontier");
-            for (unsigned k = 0; k < len; ++k) {
-                // Overlapped copies read bytes this loop appended.
-                std::uint8_t b = src[off + k];
-                line.setByte(produced, b);
-                src.push_back(b);
-                ++produced;
-            }
-        } else {
-            std::uint8_t b = static_cast<std::uint8_t>(br.get(8));
-            line.setByte(produced, b);
-            src.push_back(b);
-            ++produced;
+    std::array<std::uint8_t, kSourceBytes> src{};
+    const unsigned rlen = refBytes(refs, src.data());
+    unsigned pos = rlen; // the decode frontier in src
+    while (pos < rlen + kLineBytes) {
+        if (!br.get(1)) {
+            src[pos++] = static_cast<std::uint8_t>(br.get(8));
+            continue;
         }
+        const auto off = static_cast<unsigned>(br.get(kOffsetBits));
+        const unsigned len =
+            static_cast<unsigned>(br.get(kLenBits)) + kMinCopy;
+        if (pos + len > rlen + kLineBytes)
+            return DecodeResult::fail(br, DecodeError::BadShape);
+        if (off >= pos)
+            return DecodeResult::fail(br, DecodeError::BadDistance);
+        // Overlapped copies read bytes this loop wrote.
+        for (unsigned k = 0; k < len; ++k)
+            src[pos++] = src[off + k];
     }
-    return line;
+    return DecodeResult::of(br, CacheLine::fromBytes(src.data() + rlen));
+}
+
+unsigned
+Oracle::refBytes(const RefList &refs, std::uint8_t *src)
+{
+    if ((refs.size() + 1) * kLineBytes > kSourceBytes)
+        panic("Oracle: %zu references exceed the offset field",
+              refs.size());
+    unsigned n = 0;
+    for (const CacheLine *ref : refs) {
+        std::memcpy(src + n, ref->data(), kLineBytes);
+        n += kLineBytes;
+    }
+    return n;
 }
 
 } // namespace cable

@@ -27,17 +27,20 @@ class Oracle : public Compressor
 
     std::string name() const override { return "oracle"; }
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    CacheLine decompress(const BitVec &bits, const RefList &refs) override;
+    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
 
   private:
     static constexpr unsigned kMinCopy = 2;
     static constexpr unsigned kMaxCopy = 65;
     static constexpr unsigned kOffsetBits = 8;
     static constexpr unsigned kLenBits = 6;
+    /** What the offset field addresses: three refs and the line. */
+    static constexpr unsigned kSourceBytes = 1u << kOffsetBits;
 
     BitVec dpEncode(const CacheLine &line, const RefList &refs) const;
-    CacheLine dpDecode(const BitVec &bits, BitReader &br,
-                       const RefList &refs) const;
+    DecodeResult dpDecode(BitReader &br, const RefList &refs) const;
+    /** Copies @p refs to the front of @p src; returns their size. */
+    static unsigned refBytes(const RefList &refs, std::uint8_t *src);
 
     /** An oracle never loses to a real engine: it may emit the
      *  word-aligned LBE encoding instead of the byte parse (1-bit

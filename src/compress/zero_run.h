@@ -35,18 +35,15 @@ class ZeroRun : public Compressor
         return bw.take();
     }
 
-    CacheLine
-    decompress(const BitVec &bits, const RefList &) override
+    DecodeResult
+    decode(const BitVec &bits, const RefList &) override
     {
         BitReader br(bits);
         CacheLine line;
-        for (unsigned i = 0; i < kWordsPerLine; ++i) {
-            if (br.get(1))
-                line.setWord(i, 0);
-            else
+        for (unsigned i = 0; i < kWordsPerLine; ++i)
+            if (!br.get(1))
                 line.setWord(i, static_cast<std::uint32_t>(br.get(32)));
-        }
-        return line;
+        return DecodeResult::of(br, line);
     }
 };
 

@@ -20,18 +20,10 @@ namespace cable
 CompressorPtr
 makeDelegateEngine(const std::string &name)
 {
-    if (name == "lbe") {
-        Lbe::Config cfg;
-        cfg.dict_bytes = 256;
-        cfg.persistent = false;
-        return std::make_unique<Lbe>(cfg);
-    }
-    if (name == "cpack") {
-        Cpack::Config cfg;
-        cfg.dict_entries = 16;
-        cfg.persistent = false;
-        return std::make_unique<Cpack>(cfg);
-    }
+    if (name == "lbe")
+        return std::make_unique<Lbe>();
+    if (name == "cpack")
+        return std::make_unique<Cpack>();
     if (name == "cpack128") {
         Cpack::Config cfg;
         cfg.dict_entries = 32;
@@ -644,10 +636,15 @@ CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
                 "reference to untracked remote line");
         refs.push_back(&home_.entryAt(*hlid).data);
     }
-    CacheLine out = engine_->decompress(scratch_.diff, refs);
-    if (out != original)
+    const DecodeResult out = engine_->decode(scratch_.diff, refs);
+    if (!out.ok())
         throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
-                               firstMismatchWord(out, original),
+                               CableDesyncError::kNoWord,
+                               std::string("decode failed: ")
+                                   + decodeErrorName(out.error));
+    if (out.line != original)
+        throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
+                               firstMismatchWord(out.line, original),
                                "decoded line differs from original");
 }
 

@@ -771,7 +771,8 @@ class CableChannel
     bool sketches_on_ = false;
 };
 
-/** Delegate-engine factory: per-line (non-persistent) variants. */
+/** Delegate-engine factory: per-line variants. CPACK128 and LZSS
+ *  drop the persistent dictionary of their makeCompressor forms. */
 CompressorPtr makeDelegateEngine(const std::string &name);
 
 } // namespace cable

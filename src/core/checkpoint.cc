@@ -52,8 +52,8 @@ bad(CableCheckpointError::Kind kind, const std::string &detail)
 /**
  * Bounded reader over the image body: every get() is checked against
  * the declared body end, so a section whose element counts overrun
- * the body raises a typed BadSection instead of tripping BitReader's
- * hard panic.
+ * the body raises a typed BadSection instead of reading on into the
+ * CRC trailer.
  */
 struct Cursor
 {

@@ -454,14 +454,46 @@ TEST(BitStreamDeathTest, BitOutOfRangePanics)
     EXPECT_DEATH(v.flipBit(1), "out of");
 }
 
-TEST(BitStreamDeathTest, ReadPastEndPanics)
+TEST(BitStream, ReadPastEndSetsOverrun)
 {
     BitWriter bw;
     bw.put(0x5a, 7);
     BitReader br(bw.bits());
     EXPECT_EQ(br.get(3), 0b101u);
-    EXPECT_DEATH((void)br.get(5), "read past end");
-    EXPECT_DEATH((void)BitReader(bw.bits()).get(8), "read past end");
+    EXPECT_FALSE(br.overrun());
+    // Five bits asked, four left: 0, and the four are consumed.
+    EXPECT_EQ(br.get(5), 0u);
+    EXPECT_TRUE(br.overrun());
+    EXPECT_EQ(br.pos(), 7u);
+    EXPECT_EQ(br.remaining(), 0u);
+    // Later reads stay 0 and the flag stays set; pos() never wraps.
+    for (unsigned n : {1u, 8u, 64u, 0u}) {
+        EXPECT_EQ(br.get(n), 0u) << n;
+        EXPECT_TRUE(br.overrun());
+        EXPECT_EQ(br.pos(), 7u);
+        EXPECT_EQ(br.remaining(), 0u);
+    }
+
+    // Reading exactly to the end is no overrun; one bit more is.
+    BitReader exact(bw.bits());
+    EXPECT_EQ(exact.get(7), 0x5au);
+    EXPECT_FALSE(exact.overrun());
+    EXPECT_TRUE(exact.exhausted());
+    EXPECT_EQ(exact.get(1), 0u);
+    EXPECT_TRUE(exact.overrun());
+
+    BitReader wide(bw.bits());
+    EXPECT_EQ(wide.get(8), 0u);
+    EXPECT_TRUE(wide.overrun());
+    EXPECT_EQ(wide.pos(), 7u);
+
+    BitVec empty;
+    BitReader none(empty);
+    EXPECT_EQ(none.get(0), 0u);
+    EXPECT_FALSE(none.overrun());
+    EXPECT_EQ(none.get(1), 0u);
+    EXPECT_TRUE(none.overrun());
+    EXPECT_EQ(none.pos(), 0u);
 }
 
 TEST(BitStreamDeathTest, PutWiderThan64Panics)
