@@ -18,8 +18,6 @@ Lzss::Lzss(const Config &cfg) : cfg_(cfg)
     if (!isPow2(cfg_.window_bytes))
         fatal("Lzss: window must be a power of two");
     dist_bits_ = bitsToIndex(cfg_.window_bytes + 1);
-    head_.assign(std::size_t{1} << kHashBits, kNone);
-    prev_.assign(cfg_.window_bytes, kNone);
 }
 
 std::string
@@ -52,8 +50,16 @@ Lzss::insertHash(std::uint64_t pos)
 }
 
 BitVec
-Lzss::encodeStream(const CacheLine &line, bool update)
+Lzss::encodeStream(const CacheLine &line)
 {
+    // Only a persistent window keeps hash chains; they are allocated
+    // on its first line, so decoders and per-line instances never
+    // carry them.
+    const bool persistent = cfg_.persistent;
+    if (persistent && head_.empty()) {
+        head_.assign(std::size_t{1} << kHashBits, kNone);
+        prev_.assign(cfg_.window_bytes, kNone);
+    }
     const std::uint64_t start = trim_base_ + history_.size();
     const std::uint64_t end = start + kLineBytes;
     history_.insert(history_.end(), line.data(),
@@ -77,7 +83,7 @@ Lzss::encodeStream(const CacheLine &line, bool update)
             }
         };
 
-        if (lim >= kMinMatch) {
+        if (lim >= kMinMatch && persistent) {
             // History candidates via the hash chains.
             unsigned h = hashAt(pos);
             std::uint64_t cand = head_[h];
@@ -93,19 +99,18 @@ Lzss::encodeStream(const CacheLine &line, bool update)
                     break; // stale slot or end of chain
                 cand = next;
             }
-            if (!update) {
-                // Probe mode leaves the chains untouched, so in-line
-                // self matches are found by brute force instead.
-                for (std::uint64_t c = start; c < pos; ++c)
-                    consider(c);
-            }
+        } else if (lim >= kMinMatch) {
+            // A per-line window holds only this line, so its matches
+            // are found by brute force.
+            for (std::uint64_t c = start; c < pos; ++c)
+                consider(c);
         }
 
         if (best_len >= kMinMatch) {
             bw.put(1, 1);
             bw.put(best_dist, dist_bits_);
             bw.put(best_len - kMinMatch, 8);
-            if (update) {
+            if (persistent) {
                 for (std::uint64_t p = pos; p < pos + best_len; ++p)
                     if (p + kMinMatch <= end)
                         insertHash(p);
@@ -114,13 +119,13 @@ Lzss::encodeStream(const CacheLine &line, bool update)
         } else {
             bw.put(0, 1);
             bw.put(byteAt(pos), 8);
-            if (update && pos + kMinMatch <= end)
+            if (persistent && pos + kMinMatch <= end)
                 insertHash(pos);
             ++pos;
         }
     }
 
-    if (!update) {
+    if (!persistent) {
         history_.resize(history_.size() - kLineBytes);
     } else if (history_.size() > 2 * cfg_.window_bytes) {
         std::size_t drop = history_.size() - cfg_.window_bytes;
@@ -180,7 +185,7 @@ Lzss::compress(const CacheLine &line, const RefList &refs)
     if (!refs.empty())
         return encodeWithRefs(line, refs, refDistBits(refs.size()));
     // Per-line mode rolls the window back after each line.
-    return encodeStream(line, cfg_.persistent);
+    return encodeStream(line);
 }
 
 DecodeResult
@@ -244,8 +249,8 @@ Lzss::reset()
     history_.clear();
     dec_history_.clear();
     trim_base_ = 0;
-    head_.assign(std::size_t{1} << kHashBits, kNone);
-    prev_.assign(cfg_.window_bytes, kNone);
+    head_.clear();
+    prev_.clear();
 }
 
 } // namespace cable

@@ -71,9 +71,9 @@ class Lzss : public Compressor
                                     const std::vector<std::uint8_t> &prefix,
                                     unsigned dist_bits);
 
-    /** Streaming path over the persistent window. */
-    BitVec encodeStream(const CacheLine &line, bool update);
-    void appendByte(std::uint8_t b);
+    /** Streaming path over the window: persistent, or rolled back
+     *  after each line. */
+    BitVec encodeStream(const CacheLine &line);
     void insertHash(std::uint64_t pos);
     std::uint8_t byteAt(std::uint64_t abs) const;
     unsigned hashAt(std::uint64_t abs) const;
@@ -86,6 +86,7 @@ class Lzss : public Compressor
     // positions with distance-bounded validity.
     std::vector<std::uint8_t> history_;
     std::uint64_t trim_base_ = 0;
+    // Hash chains of a persistent window; empty until its first line.
     std::vector<std::uint64_t> head_;
     std::vector<std::uint64_t> prev_;
     // Decoder-side history (separate so one object can loop back in

@@ -1,9 +1,8 @@
 // Fixture: serialization code in the checkpoint/resync family must
 // name every wire width and never serialize through raw memory
-// images. R005 fires on bare literal widths in put()/get() calls
-// and on memcpy/memmove/reinterpret_cast; a justified allowance
-// suppresses it. (The put()/get() literals also trip R003 in
-// self-test mode, where directory scoping is disabled.)
+// images. R005 fires on memcpy/memmove/reinterpret_cast; a justified
+// allowance suppresses it. Bare literal widths in put()/get() calls
+// are R003's alone, which covers the checkpoint/resync files too.
 
 #include <cstdint>
 #include <cstring>
@@ -31,14 +30,14 @@ void
 writeHeader(BitWriter &bw, const Header &h)
 {
     bw.put(h.magic, kMagicBits);  // allowed: named width
-    bw.put(h.body_bits, 32);      // expect: R003 // expect: R005
+    bw.put(h.body_bits, 32);      // expect: R003
 }
 
 void
 readHeader(BitReader &br, Header &h)
 {
     h.magic = static_cast<std::uint32_t>(br.get(kMagicBits));
-    h.body_bits = static_cast<std::uint32_t>(br.get(32));  // expect: R005 // expect: R003
+    h.body_bits = static_cast<std::uint32_t>(br.get(32));  // expect: R003
 }
 
 unsigned long long

@@ -241,15 +241,30 @@ const std::set<std::string> kBoolFlags = {"stats", "timing",
                                           "strict-desync",
                                           "no-watchdog"};
 
+/** The names of @p names, sorted, each after @p prefix. */
+std::string
+joined(const std::set<std::string> &names, const char *prefix)
+{
+    std::string out;
+    for (const auto &name : names) {
+        if (!out.empty())
+            out += ' ';
+        out += prefix;
+        out += name;
+    }
+    return out;
+}
+
 void
 checkFlags(const Args &a, const std::set<std::string> &allowed)
 {
+    std::set<std::string> accepted = kCommonFlags;
+    accepted.insert(allowed.begin(), allowed.end());
     for (const auto &[flag, value] : a.flags) {
-        if (kCommonFlags.count(flag) || allowed.count(flag))
-            continue;
-        fail("unknown option '--%s' for command '%s' "
-             "(run 'cable_sim' with no arguments for usage)",
-             flag.c_str(), a.command.c_str());
+        if (!accepted.count(flag))
+            fail("unknown option '--%s' for command '%s'; it accepts: %s",
+                 flag.c_str(), a.command.c_str(),
+                 joined(accepted, "--").c_str());
     }
 }
 
@@ -815,10 +830,9 @@ cmdList()
     for (const auto &name : spec2006Benchmarks())
         std::printf(" %s%s", name.c_str(),
                     benchmarkProfile(name).zero_dominant ? "*" : "");
-    std::printf("\n\nschemes:\n  raw zero bdi fpc cpack cpack128 "
-                "lbe256 gzip cable\n");
-    std::printf("\ncable delegate engines (--engine):\n  lbe cpack "
-                "cpack128 gzip oracle bdi\n");
+    std::printf("\n\nschemes:\n  %s\n", joined(kSchemes, "").c_str());
+    std::printf("\ncable delegate engines (--engine):\n  %s\n",
+                joined(kEngines, "").c_str());
     return 0;
 }
 

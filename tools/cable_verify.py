@@ -10,7 +10,7 @@ Two static proofs over the serialization and recovery layers:
    annotated writer and reader call sites and fails on any order,
    width or count asymmetry, on marker/code width drift, and on any
    unannotated put()/get() in a registered file — the reader/writer
-   drift class of bug that PR 6's checkpoint work hit by hand.
+   drift class of bug that is otherwise found only by hand.
 
 2. Recovery-FSM model check. The channel recovery machine is
    committed as src/core/recovery_fsm.def; the C++ includes it via
@@ -66,32 +66,22 @@ Diagnostic codes:
   F011 illegal bit-accounting class        F012 unreachable terminal
   F013 health assignment bypassing the generated table
 
-The verifier prefers a libclang-backed cross-check of call sites when
-the python bindings are importable and falls back to the tokenizer
-otherwise (same pattern as cable_lint.py); the tokenizer is the
-reference implementation.
+Source reading, the put()/get() call scanner (the same sites
+cable_lint.py's R003 checks), the fixture runner and the report driver
+are shared with cable_lint.py (cable_scan.py).
 
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
 import re
 import sys
 from dataclasses import dataclass, field
 
-from cable_lint import split_top_level_args, strip_comments_and_strings
-
-try:  # pragma: no cover - absent in the CI container
-    import clang.cindex as _cindex
-
-    HAVE_LIBCLANG = True
-except ImportError:
-    _cindex = None
-    HAVE_LIBCLANG = False
+from cable_scan import (Finding, Source, arg_parser, bitstream_calls,
+                        finish, load_source, run_self_test)
 
 CODES = {
     "W001": "unannotated serialization call",
@@ -134,25 +124,12 @@ FSM_IMPL_FILES = ["src/core/channel.cc", "src/core/checkpoint.cc"]
 
 RECOVERY_BITS_CLASSES = ("None", "Handshake", "Rearm", "Retrans")
 
-WIRE_MARK_RE = re.compile(r"//\s*cable-wire:\s*(.+?)\s*$")
-WIRE_DECL_RE = re.compile(r"//\s*cable-wire-decl:\s*(.+?)\s*$")
-WIRE_MANUAL_RE = re.compile(r"//\s*cable-wire-(write|read):\s*(.+?)\s*$")
+# cable-wire: (a call-site marker), cable-wire-decl:, -write: and
+# -read:, with the kind as group 1 (None for a call-site marker).
+WIRE_MARK_RE = re.compile(
+    r"//\s*cable-wire(?:-(decl|write|read))?:\s*(.+?)\s*$")
 WIRE_ALIAS_RE = re.compile(
     r"//\s*cable-wire-alias:\s*(\w+)\s+(put|get)\s+(\S+)")
-CALL_RE = re.compile(r"\.(put|get)\s*\(")
-EXPECT_RE = re.compile(r"//\s*expect:\s*([WF]\d{3})")
-
-
-@dataclass
-class Finding:
-    code: str
-    path: str
-    line: int  # 1-based
-    detail: str
-
-    def render(self) -> str:
-        return (f"{self.path}:{self.line}: {self.code} "
-                f"[{CODES[self.code]}] {self.detail}")
 
 
 @dataclass
@@ -186,30 +163,6 @@ def parse_field_spec(spec: str):
 # ---------------------------------------------------------------------
 
 
-def libclang_call_lines(root: str, rel: str):
-    """Optional cross-check: the 1-based lines holding put/get member
-    calls according to libclang. Returns None when the backend is
-    unavailable or parsing fails (the tokenizer is the reference
-    implementation either way)."""  # pragma: no cover
-    if not HAVE_LIBCLANG:
-        return None
-    try:
-        index = _cindex.Index.create()
-        tu = index.parse(os.path.join(root, rel),
-                         args=["-std=c++20", "-Isrc"])
-        lines = set()
-        for node in tu.cursor.walk_preorder():
-            if node.kind == _cindex.CursorKind.CALL_EXPR and \
-                    node.spelling in ("put", "get"):
-                if node.location.file and os.path.samefile(
-                        node.location.file.name,
-                        os.path.join(root, rel)):
-                    lines.add(node.location.line)
-        return lines
-    except Exception:
-        return None
-
-
 def looks_like_declaration(args: list[str]) -> bool:
     """True when an alias-name match is the function's own definition
     rather than a call site (parameters carry types: 'BitWriter &bw',
@@ -221,153 +174,81 @@ def looks_like_declaration(args: list[str]) -> bool:
             or len(first.replace("::", " ").split()) > 1)
 
 
-def scan_wire_file(root: str, rel: str, sites: list[WireSite],
+def scan_wire_file(src: Source, sites: list[WireSite],
                    findings: list[Finding]):
-    with open(os.path.join(root, rel), encoding="utf-8") as f:
-        text = f.read()
-    raw_lines = text.splitlines()
-    code_text = strip_comments_and_strings(text)
-    code_lines = code_text.splitlines()
-
-    # Directive maps, keyed by 0-based line.
-    marks: dict[int, tuple] = {}
-    ignores: set[int] = set()
+    rel = src.path
+    # Call-site markers by 0-based line; None marks an ignore.
+    marks: dict[int, tuple | None] = {}
     aliases: dict[str, tuple[str, str]] = {}  # fn -> (role, width)
-    for idx, line in enumerate(raw_lines):
+    for idx, line in enumerate(src.raw_lines):
         m = WIRE_ALIAS_RE.search(line)
         if m:
             role = "write" if m.group(2) == "put" else "read"
             aliases[m.group(1)] = (role, m.group(3))
             continue
-        m = WIRE_MANUAL_RE.search(line)
-        if m:
-            spec = parse_field_spec(m.group(2))
-            if spec is None:
-                findings.append(Finding(
-                    "W007", rel, idx + 1,
-                    f"cannot parse '{m.group(2)}'"))
-                continue
-            record, fname, width, count = spec
-            sites.append(WireSite(record, fname, width, count,
-                                  "write" if m.group(1) == "write"
-                                  else "read", rel, idx + 1))
-            continue
-        m = WIRE_DECL_RE.search(line)
-        if m:
-            spec = parse_field_spec(m.group(1))
-            if spec is None:
-                findings.append(Finding(
-                    "W007", rel, idx + 1,
-                    f"cannot parse '{m.group(1)}'"))
-                continue
-            record, fname, width, count = spec
-            sites.append(WireSite(record, fname, width, count,
-                                  "decl", rel, idx + 1))
-            continue
         m = WIRE_MARK_RE.search(line)
-        if m:
-            payload = m.group(1)
-            if payload.split()[0] == "ignore":
-                ignores.add(idx)
-                continue
-            spec = parse_field_spec(payload)
-            if spec is None:
-                findings.append(Finding(
-                    "W007", rel, idx + 1,
-                    f"cannot parse '{payload}'"))
-                continue
-            marks[idx] = spec
-
-    # Call detection: member put/get plus declared alias wrappers.
-    calls = []  # (line_idx, col, role, call_width_or_None, what)
-    for m in CALL_RE.finditer(code_text):
-        args = split_top_level_args(code_text[m.end():m.end() + 600])
-        if args is None:
+        if not m:
             continue
-        call = m.group(1)
-        if call == "put":
-            if len(args) < 2:
-                continue
-            role, width = "write", args[-1]
-        else:
-            # Skip zero-argument smart-pointer get() and name-keyed
-            # accessors whose sole argument is a blanked string
-            # literal; trailing arguments are the checkpoint Cursor's
-            # diagnostic tag (a literal or a name array).
-            if not args or not args[0]:
-                continue
-            role, width = "read", args[0]
-        idx = code_text.count("\n", 0, m.start())
-        calls.append((idx, m.start(), role,
-                      re.sub(r"\s+", "", width), call))
-    for fn, (role, width) in aliases.items():
-        for m in re.finditer(r"\b" + re.escape(fn) + r"\s*\(",
-                             code_text):
-            args = split_top_level_args(
-                code_text[m.end():m.end() + 600])
+        kind, payload = m.groups()
+        if kind is None and payload.split()[:1] == ["ignore"]:
+            marks[idx] = None
+            continue
+        spec = parse_field_spec(payload)
+        if spec is None:
+            findings.append(Finding(
+                "W007", rel, idx + 1, f"cannot parse '{payload}'"))
+        elif kind is None:
+            marks[idx] = spec
+        else:  # decl, or a manual write/read site
+            sites.append(WireSite(*spec, kind, rel, idx + 1))
+
+    # Events as (line_idx, pos, payload): markers (pos -1, so they
+    # sort ahead of a call on their own line) and serialization calls
+    # — the shared put/get sites plus the declared alias wrappers —
+    # whose payload is (role, width, name). An alias call's width is
+    # None: the alias declares it.
+    events = [(idx, -1, spec) for idx, spec in marks.items()]
+    events += [(c.line - 1, c.pos,
+                (c.role, re.sub(r"\s+", "", c.width), c.name))
+               for c in bitstream_calls(src)]
+    for fn, (role, _width) in aliases.items():
+        for m in re.finditer(r"\b" + re.escape(fn) + r"\s*\(", src.code):
+            args = src.args_at(m.end())
             if args is None or looks_like_declaration(args):
                 continue
-            idx = code_text.count("\n", 0, m.start())
-            calls.append((idx, m.start(), role, None, fn))
-
-    clang_lines = libclang_call_lines(root, rel)
-    if clang_lines is not None:  # pragma: no cover
-        call_lines = {idx for idx, _c, _r, _w, _n in calls}
-        missing = {l - 1 for l in clang_lines} - call_lines
-        for idx in sorted(missing):
-            findings.append(Finding(
-                "W001", rel, idx + 1,
-                "libclang sees a put/get call the tokenizer missed"))
+            events.append((src.line_of(m.start()), m.start(),
+                           (role, None, fn)))
 
     # A marker (or ignore) binds to the next serialization call at or
     # below it, as long as the statement starts within a few lines —
     # multi-line statements put the call 1-3 lines under the marker.
-    events = []  # (line_idx, col, payload)
-    for idx, spec in marks.items():
-        events.append((idx, -1, ("mark", spec)))
-    for idx in ignores:
-        events.append((idx, -1, ("ignore",)))
-    for idx, col, role, call_width, what in calls:
-        events.append((idx, col, ("call", role, call_width, what)))
-    pending = None  # ("mark"/"ignore", spec_or_None, line_idx)
-    for idx, _col, payload in sorted(events, key=lambda e: e[:2]):
-        if payload[0] == "mark":
-            pending = ("mark", payload[1], idx)
+    pending = None  # (marker line_idx, spec or None)
+    for idx, pos, payload in sorted(events, key=lambda e: e[:2]):
+        if pos < 0:
+            pending = (idx, payload)
             continue
-        if payload[0] == "ignore":
-            pending = ("ignore", None, idx)
-            continue
-        _tag, role, call_width, what = payload
-        if pending is None or idx - pending[2] > 4:
+        role, call_width, what = payload
+        if pending is None or idx - pending[0] > 4:
             findings.append(Finding(
                 "W001", rel, idx + 1,
                 f"{what}() call without a cable-wire marker"))
             pending = None
             continue
-        kind, spec, _mline = pending
+        spec = pending[1]
         pending = None
-        if kind == "ignore":
+        if spec is None:
             continue
         record, fname, width, count = spec
-        if call_width is not None and call_width != width:
+        source = "the call"
+        if call_width is None:
+            call_width, source = aliases[what][1], f"alias {what}"
+        if width != call_width:
             findings.append(Finding(
                 "W002", rel, idx + 1,
-                f"marker width '{width}' but the call encodes "
+                f"marker width '{width}' but {source} encodes "
                 f"'{call_width}'"))
-        if call_width is None:
-            # Alias call: the marker must agree with the alias width.
-            alias_width = aliases[what][1]
-            if width != alias_width:
-                findings.append(Finding(
-                    "W002", rel, idx + 1,
-                    f"marker width '{width}' but alias {what} "
-                    f"encodes '{alias_width}'"))
         sites.append(WireSite(record, fname, width, count, role,
                               rel, idx + 1))
-
-
-def seq_key(site: WireSite):
-    return (site.field, site.width, site.count)
 
 
 def compare_exact(a: list[WireSite], b: list[WireSite],
@@ -408,11 +289,11 @@ def compare_against_decl(seq: list[WireSite], decl: list[WireSite],
         compare_exact(decl, chunk, findings, what)
 
 
-def check_wire(root: str, files: list[str]):
+def check_wire(sources: list[Source]):
     findings: list[Finding] = []
     sites: list[WireSite] = []
-    for rel in files:
-        scan_wire_file(root, rel, sites, findings)
+    for src in sources:
+        scan_wire_file(src, sites, findings)
 
     records: dict[str, dict[str, list[WireSite]]] = {}
     for s in sites:
@@ -474,16 +355,12 @@ class FsmSpec:
         return next(iter(self.states), None)
 
 
-def parse_fsm(root: str, rel: str) -> FsmSpec:
-    with open(os.path.join(root, rel), encoding="utf-8") as f:
-        text = f.read()
+def parse_fsm(src: Source) -> FsmSpec:
     # Drop preprocessor lines (the default-define/undef scaffolding
     # mentions every macro name) but keep newlines for line numbers.
-    kept = []
-    for line in strip_comments_and_strings(text).splitlines():
-        kept.append("" if line.lstrip().startswith("#") else line)
-    code = "\n".join(kept)
-    spec = FsmSpec(rel)
+    code = "\n".join("" if line.lstrip().startswith("#") else line
+                     for line in src.code_lines)
+    spec = FsmSpec(src.path)
     for m in FSM_STATE_RE.finditer(code):
         spec.states[m.group(1)] = (
             m.group(2), code.count("\n", 0, m.start()) + 1)
@@ -522,9 +399,10 @@ def simple_cycles(adj: dict[str, list[tuple[str, int]]]):
     return cycles
 
 
-def check_fsm(root: str, rel: str):
+def check_fsm(src: Source):
+    rel = src.path
     findings: list[Finding] = []
-    spec = parse_fsm(root, rel)
+    spec = parse_fsm(src)
     live = spec.states
     terminals = spec.terminals
     all_states = set(live) | set(terminals)
@@ -689,12 +567,9 @@ def check_fsm_impl(root: str, files: list[str]):
     findings: list[Finding] = []
     assign_re = re.compile(r"\bhealth_\s*=(?!=)")
     for rel in files:
-        path = os.path.join(root, rel)
-        if not os.path.exists(path):
+        if not os.path.exists(os.path.join(root, rel)):
             continue
-        with open(path, encoding="utf-8") as f:
-            code_lines = strip_comments_and_strings(
-                f.read()).splitlines()
+        code_lines = load_source(root, rel).code_lines
         for idx, line in enumerate(code_lines):
             if not assign_re.search(line):
                 continue
@@ -741,77 +616,31 @@ def write_dot(spec: FsmSpec, path: str):
 
 
 # ---------------------------------------------------------------------
-# Self-test fixtures
-# ---------------------------------------------------------------------
-
-
-def run_self_test(fixtures_dir: str) -> int:
-    """Fixture mode: every .cc/.h file is wire-checked on its own
-    (declarations and call sites in one file), every .def file is
-    model-checked; ``// expect: CODE`` markers name the finding each
-    line must produce, and a file without markers must verify
-    clean."""
-    failures = 0
-    names = sorted(os.listdir(fixtures_dir))
-    if not names:
-        print(f"cable-verify: no fixtures in {fixtures_dir}",
-              file=sys.stderr)
-        return 2
-    for fn in names:
-        if fn.endswith((".cc", ".h", ".cpp")):
-            findings, _summary = check_wire(fixtures_dir, [fn])
-        elif fn.endswith(".def"):
-            findings, _stats, _spec = check_fsm(fixtures_dir, fn)
-        else:
-            continue
-        with open(os.path.join(fixtures_dir, fn),
-                  encoding="utf-8") as f:
-            raw = f.read().splitlines()
-        expected = set()
-        for idx, line in enumerate(raw):
-            for m in EXPECT_RE.finditer(line):
-                expected.add((m.group(1), idx + 1))
-        got = {(f.code, f.line) for f in findings}
-        for miss in sorted(expected - got):
-            print(f"SELF-TEST FAIL {fn}:{miss[1]}: expected "
-                  f"{miss[0]} did not fire")
-            failures += 1
-        for extra in sorted(got - expected):
-            print(f"SELF-TEST FAIL {fn}:{extra[1]}: unexpected "
-                  f"{extra[0]}")
-            failures += 1
-        status = "ok" if expected == got else "FAIL"
-        print(f"self-test {fn}: {len(expected)} expected finding(s) "
-              f"[{status}]")
-    if failures:
-        print(f"cable-verify self-test: {failures} failure(s)")
-        return 1
-    print("cable-verify self-test: all fixtures behave")
-    return 0
-
-
-# ---------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------
 
 
+def fixture_findings(src: Source) -> list[Finding]:
+    """Fixture mode: a .def is model-checked; a .cc/.h file is
+    wire-checked on its own (declarations and call sites in one
+    file)."""
+    if src.path.endswith(".def"):
+        return check_fsm(src)[0]
+    return check_wire([src])[0]
+
+
 def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(
-        prog="cable_verify.py",
-        description="CABLE protocol verifier: wire-format symmetry + "
-                    "recovery-FSM model check")
-    ap.add_argument("--root", default=".",
-                    help="repository root (default: cwd)")
-    ap.add_argument("--report", default=None,
-                    help="write a cable-verify-v1 JSON report here")
+    ap = arg_parser("cable_verify.py",
+                    "CABLE protocol verifier: wire-format symmetry + "
+                    "recovery-FSM model check", "cable-verify-v1")
     ap.add_argument("--dot", default=None,
                     help="write a Graphviz diagram of the FSM here")
-    ap.add_argument("--self-test", default=None, metavar="FIXTURES",
-                    help="run the fixture suite instead of verifying")
     args = ap.parse_args(argv)
 
     if args.self_test:
-        return run_self_test(args.self_test)
+        return run_self_test("cable-verify", args.self_test,
+                             (".cc", ".h", ".cpp", ".def"),
+                             fixture_findings)
 
     root = os.path.abspath(args.root)
     for rel in WIRE_FILES + [FSM_SPEC]:
@@ -820,44 +649,38 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
 
-    wire_findings, wire_summary = check_wire(root, WIRE_FILES)
-    fsm_findings, fsm_stats, spec = check_fsm(root, FSM_SPEC)
+    wire_findings, wire_summary = check_wire(
+        [load_source(root, rel) for rel in WIRE_FILES])
+    fsm_findings, fsm_stats, spec = check_fsm(load_source(root, FSM_SPEC))
     fsm_findings += check_fsm_impl(root, FSM_IMPL_FILES)
     findings = wire_findings + fsm_findings
 
     if args.dot:
         write_dot(spec, args.dot)
 
-    if args.report:
-        doc = {
-            "schema": "cable-verify-v1",
-            "tool": "cable_verify",
-            "backend": "libclang" if HAVE_LIBCLANG else "tokenizer",
-            "ok": not findings,
-            "wire": {
-                "files": WIRE_FILES,
-                "records": wire_summary,
-                "findings": [vars(f) for f in wire_findings],
-            },
-            "fsm": dict(fsm_stats,
-                        findings=[vars(f) for f in fsm_findings]),
-        }
-        with open(args.report, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=2)
-            f.write("\n")
-
-    for f in findings:
-        print(f.render())
+    doc = {
+        "schema": "cable-verify-v1",
+        "tool": "cable_verify",
+        "ok": not findings,
+        "wire": {
+            "files": WIRE_FILES,
+            "records": wire_summary,
+            "findings": [vars(f) for f in wire_findings],
+        },
+        "fsm": dict(fsm_stats, findings=[vars(f) for f in fsm_findings]),
+    }
     inv = fsm_stats["invariants"]
-    print(f"cable-verify: {len(wire_summary)} wire record(s), "
-          f"{fsm_stats['reachable_states']}/{fsm_stats['states']} "
-          f"reachable state(s), "
-          f"{fsm_stats['reachable_transitions']}/"
-          f"{fsm_stats['transitions']} reachable transition(s), "
-          f"{fsm_stats['simple_cycles']} cycle(s), "
-          f"{sum(1 for v in inv.values() if v)}/{len(inv)} "
-          f"invariant(s) hold, {len(findings)} finding(s)")
-    return 1 if findings else 0
+    return finish(
+        findings, CODES,
+        f"cable-verify: {len(wire_summary)} wire record(s), "
+        f"{fsm_stats['reachable_states']}/{fsm_stats['states']} "
+        f"reachable state(s), "
+        f"{fsm_stats['reachable_transitions']}/"
+        f"{fsm_stats['transitions']} reachable transition(s), "
+        f"{fsm_stats['simple_cycles']} cycle(s), "
+        f"{sum(1 for v in inv.values() if v)}/{len(inv)} "
+        f"invariant(s) hold, {len(findings)} finding(s)",
+        args.report, doc)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ Dispatches on the document's "schema" field:
                         workload-phase reports
   cable-verify-v1       cable_verify.py --report protocol-verifier
                         reports
+  cable-lint-v1         cable_lint.py --report invariant-linter
+                        reports
 
 Strict mode is the default: a top-level key (or stats-block key) the
 schema does not declare is an error, so a writer that grows a new
@@ -54,6 +56,7 @@ Exits 0 when everything holds, 1 with one line per violation.
 
 import argparse
 import json
+import re
 import sys
 
 MAX_COUNTER = 2**63  # above this, assume a negative wrapped around
@@ -82,9 +85,8 @@ SCHEMA_KEYS = {
         "schema", "tool", "command", "benchmark", "scheme", "ops",
         "seed", "interval", "metrics", "phases",
     },
-    "cable-verify-v1": {
-        "schema", "tool", "backend", "ok", "wire", "fsm",
-    },
+    "cable-verify-v1": {"schema", "tool", "ok", "wire", "fsm"},
+    "cable-lint-v1": {"schema", "files", "findings"},
 }
 
 STATS_BLOCK_KEYS = {"counters", "histograms", "distributions",
@@ -778,21 +780,24 @@ VERIFY_INVARIANTS = {
 }
 
 
-def check_verify_findings(findings, where):
-    """Shared shape check for the wire and fsm finding lists."""
+def check_findings(findings, where, kinds):
+    """The one finding shape both static-analysis reports share (the
+    cable_scan.Finding fields); @p kinds are the code letters the
+    writer may emit."""
     if not isinstance(findings, list):
         err(f"{where}: 'findings' must be a list")
         return 0
-    import re as _re
     for i, f in enumerate(findings):
         fw = f"{where}.findings[{i}]"
         if not isinstance(f, dict):
             err(f"{fw}: not an object")
             continue
+        check_unknown_keys(f, {"code", "path", "line", "detail"}, fw)
         code = f.get("code")
         if not isinstance(code, str) \
-                or not _re.fullmatch(r"[WF]\d{3}", code):
-            err(f"{fw}: 'code' must be a W/F diagnostic: {code!r}")
+                or not re.fullmatch(f"[{kinds}]\\d{{3}}", code):
+            err(f"{fw}: 'code' must be one of [{kinds}] and three "
+                f"digits: {code!r}")
         if not isinstance(f.get("path"), str):
             err(f"{fw}: 'path' missing or non-string")
         line = f.get("line")
@@ -804,16 +809,30 @@ def check_verify_findings(findings, where):
     return len(findings)
 
 
+def check_lint_v1(m):
+    for key in ("files", "findings"):
+        if key not in m:
+            err(f"missing top-level key '{key}'")
+    if errors:
+        return
+    files = m["files"]
+    if not isinstance(files, int) or isinstance(files, bool) \
+            or files < 1:
+        err(f"'files' must be a positive integer: {files!r}")
+    nfind = check_findings(m["findings"], "lint", "R")
+    if not errors:
+        print(f"check_metrics: OK (lint report, {files} file(s), "
+              f"{nfind} finding(s))")
+
+
 def check_verify_v1(m):
-    for key in ("tool", "backend", "ok", "wire", "fsm"):
+    for key in ("tool", "ok", "wire", "fsm"):
         if key not in m:
             err(f"missing top-level key '{key}'")
     if errors:
         return
     if m["tool"] != "cable_verify":
         err(f"'tool' must be 'cable_verify': {m['tool']!r}")
-    if m["backend"] not in ("tokenizer", "libclang"):
-        err(f"unknown backend: {m['backend']!r}")
     if not isinstance(m["ok"], bool):
         err(f"'ok' must be a boolean: {m['ok']!r}")
 
@@ -827,7 +846,7 @@ def check_verify_v1(m):
             or not all(isinstance(p, str) for p in files):
         err("wire.files must be a non-empty list of paths")
     records = wire.get("records")
-    nfind = check_verify_findings(wire.get("findings"), "wire")
+    nfind = check_findings(wire.get("findings"), "wire", "WF")
     if not isinstance(records, dict) or not records:
         err("wire.records must be a non-empty object")
         return
@@ -893,7 +912,7 @@ def check_verify_v1(m):
     for name, v in inv.items():
         if not isinstance(v, bool):
             err(f"fsm.invariants.{name}: must be a boolean: {v!r}")
-    nfind += check_verify_findings(fsm["findings"], "fsm")
+    nfind += check_findings(fsm["findings"], "fsm", "WF")
 
     # 'ok' is not advisory: it must equal "no findings anywhere", and
     # a clean report must have proved every invariant and reached the
@@ -954,6 +973,8 @@ def main():
         check_phases_v1(m)
     elif schema == "cable-verify-v1":
         check_verify_v1(m)
+    elif schema == "cable-lint-v1":
+        check_lint_v1(m)
     else:
         err(f"unexpected schema: {schema!r}")
 
