@@ -17,29 +17,57 @@
 namespace cable
 {
 
+namespace
+{
+
+CompressorPtr
+perLineLzss()
+{
+    Lzss::Config cfg;
+    cfg.persistent = false;
+    return std::make_unique<Lzss>(cfg);
+}
+
+/** One row per delegate engine: makeDelegateEngine and
+ *  delegateEngineNames read the same table. */
+const struct
+{
+    const char *name;
+    CompressorPtr (*make)();
+} kDelegateEngines[] = {
+    {"lbe", [] { return CompressorPtr(std::make_unique<Lbe>()); }},
+    {"cpack", [] { return CompressorPtr(std::make_unique<Cpack>()); }},
+    {"cpack128",
+     [] {
+         Cpack::Config cfg;
+         cfg.dict_entries = 32;
+         cfg.persistent = false;
+         return CompressorPtr(std::make_unique<Cpack>(cfg));
+     }},
+    {"gzip", perLineLzss},
+    {"lzss", perLineLzss},
+    {"oracle", [] { return CompressorPtr(std::make_unique<Oracle>()); }},
+    {"bdi", [] { return CompressorPtr(std::make_unique<Bdi>()); }},
+};
+
+} // namespace
+
 CompressorPtr
 makeDelegateEngine(const std::string &name)
 {
-    if (name == "lbe")
-        return std::make_unique<Lbe>();
-    if (name == "cpack")
-        return std::make_unique<Cpack>();
-    if (name == "cpack128") {
-        Cpack::Config cfg;
-        cfg.dict_entries = 32;
-        cfg.persistent = false;
-        return std::make_unique<Cpack>(cfg);
-    }
-    if (name == "gzip" || name == "lzss") {
-        Lzss::Config cfg;
-        cfg.persistent = false;
-        return std::make_unique<Lzss>(cfg);
-    }
-    if (name == "oracle")
-        return std::make_unique<Oracle>();
-    if (name == "bdi")
-        return std::make_unique<Bdi>();
+    for (const auto &e : kDelegateEngines)
+        if (name == e.name)
+            return e.make();
     fatal("unknown CABLE delegate engine '%s'", name.c_str());
+}
+
+std::vector<std::string>
+delegateEngineNames()
+{
+    std::vector<std::string> names;
+    for (const auto &e : kDelegateEngines)
+        names.push_back(e.name);
+    return names;
 }
 
 namespace

@@ -57,7 +57,7 @@ namespace cable
 /** Per-channel configuration (defaults follow Table IV / §VI-A). */
 struct CableConfig
 {
-    /** Delegate engine: "lbe", "cpack128", "gzip", "oracle". */
+    /** Delegate engine: one of delegateEngineNames(). */
     std::string engine = "lbe";
     /** Candidates surviving pre-rank → data-array reads (§III-C). */
     unsigned data_accesses = 6;
@@ -772,8 +772,12 @@ class CableChannel
 };
 
 /** Delegate-engine factory: per-line variants. CPACK128 and LZSS
- *  drop the persistent dictionary of their makeCompressor forms. */
+ *  drop the persistent dictionary of their makeCompressor forms;
+ *  fatal() on a name delegateEngineNames() does not list. */
 CompressorPtr makeDelegateEngine(const std::string &name);
+
+/** Every name makeDelegateEngine accepts, in its table order. */
+std::vector<std::string> delegateEngineNames();
 
 } // namespace cable
 

@@ -43,8 +43,6 @@ MemLinkSystem::MemLinkSystem(const MemSystemConfig &cfg,
         fault_channel_->setFaultModel(fault_injector_.get());
     }
 
-    Cache::Config l1c{"l1", cfg.l1_bytes, cfg.l1_ways};
-    Cache::Config l2c{"l2", cfg.l2_bytes, cfg.l2_ways};
     for (unsigned t = 0; t < programs.size(); ++t) {
         Addr base = (static_cast<Addr>(t) + 1) << kThreadBaseShift;
         std::uint64_t aseed = splitMix64(cfg.seed ^ (t * 977 + 13));
@@ -53,7 +51,7 @@ MemLinkSystem::MemLinkSystem(const MemSystemConfig &cfg,
                 ? splitMix64(cfg.seed ^ 0x7a1ull)
                 : splitMix64(cfg.seed ^ 0x9191ull ^ (t * 31));
         threads_.push_back(std::make_unique<Thread>(
-            t, l1c, l2c, programs[t], base, aseed, vseed));
+            t, cfg, programs[t], base, aseed, vseed));
     }
 }
 
@@ -70,34 +68,9 @@ MemLinkSystem::memoryOf(Addr addr)
 void
 MemLinkSystem::backInvalUpper(Addr addr)
 {
-    // Merge the newest dirty copy (L1 wins over L2) into the LLC
-    // before dropping the upper-level lines.
-    for (auto &tp : threads_) {
-        LineID l1id = tp->l1.find(addr);
-        LineID l2id = tp->l2.find(addr);
-        const CacheLine *newest = nullptr;
-        bool dirty = false;
-        if (l2id.valid) {
-            const Cache::Entry &e = tp->l2.entryAt(l2id);
-            if (e.dirty()) {
-                newest = &e.data;
-                dirty = true;
-            }
-        }
-        if (l1id.valid) {
-            const Cache::Entry &e = tp->l1.entryAt(l1id);
-            if (e.dirty()) {
-                newest = &e.data;
-                dirty = true;
-            }
-        }
-        if (dirty && newest)
-            protocol_->dirtyUpdate(addr, *newest);
-        if (l1id.valid)
-            tp->l1.invalidate(addr);
-        if (l2id.valid)
-            tp->l2.invalidate(addr);
-    }
+    for (auto &tp : threads_)
+        if (auto dirty = tp->priv.drop(addr))
+            protocol_->dirtyUpdate(addr, dirty->data);
 }
 
 void
@@ -249,9 +222,6 @@ MemLinkSystem::prefetch(Thread &t, Addr miss_addr, Cycles now)
     // Next-N-line prefetcher: fills ride the link off the demand
     // load's critical path; the returned latency is discarded but
     // the bandwidth (link busy-until, flits, energy) is charged.
-    Addr ws_base = (miss_addr >> kThreadBaseShift)
-                   << kThreadBaseShift;
-    (void)ws_base;
     for (unsigned d = 1; d <= cfg_.prefetch_degree; ++d) {
         Addr p = miss_addr + static_cast<Addr>(d) * kLineBytes;
         if ((p >> kThreadBaseShift) != (miss_addr >> kThreadBaseShift))
@@ -263,87 +233,23 @@ MemLinkSystem::prefetch(Thread &t, Addr miss_addr, Cycles now)
     }
 }
 
-void
-MemLinkSystem::installL2(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l2.victimWay(addr);
-    LineID vlid(t.l2.setOf(addr), vway);
-    const Cache::Entry &victim = t.l2.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
-        // L2 eviction: collect the newest copy (L1 may be newer).
-        const CacheLine *newest =
-            victim.dirty() ? &victim.data : nullptr;
-        bool dirty = victim.dirty();
-        LineID l1id = t.l1.find(vaddr);
-        if (l1id.valid) {
-            const Cache::Entry &e1 = t.l1.entryAt(l1id);
-            if (e1.dirty()) {
-                newest = &e1.data;
-                dirty = true;
-            }
-            t.l1.invalidate(vaddr);
-        }
-        if (dirty && newest) {
-            protocol_->dirtyUpdate(vaddr, *newest);
-            energy_.llcAccess();
-        }
-    }
-    t.l2.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
-MemLinkSystem::installL1(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l1.victimWay(addr);
-    LineID vlid(t.l1.setOf(addr), vway);
-    const Cache::Entry &victim = t.l1.entryAt(vlid);
-    if (victim.valid() && victim.dirty()) {
-        Addr vaddr = victim.tag << kLineShift;
-        // L1 dirty eviction lands in the (inclusive) L2.
-        if (!t.l2.probe(vaddr))
-            panic("L2 not inclusive of L1 for %llx",
-                  static_cast<unsigned long long>(vaddr));
-        t.l2.writeLine(vaddr, victim.data, true);
-        energy_.l2Access();
-    }
-    t.l1.install(addr, data, CoherenceState::Shared, vway);
-}
-
 Cycles
 MemLinkSystem::access(Thread &t, Addr addr, bool store)
 {
     Addr la = lineAlign(addr);
     energy_.l1Access();
 
-    auto mutate = [&](Cache &c) {
-        LineID lid = c.find(la);
-        Cache::Entry &e = c.entryAt(lid);
-        unsigned w = static_cast<unsigned>((addr >> 2)
-                                           & (kWordsPerLine - 1));
-        // Stored values mirror real programs: mostly small integers
-        // and flags, occasionally arbitrary words — which keeps
-        // dirty lines compressible but harder than clean ones
-        // (the Fig 13 "dirty transfers compress worse" effect).
-        std::uint64_t h = splitMix64(addr ^ (t.ops * 0x9e37ull));
-        std::uint32_t v = (h & 1) ? static_cast<std::uint32_t>(
-                                        (h >> 8) & 0xff)
-                                  : static_cast<std::uint32_t>(h >> 32);
-        e.data.setWord(w, v);
-        e.state = CoherenceState::Modified;
-    };
-
-    if (t.l1.access(la)) {
+    if (t.priv.accessL1(la)) {
         if (store)
-            mutate(t.l1);
+            t.priv.store(addr, t.ops);
         return cfg_.l1_lat;
     }
 
     Cycles lat = cfg_.l1_lat + cfg_.l2_lat;
     energy_.l2Access();
     CacheLine data;
-    if (t.l2.access(la)) {
-        data = t.l2.entryAt(t.l2.find(la)).data;
+    if (t.priv.accessL2(la)) {
+        data = t.priv.l2Line(la);
     } else {
         lat += cfg_.llc_lat;
         energy_.llcAccess();
@@ -355,11 +261,15 @@ MemLinkSystem::access(Thread &t, Addr addr, bool store)
             if (cfg_.prefetch_degree)
                 prefetch(t, la, t.time + lat);
         }
-        installL2(t, la, data);
+        if (auto spill = t.priv.installL2(la, data)) {
+            protocol_->dirtyUpdate(spill->addr, spill->data);
+            energy_.llcAccess();
+        }
     }
-    installL1(t, la, data);
+    if (t.priv.installL1(la, data))
+        energy_.l2Access(); // the dirty L1 victim lands in L2
     if (store)
-        mutate(t.l1);
+        t.priv.store(addr, t.ops);
     return lat;
 }
 

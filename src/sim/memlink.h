@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "common/stats.h"
 #include "sim/dram.h"
 #include "sim/energy.h"
@@ -191,8 +192,7 @@ class MemLinkSystem
     struct Thread
     {
         unsigned id;
-        Cache l1;
-        Cache l2;
+        PrivateCaches priv;
         AccessGen gen;
         SyntheticMemory mem;
         Cycles time = 0;
@@ -206,10 +206,11 @@ class MemLinkSystem
         std::uint64_t link_raw_bits = 0;
         std::uint64_t link_wire_bits = 0;
 
-        Thread(unsigned id_, const Cache::Config &l1c,
-               const Cache::Config &l2c, const WorkloadProfile &prof,
-               Addr base, std::uint64_t seed, std::uint64_t vseed)
-            : id(id_), l1(l1c), l2(l2c),
+        Thread(unsigned id_, const MemSystemConfig &cfg,
+               const WorkloadProfile &prof, Addr base,
+               std::uint64_t seed, std::uint64_t vseed)
+            : id(id_),
+              priv(cfg.l1_bytes, cfg.l1_ways, cfg.l2_bytes, cfg.l2_ways),
               gen(prof.access, base, seed), mem(prof.value, base, vseed)
         {
         }
@@ -219,10 +220,8 @@ class MemLinkSystem
     Cycles access(Thread &t, Addr addr, bool store);
     Cycles offChipFill(Thread &t, Addr addr, Cycles now);
     void prefetch(Thread &t, Addr miss_addr, Cycles now);
-    void installL2(Thread &t, Addr addr, const CacheLine &data);
-    void installL1(Thread &t, Addr addr, const CacheLine &data);
-    /** Back-invalidates addr from t's L1/L2, pushing dirty data to
-     *  the LLC (dirtyUpdate) first. */
+    /** Back-invalidates addr from every thread's L1/L2, then pushes
+     *  each dirty copy to the LLC (dirtyUpdate). */
     void backInvalUpper(Addr addr);
     SyntheticMemory &memoryOf(Addr addr);
     void accountLinkTransfer(const Transfer &t, bool critical,

@@ -10,8 +10,8 @@ namespace cable
 
 MultiChipSystem::MultiChipSystem(const MultiChipConfig &cfg,
                                  const WorkloadProfile &program)
-    : cfg_(cfg), l1_({"l1", cfg.l1_bytes, cfg.l1_ways}),
-      l2_({"l2", cfg.l2_bytes, cfg.l2_ways})
+    : cfg_(cfg),
+      priv_(cfg.l1_bytes, cfg.l1_ways, cfg.l2_bytes, cfg.l2_ways)
 {
     if (cfg_.nodes < 2)
         fatal("MultiChipSystem: need at least 2 nodes");
@@ -49,30 +49,8 @@ MultiChipSystem::channel(unsigned home_node)
 void
 MultiChipSystem::backInvalUpper(Addr addr)
 {
-    LineID l1id = l1_.find(addr);
-    LineID l2id = l2_.find(addr);
-    const CacheLine *newest = nullptr;
-    bool dirty = false;
-    if (l2id.valid) {
-        const Cache::Entry &e = l2_.entryAt(l2id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    if (l1id.valid) {
-        const Cache::Entry &e = l1_.entryAt(l1id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    if (dirty && newest)
-        dirtyToLlc(addr, *newest);
-    if (l1id.valid)
-        l1_.invalidate(addr);
-    if (l2id.valid)
-        l2_.invalidate(addr);
+    if (auto dirty = priv_.drop(addr))
+        dirtyToLlc(addr, dirty->data);
 }
 
 void
@@ -124,87 +102,30 @@ MultiChipSystem::fillLlc(Addr addr)
 }
 
 void
-MultiChipSystem::installL2(Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = l2_.victimWay(addr);
-    LineID vlid(l2_.setOf(addr), vway);
-    const Cache::Entry &victim = l2_.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
-        const CacheLine *newest =
-            victim.dirty() ? &victim.data : nullptr;
-        bool dirty = victim.dirty();
-        LineID l1id = l1_.find(vaddr);
-        if (l1id.valid) {
-            const Cache::Entry &e1 = l1_.entryAt(l1id);
-            if (e1.dirty()) {
-                newest = &e1.data;
-                dirty = true;
-            }
-            l1_.invalidate(vaddr);
-        }
-        if (dirty && newest)
-            dirtyToLlc(vaddr, *newest);
-    }
-    l2_.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
-MultiChipSystem::installL1(Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = l1_.victimWay(addr);
-    LineID vlid(l1_.setOf(addr), vway);
-    const Cache::Entry &victim = l1_.entryAt(vlid);
-    if (victim.valid() && victim.dirty()) {
-        Addr vaddr = victim.tag << kLineShift;
-        if (!l2_.probe(vaddr))
-            panic("MultiChip: L2 not inclusive of L1");
-        l2_.writeLine(vaddr, victim.data, true);
-    }
-    l1_.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
 MultiChipSystem::access(Addr addr, bool store)
 {
     Addr la = lineAlign(addr);
 
-    auto mutate = [&](Cache &c) {
-        LineID lid = c.find(la);
-        Cache::Entry &e = c.entryAt(lid);
-        unsigned w = static_cast<unsigned>((addr >> 2)
-                                           & (kWordsPerLine - 1));
-        // Stored values mirror real programs: mostly small integers
-        // and flags, occasionally arbitrary words — which keeps
-        // dirty lines compressible but harder than clean ones
-        // (the Fig 13 "dirty transfers compress worse" effect).
-        std::uint64_t h = splitMix64(addr ^ (op_count_ * 0x9e37ull));
-        std::uint32_t v = (h & 1) ? static_cast<std::uint32_t>(
-                                        (h >> 8) & 0xff)
-                                  : static_cast<std::uint32_t>(h >> 32);
-        e.data.setWord(w, v);
-        e.state = CoherenceState::Modified;
-    };
-
-    if (l1_.access(la)) {
+    if (priv_.accessL1(la)) {
         if (store)
-            mutate(l1_);
+            priv_.store(addr, op_count_);
         return;
     }
 
     CacheLine data;
-    if (l2_.access(la)) {
-        data = l2_.entryAt(l2_.find(la)).data;
+    if (priv_.accessL2(la)) {
+        data = priv_.l2Line(la);
     } else {
         Cache &llc0 = *llcs_[0];
         if (!llc0.access(la))
             fillLlc(la);
         data = llc0.entryAt(llc0.find(la)).data;
-        installL2(la, data);
+        if (auto spill = priv_.installL2(la, data))
+            dirtyToLlc(spill->addr, spill->data);
     }
-    installL1(la, data);
+    priv_.installL1(la, data);
     if (store)
-        mutate(l1_);
+        priv_.store(addr, op_count_);
 }
 
 void

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "sim/protocol.h"
 #include "workload/access_gen.h"
 #include "workload/profile.h"
@@ -78,8 +79,6 @@ class MultiChipSystem
   private:
     void access(Addr addr, bool store);
     void fillLlc(Addr addr);
-    void installL2(Addr addr, const CacheLine &data);
-    void installL1(Addr addr, const CacheLine &data);
     void backInvalUpper(Addr addr);
     void dirtyToLlc(Addr addr, const CacheLine &data);
 
@@ -87,8 +86,7 @@ class MultiChipSystem
     std::vector<std::unique_ptr<Cache>> llcs_;
     /** channels_[k] compresses the link home-node-k → node 0. */
     std::vector<LinkProtocolPtr> channels_; // index 0 unused
-    Cache l1_;
-    Cache l2_;
+    PrivateCaches priv_;
     std::unique_ptr<AccessGen> gen_;
     std::unique_ptr<SyntheticMemory> mem_;
     std::uint64_t op_count_ = 0;

@@ -38,11 +38,9 @@ NumaSystem::NumaSystem(const NumaConfig &cfg,
     const Addr base = Addr{1} << 40;
     mem_ = std::make_unique<SyntheticMemory>(
         program.value, base, splitMix64(cfg_.seed ^ 0x5151ull));
-    Cache::Config l1c{"l1", cfg_.l1_bytes, cfg_.l1_ways};
-    Cache::Config l2c{"l2", cfg_.l2_bytes, cfg_.l2_ways};
     for (unsigned n = 0; n < cfg_.nodes; ++n) {
         threads_.push_back(std::make_unique<Thread>(
-            n, l1c, l2c, program.access, base,
+            n, cfg_, program.access, base,
             splitMix64(cfg_.seed ^ (0xc417ull + n * 7))));
     }
 }
@@ -59,35 +57,10 @@ NumaSystem::channel(unsigned home, unsigned requester)
 void
 NumaSystem::backInvalUpper(unsigned node, Addr addr)
 {
-    Thread &t = *threads_[node];
-    LineID l1id = t.l1.find(addr);
-    LineID l2id = t.l2.find(addr);
-    const CacheLine *newest = nullptr;
-    bool dirty = false;
-    if (l2id.valid) {
-        const Cache::Entry &e = t.l2.entryAt(l2id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    if (l1id.valid) {
-        const Cache::Entry &e = t.l1.entryAt(l1id);
-        if (e.dirty()) {
-            newest = &e.data;
-            dirty = true;
-        }
-    }
-    // Invalidate first so dirtyToLlc's sharer sweep cannot recurse
-    // back into this node's private levels.
-    if (l1id.valid)
-        t.l1.invalidate(addr);
-    if (l2id.valid)
-        t.l2.invalidate(addr);
-    if (dirty && newest) {
-        CacheLine copy = *newest;
-        dirtyToLlc(node, addr, copy);
-    }
+    // drop() invalidates first, so dirtyToLlc's sharer sweep cannot
+    // recurse back into this node's private levels.
+    if (auto dirty = threads_[node]->priv.drop(addr))
+        dirtyToLlc(node, addr, dirty->data);
 }
 
 void
@@ -110,12 +83,10 @@ NumaSystem::dirtyToLlc(unsigned node, Addr addr, const CacheLine &data)
         d.sharers &= ~(1u << l);
         ++invalidations_;
     }
-    // The home node's private copies go stale too.
-    if (home != node
-        && (threads_[home]->l1.probe(addr)
-            || threads_[home]->l2.probe(addr))) {
-        threads_[home]->l1.invalidate(addr);
-        threads_[home]->l2.invalidate(addr);
+    // The home node's private copies go stale too; a dirty one loses
+    // to this write (last-writer-wins, as below).
+    if (home != node && threads_[home]->priv.holds(addr)) {
+        (void)threads_[home]->priv.drop(addr);
         ++invalidations_;
     }
 
@@ -238,78 +209,20 @@ NumaSystem::fillLlc(Thread &t, Addr addr)
 }
 
 void
-NumaSystem::installL2(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l2.victimWay(addr);
-    LineID vlid(t.l2.setOf(addr), vway);
-    const Cache::Entry &victim = t.l2.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
-        const CacheLine *newest =
-            victim.dirty() ? &victim.data : nullptr;
-        bool dirty = victim.dirty();
-        LineID l1id = t.l1.find(vaddr);
-        if (l1id.valid) {
-            const Cache::Entry &e1 = t.l1.entryAt(l1id);
-            if (e1.dirty()) {
-                newest = &e1.data;
-                dirty = true;
-            }
-            t.l1.invalidate(vaddr);
-        }
-        if (dirty && newest) {
-            CacheLine copy = *newest;
-            t.l2.invalidate(vaddr);
-            dirtyToLlc(t.node, vaddr, copy);
-        }
-    }
-    t.l2.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
-NumaSystem::installL1(Thread &t, Addr addr, const CacheLine &data)
-{
-    std::uint8_t vway = t.l1.victimWay(addr);
-    LineID vlid(t.l1.setOf(addr), vway);
-    const Cache::Entry &victim = t.l1.entryAt(vlid);
-    if (victim.valid() && victim.dirty()) {
-        Addr vaddr = victim.tag << kLineShift;
-        if (!t.l2.probe(vaddr))
-            panic("NumaSystem: L2 not inclusive of L1");
-        t.l2.writeLine(vaddr, victim.data, true);
-    }
-    t.l1.install(addr, data, CoherenceState::Shared, vway);
-}
-
-void
 NumaSystem::access(Thread &t, Addr addr, bool store)
 {
     Addr la = lineAlign(addr);
     unsigned j = t.node;
 
-    auto mutate = [&](Cache &c) {
-        LineID lid = c.find(la);
-        Cache::Entry &e = c.entryAt(lid);
-        unsigned w = static_cast<unsigned>((addr >> 2)
-                                           & (kWordsPerLine - 1));
-        std::uint64_t h = splitMix64(addr ^ (op_clock_ * 0x9e37ull));
-        std::uint32_t v =
-            (h & 1)
-                ? static_cast<std::uint32_t>((h >> 8) & 0xff)
-                : static_cast<std::uint32_t>(h >> 32);
-        e.data.setWord(w, v);
-        e.state = CoherenceState::Modified;
-    };
-
-    if (t.l1.access(la)) {
+    if (t.priv.accessL1(la)) {
         if (store)
-            mutate(t.l1);
+            t.priv.store(addr, op_clock_);
         return;
     }
 
     CacheLine data;
-    if (t.l2.access(la)) {
-        data = t.l2.entryAt(t.l2.find(la)).data;
+    if (t.priv.accessL2(la)) {
+        data = t.priv.l2Line(la);
     } else {
         Cache &llc_j = *llcs_[j];
         // A local hit on a home line may be stale if another node
@@ -330,11 +243,12 @@ NumaSystem::access(Thread &t, Addr addr, bool store)
         if (!llc_j.access(la))
             fillLlc(t, la);
         data = llc_j.entryAt(llc_j.find(la)).data;
-        installL2(t, la, data);
+        if (auto spill = t.priv.installL2(la, data))
+            dirtyToLlc(j, spill->addr, spill->data);
     }
-    installL1(t, la, data);
+    t.priv.installL1(la, data);
     if (store)
-        mutate(t.l1);
+        t.priv.store(addr, op_clock_);
 }
 
 void

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "cache/cache.h"
+#include "cache/private_caches.h"
 #include "sim/protocol.h"
 #include "workload/access_gen.h"
 #include "workload/profile.h"
@@ -95,15 +96,15 @@ class NumaSystem
     struct Thread
     {
         unsigned node;
-        Cache l1;
-        Cache l2;
+        PrivateCaches priv;
         AccessGen gen;
         std::uint64_t ops = 0;
 
-        Thread(unsigned node_, const Cache::Config &l1c,
-               const Cache::Config &l2c, const AccessProfile &prof,
-               Addr base, std::uint64_t seed)
-            : node(node_), l1(l1c), l2(l2c), gen(prof, base, seed)
+        Thread(unsigned node_, const NumaConfig &cfg,
+               const AccessProfile &prof, Addr base, std::uint64_t seed)
+            : node(node_),
+              priv(cfg.l1_bytes, cfg.l1_ways, cfg.l2_bytes, cfg.l2_ways),
+              gen(prof, base, seed)
         {
         }
     };
@@ -111,8 +112,6 @@ class NumaSystem
     void step(Thread &t);
     void access(Thread &t, Addr addr, bool store);
     void fillLlc(Thread &t, Addr addr);
-    void installL2(Thread &t, Addr addr, const CacheLine &data);
-    void installL1(Thread &t, Addr addr, const CacheLine &data);
     void backInvalUpper(unsigned node, Addr addr);
     /** Dirty data from node's private levels reaches its LLC. */
     void dirtyToLlc(unsigned node, Addr addr, const CacheLine &data);

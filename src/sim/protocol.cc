@@ -6,25 +6,41 @@
 namespace cable
 {
 
+namespace
+{
+
+/** Table IV (comp/decomp core cycles), one row per link scheme.
+ *  CABLE's figure includes its worst-case 16-cycle search in the
+ *  compression number. */
+const struct
+{
+    const char *name;
+    SchemeLatency lat;
+} kSchemes[] = {
+    {"raw", {0, 0}},      {"zero", {1, 1}},     {"bdi", {2, 1}},
+    {"fpc", {2, 1}},      {"cpack", {8, 8}},    {"cpack128", {8, 8}},
+    {"lbe256", {8, 8}},   {"gzip", {64, 32}},   {"lzss", {64, 32}},
+    {"cable", {32, 16}},
+};
+
+} // namespace
+
 SchemeLatency
 schemeLatency(const std::string &scheme)
 {
-    // Table IV (comp/decomp core cycles). CABLE's figure includes
-    // its worst-case 16-cycle search in the compression number.
-    if (scheme == "raw")
-        return {0, 0};
-    if (scheme == "zero")
-        return {1, 1};
-    if (scheme == "bdi" || scheme == "fpc")
-        return {2, 1};
-    if (scheme == "cpack" || scheme == "cpack128"
-        || scheme == "lbe256")
-        return {8, 8};
-    if (scheme == "gzip" || scheme == "lzss")
-        return {64, 32};
-    if (scheme == "cable")
-        return {32, 16};
+    for (const auto &s : kSchemes)
+        if (scheme == s.name)
+            return s.lat;
     fatal("schemeLatency: unknown scheme '%s'", scheme.c_str());
+}
+
+std::vector<std::string>
+schemeNames()
+{
+    std::vector<std::string> names;
+    for (const auto &s : kSchemes)
+        names.push_back(s.name);
+    return names;
 }
 
 // ---------------------------------------------------------------------

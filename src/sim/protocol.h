@@ -24,6 +24,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "cache/cache.h"
 #include "common/stats.h"
@@ -41,8 +42,12 @@ struct SchemeLatency
     unsigned decomp = 0;
 };
 
-/** Latency entry for a scheme name ("raw", "cpack", ..., "cable"). */
+/** Latency entry for a scheme name; fatal() if unknown. */
 SchemeLatency schemeLatency(const std::string &scheme);
+
+/** Every link scheme name, in Table IV order: "cable" plus the
+ *  baseline engines a StreamLinkProtocol runs. */
+std::vector<std::string> schemeNames();
 
 class LinkProtocol
 {
@@ -221,8 +226,7 @@ class CableLinkProtocol : public LinkProtocol
 class StreamLinkProtocol : public LinkProtocol
 {
   public:
-    /** @param scheme "raw", "zero", "bdi", "cpack", "cpack128",
-     *                "lbe256" or "gzip". */
+    /** @param scheme any schemeNames() entry but "cable". */
     StreamLinkProtocol(Cache &home, Cache &remote,
                        const std::string &scheme);
 

@@ -2,12 +2,14 @@
  * @file
  * Cache-model tests: geometry, lookup, LRU replacement, the
  * replacement-way contract CABLE relies on, installs/evictions,
- * state transitions and LineID-based data-array reads.
+ * state transitions and LineID-based data-array reads, and the
+ * private L1/L2 pair's inclusion and dirty hand-off contract.
  */
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
+#include "cache/private_caches.h"
 
 using namespace cable;
 
@@ -24,6 +26,26 @@ CacheLine
 lineOf(std::uint32_t v)
 {
     return CacheLine::filledWords(v);
+}
+
+/** L1: 4 sets x 1 way; L2: 2 sets x 2 ways. Lines 0, 2 and 4 share
+ *  L2 set 0; lines 0 and 4 also share L1 set 0. */
+PrivateCaches
+smallPair()
+{
+    return PrivateCaches(256, 1, 256, 2);
+}
+
+constexpr Addr kA = 0x000; // line 0
+constexpr Addr kB = 0x080; // line 2
+constexpr Addr kC = 0x100; // line 4
+
+/** Fills L2 then L1, the order every system uses on a miss. */
+void
+fill(PrivateCaches &p, Addr la, std::uint32_t v)
+{
+    EXPECT_FALSE(p.installL2(la, lineOf(v)));
+    p.installL1(la, lineOf(v));
 }
 
 } // namespace
@@ -217,4 +239,77 @@ TEST(CachePolicy, RandomStillPrefersInvalidWays)
     c.install(0, lineOf(1), CoherenceState::Shared, 0);
     c.install(1024, lineOf(2), CoherenceState::Shared, 1);
     EXPECT_EQ(c.victimWay(2048), 2); // first invalid way
+}
+
+TEST(PrivateCaches, StoreDirtiesL1WithASeededValue)
+{
+    PrivateCaches p = smallPair(), q = smallPair();
+    fill(p, kA, 0);
+    fill(q, kA, 0);
+    p.store(kA + 4, 7);
+    q.store(kA + 4, 7);
+    auto dp = p.drop(kA);
+    auto dq = q.drop(kA);
+    ASSERT_TRUE(dp && dq);
+    EXPECT_EQ(dp->addr, kA);
+    EXPECT_EQ(dp->data, dq->data); // a function of (addr, seq) only
+    for (unsigned w = 0; w < kWordsPerLine; ++w) {
+        if (w != 1) {
+            EXPECT_EQ(dp->data.word(w), 0u) << w;
+        }
+    }
+}
+
+TEST(PrivateCaches, DirtyL1VictimIsWrittenIntoL2)
+{
+    PrivateCaches p = smallPair();
+    fill(p, kA, 1);
+    p.store(kA, 3);
+    EXPECT_FALSE(p.installL2(kC, lineOf(2))); // L2 set 0 had room
+    EXPECT_TRUE(p.installL1(kC, lineOf(2)));  // evicts dirty A
+    auto d = p.drop(kA);                      // now only in L2
+    ASSERT_TRUE(d);
+    EXPECT_NE(d->data, lineOf(1));
+    EXPECT_FALSE(p.holds(kA));
+}
+
+TEST(PrivateCaches, L2VictimSpillsTheNewestCopy)
+{
+    PrivateCaches p = smallPair(), ref = smallPair();
+    fill(ref, kA, 1);
+    ref.store(kA, 5);
+    DirtyLine newest = *ref.drop(kA);
+
+    fill(p, kA, 1);
+    fill(p, kB, 2);
+    p.store(kA, 5); // L1's copy of A is newer than L2's clean one
+    auto spill = p.installL2(kC, lineOf(3)); // A is the LRU way
+    ASSERT_TRUE(spill);
+    EXPECT_EQ(spill->addr, kA);
+    EXPECT_EQ(spill->data, newest.data);
+    EXPECT_FALSE(p.holds(kA)); // inclusion: gone from L1 too
+    EXPECT_EQ(p.l2Line(kC), lineOf(3));
+
+    EXPECT_FALSE(p.installL2(kA, lineOf(1))); // B: clean victim
+    EXPECT_FALSE(p.holds(kB));
+}
+
+TEST(PrivateCaches, DropInvalidatesBothLevels)
+{
+    PrivateCaches p = smallPair();
+    EXPECT_FALSE(p.drop(kA));
+    fill(p, kA, 1);
+    EXPECT_TRUE(p.holds(kA));
+    EXPECT_FALSE(p.drop(kA)); // clean: nothing to sink
+    EXPECT_FALSE(p.holds(kA));
+    EXPECT_FALSE(p.accessL1(kA));
+    EXPECT_FALSE(p.accessL2(kA));
+}
+
+TEST(PrivateCachesDeath, L1VictimOutsideL2Panics)
+{
+    PrivateCaches p = smallPair();
+    p.installL1(kA, lineOf(1)); // skips L2: breaks inclusion
+    p.store(kA, 1);
+    EXPECT_DEATH(p.installL1(kC, lineOf(2)), "not inclusive");
 }

@@ -1217,8 +1217,7 @@ everyEngine()
     std::vector<EngineSpec> specs;
     for (const std::string &name : compressorNames())
         specs.push_back({false, name});
-    for (const char *name :
-         {"lbe", "cpack", "cpack128", "gzip", "lzss", "oracle", "bdi"})
+    for (const std::string &name : delegateEngineNames())
         specs.push_back({true, name});
     return specs;
 }

@@ -67,6 +67,23 @@ TEST(SchemeLatencyTable, MatchesTable4)
                 "unknown scheme");
 }
 
+TEST(SchemeLatencyTable, EveryNamedSchemeRunsALink)
+{
+    // schemeNames() is the list `--scheme` accepts: each name needs a
+    // latency row and must build a protocol that moves a line.
+    std::vector<std::string> names = schemeNames();
+    EXPECT_EQ(names.size(), 10u);
+    SyntheticMemory mem(compressible(), 0, 1);
+    for (const std::string &name : names) {
+        SCOPED_TRACE(name);
+        (void)schemeLatency(name);
+        Rig rig(name);
+        Transfer t = rig.fetch(mem, 0x1000);
+        EXPECT_EQ(t.raw_bits, 512u);
+        EXPECT_TRUE(rig.remote.probe(0x1000));
+    }
+}
+
 TEST(Protocol, RawSends512Bits)
 {
     Rig rig("raw");

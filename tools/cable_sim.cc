@@ -11,7 +11,7 @@
  *   cable_sim chaos <benchmark> [options]
  *
  * Common options:
- *   --scheme S      raw|zero|bdi|fpc|cpack|cpack128|lbe256|gzip|cable
+ *   --scheme S      link scheme (cable_sim list names them)
  *   --ops N         memory operations (per thread)
  *   --seed N        simulation seed
  * ratio options:
@@ -128,14 +128,12 @@ fail(const char *fmt, ...)
     std::exit(2);
 }
 
-const std::set<std::string> kSchemes = {
-    "raw",  "zero",  "bdi",     "fpc",  "cpack",
-    "cpack128", "lbe256", "gzip", "cable",
-};
-
-const std::set<std::string> kEngines = {
-    "lbe", "cpack", "cpack128", "gzip", "lzss", "oracle", "bdi",
-};
+/** A factory's name list as a set: lookups and a sorted listing. */
+std::set<std::string>
+nameSet(const std::vector<std::string> &names)
+{
+    return {names.begin(), names.end()};
+}
 
 struct Args
 {
@@ -332,7 +330,7 @@ checkBenchmark(const std::string &name)
 void
 checkScheme(const std::string &scheme)
 {
-    if (!kSchemes.count(scheme))
+    if (!nameSet(schemeNames()).count(scheme))
         fail("unknown scheme '%s' (run 'cable_sim list' to see them)",
              scheme.c_str());
 }
@@ -365,7 +363,7 @@ memCfg(const Args &a)
     cfg.link.width_bits = static_cast<unsigned>(link_bits);
 
     cfg.cable.engine = a.str("engine", "lbe");
-    if (!kEngines.count(cfg.cable.engine))
+    if (!nameSet(delegateEngineNames()).count(cfg.cable.engine))
         fail("unknown delegate engine '%s' (run 'cable_sim list')",
              cfg.cable.engine.c_str());
 
@@ -830,9 +828,10 @@ cmdList()
     for (const auto &name : spec2006Benchmarks())
         std::printf(" %s%s", name.c_str(),
                     benchmarkProfile(name).zero_dominant ? "*" : "");
-    std::printf("\n\nschemes:\n  %s\n", joined(kSchemes, "").c_str());
+    std::printf("\n\nschemes:\n  %s\n",
+                joined(nameSet(schemeNames()), "").c_str());
     std::printf("\ncable delegate engines (--engine):\n  %s\n",
-                joined(kEngines, "").c_str());
+                joined(nameSet(delegateEngineNames()), "").c_str());
     return 0;
 }
 
