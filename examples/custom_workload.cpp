@@ -66,7 +66,7 @@ main()
         if (remote.access(la)) {
             ++hits;
             if (op.store
-                && !remote.entryAt(remote.find(la)).dirty())
+                && !remote.dirtyAt(remote.find(la)))
                 channel.remoteUpgrade(la);
             continue;
         }

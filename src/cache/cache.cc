@@ -1,5 +1,7 @@
 #include "cache/cache.h"
 
+#include <algorithm>
+
 #include "common/bitops.h"
 #include "common/log.h"
 
@@ -21,19 +23,15 @@ Cache::Cache(const Config &cfg) : cfg_(cfg)
         fatal("%s: %u sets is not a power of two", cfg_.name.c_str(),
               num_sets_);
     set_bits_ = bitsToIndex(num_sets_);
-    slots_.resize(lines);
+    keys_.assign(lines, kInvalidKey);
+    stamps_.assign(lines, 0);
+    lines_.resize(lines);
 }
 
-Cache::Entry &
-Cache::slot(std::uint32_t set, std::uint8_t way)
+void
+Cache::invalidLineID() const
 {
-    return slots_[std::size_t{set} * cfg_.ways + way];
-}
-
-const Cache::Entry &
-Cache::slot(std::uint32_t set, std::uint8_t way) const
-{
-    return slots_[std::size_t{set} * cfg_.ways + way];
+    panic("%s: slot access through an invalid LineID", cfg_.name.c_str());
 }
 
 bool
@@ -48,7 +46,7 @@ Cache::access(Addr addr)
     LineID lid = find(addr);
     if (!lid.valid)
         return false;
-    slot(lid.set, lid.way).lru = ++lru_clock_;
+    promote(index(lid));
     return true;
 }
 
@@ -57,60 +55,47 @@ Cache::find(Addr addr) const
 {
     std::uint32_t set = setOf(addr);
     Addr tag = lineNumber(addr);
+    const std::uint64_t *keys = keys_.data() + std::size_t{set} * cfg_.ways;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        const Entry &e = slot(set, static_cast<std::uint8_t>(w));
-        if (e.valid() && e.tag == tag)
+        if ((keys[w] >> 2) == tag)
             return LineID(set, static_cast<std::uint8_t>(w));
     }
     return kInvalidLineID;
 }
 
-const Cache::Entry &
-Cache::entryAt(LineID lid) const
-{
-    if (!lid.valid)
-        panic("%s: entryAt(invalid)", cfg_.name.c_str());
-    return slot(lid.set, lid.way);
-}
-
-Cache::Entry &
-Cache::entryAt(LineID lid)
-{
-    if (!lid.valid)
-        panic("%s: entryAt(invalid)", cfg_.name.c_str());
-    return slot(lid.set, lid.way);
-}
-
 Addr
 Cache::addrAt(LineID lid) const
 {
-    return entryAt(lid).tag << kLineShift;
+    std::uint64_t key = keys_[index(lid)];
+    if (key == kInvalidKey)
+        panic("%s: addrAt(invalid slot %u/%u)", cfg_.name.c_str(),
+              lid.set, lid.way);
+    return (key >> 2) << kLineShift;
+}
+
+void
+Cache::setState(LineID lid, CoherenceState s)
+{
+    std::uint64_t &key = keys_[index(lid)];
+    if (s == CoherenceState::Invalid) {
+        key = kInvalidKey;
+        return;
+    }
+    if (key == kInvalidKey)
+        panic("%s: setState on invalid slot %u/%u", cfg_.name.c_str(),
+              lid.set, lid.way);
+    key = (key & ~kStateMask) | static_cast<std::uint64_t>(s);
 }
 
 std::uint8_t
 Cache::victimWay(Addr addr) const
 {
     std::uint32_t set = setOf(addr);
-    std::uint8_t victim = 0;
-    std::uint64_t best = ~std::uint64_t{0};
+    std::size_t first = std::size_t{set} * cfg_.ways;
+    const std::uint64_t *keys = keys_.data() + first;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        const Entry &e = slot(set, static_cast<std::uint8_t>(w));
-        if (!e.valid())
+        if (keys[w] == kInvalidKey)
             return static_cast<std::uint8_t>(w);
-        std::uint64_t key;
-        switch (cfg_.policy) {
-          case ReplacementPolicy::FIFO:
-            key = e.installed;
-            break;
-          case ReplacementPolicy::LRU:
-          default:
-            key = e.lru;
-            break;
-        }
-        if (key < best) {
-            best = key;
-            victim = static_cast<std::uint8_t>(w);
-        }
     }
     if (cfg_.policy == ReplacementPolicy::Random) {
         // Deterministic xorshift stream; callers see a stable
@@ -119,9 +104,13 @@ Cache::victimWay(Addr addr) const
         rand_state_ ^= rand_state_ << 13;
         rand_state_ ^= rand_state_ >> 7;
         rand_state_ ^= rand_state_ << 17;
-        victim = static_cast<std::uint8_t>(rand_state_ % cfg_.ways);
+        return static_cast<std::uint8_t>(rand_state_ % cfg_.ways);
     }
-    return victim;
+    // LRU and FIFO differ only in which operations set the stamp;
+    // the oldest stamp (lowest way on a tie) is the victim.
+    const std::uint64_t *stamps = stamps_.data() + first;
+    return static_cast<std::uint8_t>(
+        std::min_element(stamps, stamps + cfg_.ways) - stamps);
 }
 
 Eviction
@@ -130,23 +119,26 @@ Cache::install(Addr addr, const CacheLine &data, CoherenceState state,
 {
     if (way >= cfg_.ways)
         panic("%s: install way %u out of range", cfg_.name.c_str(), way);
+    if (state == CoherenceState::Invalid)
+        panic("%s: install in state Invalid", cfg_.name.c_str());
     std::uint32_t set = setOf(addr);
-    Entry &e = slot(set, way);
+    std::size_t i = std::size_t{set} * cfg_.ways + way;
+    std::uint64_t &key = keys_[i];
+    CacheLine &line = lines_[i].line;
 
     Eviction ev;
-    if (e.valid() && e.tag != lineNumber(addr)) {
+    if (key != kInvalidKey && (key >> 2) != lineNumber(addr)) {
         ev.valid = true;
-        ev.addr = e.tag << kLineShift;
-        ev.data = e.data;
-        ev.dirty = e.dirty();
+        ev.addr = (key >> 2) << kLineShift;
+        ev.data = line;
+        ev.dirty = static_cast<CoherenceState>(key & kStateMask)
+                   == CoherenceState::Modified;
         ev.lid = LineID(set, way);
     }
 
-    e.tag = lineNumber(addr);
-    e.state = state;
-    e.data = data;
-    e.lru = ++lru_clock_;
-    e.installed = e.lru;
+    key = keyOf(addr, state);
+    line = data;
+    stamps_[i] = ++lru_clock_;
     return ev;
 }
 
@@ -157,11 +149,11 @@ Cache::writeLine(Addr addr, const CacheLine &data, bool mark_dirty)
     if (!lid.valid)
         panic("%s: writeLine to non-resident %llx", cfg_.name.c_str(),
               static_cast<unsigned long long>(addr));
-    Entry &e = slot(lid.set, lid.way);
-    e.data = data;
+    std::size_t i = index(lid);
+    lines_[i].line = data;
     if (mark_dirty)
-        e.state = CoherenceState::Modified;
-    e.lru = ++lru_clock_;
+        keys_[i] = keyOf(addr, CoherenceState::Modified);
+    promote(i);
 }
 
 void
@@ -171,7 +163,7 @@ Cache::markDirty(Addr addr)
     if (!lid.valid)
         panic("%s: markDirty on non-resident %llx", cfg_.name.c_str(),
               static_cast<unsigned long long>(addr));
-    slot(lid.set, lid.way).state = CoherenceState::Modified;
+    keys_[index(lid)] = keyOf(addr, CoherenceState::Modified);
 }
 
 LineID
@@ -179,15 +171,16 @@ Cache::invalidate(Addr addr)
 {
     LineID lid = find(addr);
     if (lid.valid)
-        slot(lid.set, lid.way).state = CoherenceState::Invalid;
+        keys_[index(lid)] = kInvalidKey;
     return lid;
 }
 
 void
 Cache::clear()
 {
-    for (Entry &e : slots_)
-        e = Entry{};
+    std::fill(keys_.begin(), keys_.end(), kInvalidKey);
+    std::fill(stamps_.begin(), stamps_.end(), 0);
+    std::fill(lines_.begin(), lines_.end(), AlignedLine{});
     lru_clock_ = 0;
 }
 

@@ -13,12 +13,16 @@
  *    the home cache can keep its hash table and WMT synchronized.
  *
  * Lines are addressed by LineID (set + way) for CABLE's data-array
- * reads, which need no tag check (§III-C).
+ * reads, which need no tag check (§III-C). As in that hardware, tags
+ * live apart from data: the slots are three set-major rows, a key row
+ * (tag and state in one word), a stamp row and a line row, so a
+ * lookup reads only the key row (DESIGN.md §3).
  */
 
 #ifndef CABLE_CACHE_CACHE_H
 #define CABLE_CACHE_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,19 +74,6 @@ class Cache
 
     explicit Cache(const Config &cfg);
 
-    /** One cache slot. */
-    struct Entry
-    {
-        Addr tag = 0; ///< full line number (addr >> 6)
-        CoherenceState state = CoherenceState::Invalid;
-        CacheLine data;
-        std::uint64_t lru = 0;      ///< recency stamp (LRU)
-        std::uint64_t installed = 0; ///< install stamp (FIFO)
-
-        bool valid() const { return state != CoherenceState::Invalid; }
-        bool dirty() const { return state == CoherenceState::Modified; }
-    };
-
     // --- geometry ---------------------------------------------------
     unsigned numSets() const { return num_sets_; }
     unsigned numWays() const { return cfg_.ways; }
@@ -111,12 +102,47 @@ class Cache
     /** LineID of addr if resident, else invalid. Does not touch LRU. */
     LineID find(Addr addr) const;
 
-    /** Entry behind a LineID (data-array read; no tag check). */
-    const Entry &entryAt(LineID lid) const;
-    Entry &entryAt(LineID lid);
+    // --- slots by LineID (data-array reads; no tag check) -----------
+    /** Data of slot @p lid, valid or not. */
+    const CacheLine &
+    lineAt(LineID lid) const
+    {
+        return lines_[index(lid)].line;
+    }
+    CacheLine &
+    lineAt(LineID lid)
+    {
+        return lines_[index(lid)].line;
+    }
 
-    /** Address of the line in slot @p lid. */
+    /** State of slot @p lid. */
+    CoherenceState
+    stateAt(LineID lid) const
+    {
+        std::uint64_t key = keys_[index(lid)];
+        return key == kInvalidKey
+                   ? CoherenceState::Invalid
+                   : static_cast<CoherenceState>(key & kStateMask);
+    }
+    bool
+    validAt(LineID lid) const
+    {
+        return keys_[index(lid)] != kInvalidKey;
+    }
+    bool
+    dirtyAt(LineID lid) const
+    {
+        return stateAt(lid) == CoherenceState::Modified;
+    }
+
+    /** Address of the line in valid slot @p lid. */
     Addr addrAt(LineID lid) const;
+
+    /**
+     * Sets the state of slot @p lid. Invalid drops the line; a valid
+     * state needs a valid slot, since an invalid one keeps no tag.
+     */
+    void setState(LineID lid, CoherenceState s);
 
     // --- modification -----------------------------------------------
     /**
@@ -155,15 +181,52 @@ class Cache
     const Config &config() const { return cfg_; }
 
   private:
-    Entry &slot(std::uint32_t set, std::uint8_t way);
-    const Entry &slot(std::uint32_t set, std::uint8_t way) const;
+    /** One element of the line row: each line on its own host line. */
+    struct alignas(64) AlignedLine
+    {
+        CacheLine line;
+    };
+
+    /** Key-row word: (line number << 2) | state for a valid slot. The
+     *  sentinel's line number (2^62 - 1) exceeds any real one, so a
+     *  lookup needs no separate validity test. */
+    static constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
+    static constexpr std::uint64_t kStateMask = 3;
+
+    static std::uint64_t
+    keyOf(Addr addr, CoherenceState s)
+    {
+        return (lineNumber(addr) << 2) | static_cast<std::uint64_t>(s);
+    }
+
+    std::size_t
+    index(LineID lid) const
+    {
+        if (!lid.valid)
+            invalidLineID();
+        return std::size_t{lid.set} * cfg_.ways + lid.way;
+    }
+    [[noreturn]] void invalidLineID() const;
+
+    /** A use of slot @p i: advances the clock under every policy;
+     *  only LRU restamps (FIFO keeps the install stamp). */
+    void
+    promote(std::size_t i)
+    {
+        ++lru_clock_;
+        if (cfg_.policy == ReplacementPolicy::LRU)
+            stamps_[i] = lru_clock_;
+    }
 
     Config cfg_;
     unsigned num_sets_;
     unsigned set_bits_;
     std::uint64_t lru_clock_ = 0;
     mutable std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
-    std::vector<Entry> slots_; // set-major layout
+    // Three set-major rows, slot i = set * ways + way in each.
+    std::vector<std::uint64_t> keys_;   ///< tag + state; kInvalidKey
+    std::vector<std::uint64_t> stamps_; ///< LRU recency / FIFO install
+    std::vector<AlignedLine> lines_;    ///< data, 64-B aligned
 };
 
 } // namespace cable

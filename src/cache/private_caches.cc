@@ -15,10 +15,9 @@ std::optional<DirtyLine>
 PrivateCaches::installL2(Addr la, const CacheLine &data)
 {
     LineID vlid(l2_.setOf(la), l2_.victimWay(la));
-    const Cache::Entry &victim = l2_.entryAt(vlid);
     std::optional<DirtyLine> spill;
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
+    if (l2_.validAt(vlid)) {
+        Addr vaddr = l2_.addrAt(vlid);
         spill = take(vaddr, l1_.find(vaddr), vlid);
     }
     l2_.install(la, data, CoherenceState::Shared, vlid.way);
@@ -28,17 +27,16 @@ PrivateCaches::installL2(Addr la, const CacheLine &data)
 bool
 PrivateCaches::installL1(Addr la, const CacheLine &data)
 {
-    std::uint8_t vway = l1_.victimWay(la);
-    const Cache::Entry &victim = l1_.entryAt(LineID(l1_.setOf(la), vway));
-    bool dirty = victim.dirty();
+    LineID vlid(l1_.setOf(la), l1_.victimWay(la));
+    bool dirty = l1_.dirtyAt(vlid);
     if (dirty) {
-        Addr vaddr = victim.tag << kLineShift;
+        Addr vaddr = l1_.addrAt(vlid);
         if (!l2_.probe(vaddr))
             panic("PrivateCaches: L2 not inclusive of L1 for %llx",
                   static_cast<unsigned long long>(vaddr));
-        l2_.writeLine(vaddr, victim.data, true);
+        l2_.writeLine(vaddr, l1_.lineAt(vlid), true);
     }
-    l1_.install(la, data, CoherenceState::Shared, vway);
+    l1_.install(la, data, CoherenceState::Shared, vlid.way);
     return dirty;
 }
 
@@ -51,17 +49,15 @@ PrivateCaches::drop(Addr addr)
 std::optional<DirtyLine>
 PrivateCaches::take(Addr addr, LineID l1id, LineID l2id)
 {
-    Cache::Entry *e1 = l1id.valid ? &l1_.entryAt(l1id) : nullptr;
-    Cache::Entry *e2 = l2id.valid ? &l2_.entryAt(l2id) : nullptr;
     std::optional<DirtyLine> out;
-    if (e1 && e1->dirty())
-        out = DirtyLine{addr, e1->data};
-    else if (e2 && e2->dirty())
-        out = DirtyLine{addr, e2->data};
-    if (e1)
-        e1->state = CoherenceState::Invalid;
-    if (e2)
-        e2->state = CoherenceState::Invalid;
+    if (l1id.valid && l1_.dirtyAt(l1id))
+        out = DirtyLine{addr, l1_.lineAt(l1id)};
+    else if (l2id.valid && l2_.dirtyAt(l2id))
+        out = DirtyLine{addr, l2_.lineAt(l2id)};
+    if (l1id.valid)
+        l1_.setState(l1id, CoherenceState::Invalid);
+    if (l2id.valid)
+        l2_.setState(l2id, CoherenceState::Invalid);
     return out;
 }
 

@@ -47,7 +47,7 @@ class PrivateCaches
     const CacheLine &
     l2Line(Addr la) const
     {
-        return l2_.entryAt(l2_.find(la)).data;
+        return l2_.lineAt(l2_.find(la));
     }
     /** True while either level holds @p addr (no LRU update). */
     bool
@@ -64,7 +64,7 @@ class PrivateCaches
     void
     store(Addr addr, std::uint64_t seq)
     {
-        Cache::Entry &e = l1_.entryAt(l1_.find(lineAlign(addr)));
+        LineID lid = l1_.find(lineAlign(addr));
         unsigned w = static_cast<unsigned>((addr >> 2)
                                            & (kWordsPerLine - 1));
         // Stored values mirror real programs: mostly small integers
@@ -75,8 +75,8 @@ class PrivateCaches
         std::uint32_t v = (h & 1) ? static_cast<std::uint32_t>(
                                         (h >> 8) & 0xff)
                                   : static_cast<std::uint32_t>(h >> 32);
-        e.data.setWord(w, v);
-        e.state = CoherenceState::Modified;
+        l1_.lineAt(lid).setWord(w, v);
+        l1_.setState(lid, CoherenceState::Modified);
     }
 
     /**

@@ -532,21 +532,20 @@ CableChannel::resolveCandidate(const Direction &dir, LineID lid,
                                LineID &rlid) const
 {
     if (!dir.writeback) {
-        const Cache::Entry &e = home_.entryAt(lid);
-        if (!e.valid())
+        if (!home_.validAt(lid))
             return nullptr;
-        std::uint32_t rset = remote_.setOf(e.tag << kLineShift);
+        std::uint32_t rset = remote_.setOf(home_.addrAt(lid));
         auto rway = wmt_.lookupRemoteWay(rset, lid);
         if (!rway)
             return nullptr;
         rlid = LineID(rset, *rway);
-        return &e.data;
+        return &home_.lineAt(lid);
     }
-    const Cache::Entry &e = remote_.entryAt(lid);
-    if (!e.valid() || e.dirty() || !wmt_.occupant(lid.set, lid.way))
+    if (remote_.stateAt(lid) != CoherenceState::Shared
+        || !wmt_.occupant(lid.set, lid.way))
         return nullptr;
     rlid = lid;
-    return &e.data;
+    return &remote_.lineAt(lid);
 }
 
 // ---------------------------------------------------------------------
@@ -652,7 +651,7 @@ CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
     for (unsigned i = 0; i < chosen.nrefs; ++i) {
         LineID rlid = chosen.ref_rlids[i];
         if (!dir.writeback) {
-            refs.push_back(&remote_.entryAt(rlid).data);
+            refs.push_back(&remote_.lineAt(rlid));
             continue;
         }
         // The home translates each RemoteLID through its WMT.
@@ -662,7 +661,7 @@ CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
                 addr, dir.writeback, chosen.refVector(),
                 CableDesyncError::kNoWord,
                 "reference to untracked remote line");
-        refs.push_back(&home_.entryAt(*hlid).data);
+        refs.push_back(&home_.lineAt(*hlid));
     }
     const DecodeResult out = engine_->decode(scratch_.diff, refs);
     if (!out.ok())
@@ -1017,13 +1016,13 @@ CableChannel::auditInvariant()
             auto hlid = wmt_.occupantHomeLID(set, w);
             if (!hlid)
                 continue;
-            const Cache::Entry &re = remote_.entryAt(LineID(set, w));
-            const Cache::Entry &he = home_.entryAt(*hlid);
+            LineID rlid(set, w);
             // §III-F invariant for a tracked pair: both resident and
             // clean, same address, bit-identical data.
-            bool ok = re.valid() && he.valid() && !re.dirty()
-                      && !he.dirty() && he.tag == re.tag
-                      && !(he.data != re.data);
+            bool ok = remote_.stateAt(rlid) == CoherenceState::Shared
+                      && home_.stateAt(*hlid) == CoherenceState::Shared
+                      && home_.addrAt(*hlid) == remote_.addrAt(rlid)
+                      && !(home_.lineAt(*hlid) != remote_.lineAt(rlid));
             if (!ok)
                 ++mismatches;
         }
@@ -1080,19 +1079,15 @@ CableChannel::resynchronizeRange(std::uint32_t set_lo,
     for (std::uint32_t set = set_lo; set < set_hi; ++set) {
         for (unsigned way = 0; way < remote_.numWays(); ++way) {
             LineID rlid(set, static_cast<std::uint8_t>(way));
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (!re.valid() || re.dirty())
+            if (remote_.stateAt(rlid) != CoherenceState::Shared)
                 continue;
-            Addr vaddr = re.tag << kLineShift;
-            LineID hlid = home_.find(vaddr);
-            if (!hlid.valid)
-                continue;
-            const Cache::Entry &he = home_.entryAt(hlid);
-            if (he.dirty() || he.data != re.data)
+            LineID hlid = home_.find(remote_.addrAt(rlid));
+            if (!hlid.valid || home_.dirtyAt(hlid)
+                || home_.lineAt(hlid) != remote_.lineAt(rlid))
                 continue;
             wmt_.set(set, static_cast<std::uint8_t>(way), hlid);
-            addSignatures(home_ht_, he.data, hlid);
-            addSignatures(remote_ht_, re.data, rlid);
+            addSignatures(home_ht_, home_.lineAt(hlid), hlid);
+            addSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
             ++relinked;
         }
     }
@@ -1182,15 +1177,11 @@ CableChannel::referenceDigest(std::uint32_t set_lo,
     for (std::uint32_t set = set_lo; set < hi; ++set) {
         for (unsigned way = 0; way < remote_.numWays(); ++way) {
             LineID rlid(set, static_cast<std::uint8_t>(way));
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (!re.valid() || re.dirty())
+            if (remote_.stateAt(rlid) != CoherenceState::Shared)
                 continue;
-            Addr vaddr = re.tag << kLineShift;
-            LineID hlid = home_.find(vaddr);
-            if (!hlid.valid)
-                continue;
-            const Cache::Entry &he = home_.entryAt(hlid);
-            if (he.dirty() || he.data != re.data)
+            LineID hlid = home_.find(remote_.addrAt(rlid));
+            if (!hlid.valid || home_.dirtyAt(hlid)
+                || home_.lineAt(hlid) != remote_.lineAt(rlid))
                 continue;
             h = fnv1a64(h, set);
             h = fnv1a64(h, way);
@@ -1283,20 +1274,20 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
     // inclusivity bookkeeping use the pre-install contents.
     std::uint32_t hset = home_.setOf(addr);
     LineID victim_lid(hset, vway);
-    const Cache::Entry &victim = home_.entryAt(victim_lid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
+    if (home_.validAt(victim_lid)) {
+        Addr vaddr = home_.addrAt(victim_lid);
         // Let the system flush newer private-cache copies into the
         // remote cache before we tear the line down.
         if (backinval_hook_ && remote_.probe(vaddr))
             backinval_hook_(vaddr);
-        dropSignatures(home_ht_, victim.data, victim_lid);
+        const CacheLine &vdata = home_.lineAt(victim_lid);
+        dropSignatures(home_ht_, vdata, victim_lid);
 
         Eviction mem_wb;
         mem_wb.valid = true;
         mem_wb.addr = vaddr;
-        mem_wb.data = victim.data;
-        mem_wb.dirty = victim.dirty();
+        mem_wb.data = vdata;
+        mem_wb.dirty = home_.dirtyAt(victim_lid);
         mem_wb.lid = victim_lid;
 
         // Back-invalidate the remote copy, if any, to preserve
@@ -1306,24 +1297,23 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
         // a reference.
         LineID rlid = remote_.find(vaddr);
         if (rlid.valid && !cfg_.inclusive) {
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (!re.dirty())
-                dropSignatures(remote_ht_, re.data, rlid);
+            if (!remote_.dirtyAt(rlid))
+                dropSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
             wmt_.clear(rlid.set, rlid.way);
             stats_.add(ctr_.noninclusive_detaches, 1);
         } else if (rlid.valid) {
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (re.dirty()) {
+            const CacheLine &rdata = remote_.lineAt(rlid);
+            if (remote_.dirtyAt(rlid)) {
                 // Flush the newer remote data over the link first.
                 result.backinval_writeback = encodeAndTransmit(
-                    Direction::kWriteBack, re.data, rlid, vaddr);
-                mem_wb.data = re.data;
+                    Direction::kWriteBack, rdata, rlid, vaddr);
+                mem_wb.data = rdata;
                 mem_wb.dirty = true;
             } else {
-                dropSignatures(remote_ht_, re.data, rlid);
+                dropSignatures(remote_ht_, rdata, rlid);
             }
             wmt_.clear(rlid.set, rlid.way);
-            evbuf_.push(rlid, remote_.entryAt(rlid).data);
+            evbuf_.push(rlid, rdata);
             remote_.invalidate(vaddr);
             evbuf_.acknowledge(evbuf_.lastSeq());
             stats_.add(ctr_.back_invalidations, 1);
@@ -1343,13 +1333,12 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
 std::optional<Transfer>
 CableChannel::remoteEvictSlot(LineID rlid)
 {
-    const Cache::Entry &e = remote_.entryAt(rlid);
-    if (!e.valid())
+    if (!remote_.validAt(rlid))
         return std::nullopt;
 
-    Addr vaddr = e.tag << kLineShift;
-    CacheLine vdata = e.data;
-    bool was_dirty = e.dirty();
+    Addr vaddr = remote_.addrAt(rlid);
+    CacheLine vdata = remote_.lineAt(rlid);
+    bool was_dirty = remote_.dirtyAt(rlid);
 
     evbuf_.push(rlid, vdata);
     if (!was_dirty) {
@@ -1364,8 +1353,7 @@ CableChannel::remoteEvictSlot(LineID rlid)
         } else {
             auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
             if (hlid)
-                dropSignatures(home_ht_, home_.entryAt(*hlid).data,
-                               *hlid);
+                dropSignatures(home_ht_, home_.lineAt(*hlid), *hlid);
             wmt_.clear(rlid.set, rlid.way);
         }
     }
@@ -1403,13 +1391,13 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
     if (!home_lid.valid)
         panic("respondAndInstall: %llx not resident at home",
               static_cast<unsigned long long>(addr));
-    const CacheLine data = home_.entryAt(home_lid).data;
+    const CacheLine data = home_.lineAt(home_lid);
 
     Transfer t =
         encodeAndTransmit(Direction::kResponse, data, home_lid, addr);
 
     std::uint32_t rset = remote_.setOf(addr);
-    if (remote_.entryAt(LineID(rset, vway)).valid())
+    if (remote_.validAt(LineID(rset, vway)))
         panic("respondAndInstall: remote slot (%u,%u) not vacated",
               rset, vway);
     remote_.install(addr, data,
@@ -1447,9 +1435,8 @@ CableChannel::remoteFetch(Addr addr, bool store)
     std::uint32_t rset = remote_.setOf(addr);
     std::uint8_t vway = remote_.victimWay(addr);
     LineID victim_lid(rset, vway);
-    bool victim_valid = remote_.entryAt(victim_lid).valid();
-    bool victim_dirty =
-        victim_valid && remote_.entryAt(victim_lid).dirty();
+    bool victim_valid = remote_.validAt(victim_lid);
+    bool victim_dirty = remote_.dirtyAt(victim_lid);
     auto wb = remoteEvictSlot(victim_lid);
     result.victim_writeback = wb;
     result.evicted_clean = victim_valid && !victim_dirty;
@@ -1464,10 +1451,9 @@ CableChannel::remoteUpgrade(Addr addr)
     if (!rlid.valid)
         panic("remoteUpgrade: %llx not resident at remote",
               static_cast<unsigned long long>(addr));
-    const Cache::Entry &e = remote_.entryAt(rlid);
-    if (e.dirty())
+    if (remote_.dirtyAt(rlid))
         return; // already Modified
-    dropSignatures(remote_ht_, e.data, rlid);
+    dropSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
     // The home-side metadata cleanup rides on CABLE's upgrade notice
     // (§III-F); if the fault model drops it, stale home signatures
     // and a stale WMT entry survive while the remote copy silently
@@ -1479,7 +1465,7 @@ CableChannel::remoteUpgrade(Addr addr)
     } else {
         auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
         if (hlid)
-            dropSignatures(home_ht_, home_.entryAt(*hlid).data, *hlid);
+            dropSignatures(home_ht_, home_.lineAt(*hlid), *hlid);
         wmt_.clear(rlid.set, rlid.way);
     }
     remote_.markDirty(addr);

@@ -112,16 +112,16 @@ diffCaches(const char *label, Cache &a, Cache &b)
     for (std::uint32_t set = 0; set < a.numSets(); ++set) {
         for (std::uint8_t way = 0; way < a.numWays(); ++way) {
             LineID lid(set, way);
-            const Cache::Entry &ea = a.entryAt(lid);
-            const Cache::Entry &eb = b.entryAt(lid);
-            if (ea.valid() != eb.valid())
+            bool valid = a.validAt(lid);
+            if (valid != b.validAt(lid))
                 return std::string(label) + " set "
                        + std::to_string(set) + " way "
                        + std::to_string(way) + ": validity differs";
-            if (!ea.valid())
+            if (!valid)
                 continue;
-            if (ea.tag != eb.tag || ea.state != eb.state
-                || !(ea.data == eb.data))
+            if (a.addrAt(lid) != b.addrAt(lid)
+                || a.stateAt(lid) != b.stateAt(lid)
+                || !(a.lineAt(lid) == b.lineAt(lid)))
                 return std::string(label) + " set "
                        + std::to_string(set) + " way "
                        + std::to_string(way)
@@ -207,7 +207,7 @@ watchdogScenario(const ChaosConfig &cfg, ChaosReport &report)
     LineID rlid = remote.find(addr);
     if (!rlid.valid)
         return "watchdog: retried fetch did not install the line";
-    if (!(remote.entryAt(rlid).data == mem.lineAt(addr)))
+    if (!(remote.lineAt(rlid) == mem.lineAt(addr)))
         return "watchdog: retried fetch delivered wrong data";
     return "";
 }

@@ -105,7 +105,7 @@ MemLinkSystem::linkCyclesToCore(Cycles link_cycles) const
 
 void
 MemLinkSystem::accountLinkTransfer(const Transfer &t, bool critical,
-                                   Cycles &now, Cycles &extra_lat)
+                                   Cycles now, Cycles &extra_lat)
 {
     if (cfg_.count_toggles)
         link_->countToggles(t.wire);
@@ -135,9 +135,8 @@ MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
     // Victim handling: vacate the LLC slot the fill will use.
     std::uint8_t vway = llc_.victimWay(addr);
     LineID vlid(llc_.setOf(addr), vway);
-    const Cache::Entry &victim = llc_.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
+    if (llc_.validAt(vlid)) {
+        Addr vaddr = llc_.addrAt(vlid);
         backInvalUpper(vaddr);
         auto wb = protocol_->evictRemoteSlot(vlid);
         if (wb) {
@@ -197,22 +196,7 @@ MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
                        + link_->config().setup_cycles;
     Cycles resp_lat = cfg_.l4_lat + dram_lat + comp_lat
                       + link_->config().setup_cycles + decomp_lat;
-    if (cfg_.timing) {
-        Cycles done = link_->acquire(ser_start, resp.wireBits());
-        resp_lat += done - ser_start
-                    + linkCyclesToCore(resp.retry_cycles);
-    } else {
-        link_->countOnly(resp.wireBits());
-    }
-    if (cfg_.count_toggles)
-        link_->countToggles(resp.wire);
-    energy_.linkFlits(link_->flitsFor(resp.wireBits()),
-                      link_->config().width_bits);
-    if (!resp.raw) {
-        energy_.compression();
-        energy_.decompression();
-    }
-
+    accountLinkTransfer(resp, true, ser_start, resp_lat);
     return extra + resp_lat;
 }
 
@@ -254,10 +238,10 @@ MemLinkSystem::access(Thread &t, Addr addr, bool store)
         lat += cfg_.llc_lat;
         energy_.llcAccess();
         if (llc_.access(la)) {
-            data = llc_.entryAt(llc_.find(la)).data;
+            data = llc_.lineAt(llc_.find(la));
         } else {
             lat += offChipFill(t, la, t.time + lat);
-            data = llc_.entryAt(llc_.find(la)).data;
+            data = llc_.lineAt(llc_.find(la));
             if (cfg_.prefetch_degree)
                 prefetch(t, la, t.time + lat);
         }

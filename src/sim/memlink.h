@@ -225,7 +225,7 @@ class MemLinkSystem
     void backInvalUpper(Addr addr);
     SyntheticMemory &memoryOf(Addr addr);
     void accountLinkTransfer(const Transfer &t, bool critical,
-                             Cycles &now, Cycles &extra_lat);
+                             Cycles now, Cycles &extra_lat);
     void attributeTransfer(Addr addr, const Transfer &t);
     void pollOnOff();
     void pollFaultAudit();

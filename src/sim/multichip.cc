@@ -70,15 +70,14 @@ MultiChipSystem::fillLlc(Addr addr)
     Cache &llc0 = *llcs_[0];
     std::uint8_t vway = llc0.victimWay(addr);
     LineID vlid(llc0.setOf(addr), vway);
-    const Cache::Entry &victim = llc0.entryAt(vlid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
+    if (llc0.validAt(vlid)) {
+        Addr vaddr = llc0.addrAt(vlid);
         backInvalUpper(vaddr);
         unsigned vh = nodeOf(vaddr);
         if (vh == 0) {
             // Local line: plain DRAM write-back, no coherence link.
-            if (llc0.entryAt(vlid).dirty())
-                mem_->storeLine(vaddr, llc0.entryAt(vlid).data);
+            if (llc0.dirtyAt(vlid))
+                mem_->storeLine(vaddr, llc0.lineAt(vlid));
             llc0.invalidate(vaddr);
         } else {
             channels_[vh]->evictRemoteSlot(vlid);
@@ -119,7 +118,7 @@ MultiChipSystem::access(Addr addr, bool store)
         Cache &llc0 = *llcs_[0];
         if (!llc0.access(la))
             fillLlc(la);
-        data = llc0.entryAt(llc0.find(la)).data;
+        data = llc0.lineAt(llc0.find(la));
         if (auto spill = priv_.installL2(la, data))
             dirtyToLlc(spill->addr, spill->data);
     }

@@ -113,13 +113,12 @@ void
 NumaSystem::evictLlcSlot(unsigned node, LineID lid)
 {
     Cache &llc = *llcs_[node];
-    const Cache::Entry &e = llc.entryAt(lid);
-    if (!e.valid())
+    if (!llc.validAt(lid))
         return;
-    Addr vaddr = e.tag << kLineShift;
+    Addr vaddr = llc.addrAt(lid);
     unsigned home = nodeOf(vaddr);
     backInvalUpper(node, vaddr);
-    if (!llc.entryAt(lid).valid())
+    if (!llc.validAt(lid))
         return; // the merge path already tore the slot down
 
     DirEntry &d = dir(vaddr);
@@ -135,8 +134,8 @@ NumaSystem::evictLlcSlot(unsigned node, LineID lid)
             d.sharers &= ~(1u << l);
             ++invalidations_;
         }
-        if (llc.entryAt(lid).dirty())
-            mem_->storeLine(vaddr, llc.entryAt(lid).data);
+        if (llc.dirtyAt(lid))
+            mem_->storeLine(vaddr, llc.lineAt(lid));
         llc.invalidate(vaddr);
         d.owner = -1;
     } else {
@@ -155,7 +154,7 @@ NumaSystem::preCleanHomeVictim(unsigned home, Addr addr)
         return;
     std::uint8_t vway = llc.victimWay(addr);
     LineID vlid(llc.setOf(addr), vway);
-    if (!llc.entryAt(vlid).valid())
+    if (!llc.validAt(vlid))
         return;
     // Vacate the slot ourselves so the channel's homeFill lands on
     // an invalid way and needs no cross-channel knowledge.
@@ -242,7 +241,7 @@ NumaSystem::access(Thread &t, Addr addr, bool store)
         }
         if (!llc_j.access(la))
             fillLlc(t, la);
-        data = llc_j.entryAt(llc_j.find(la)).data;
+        data = llc_j.lineAt(llc_j.find(la));
         if (auto spill = t.priv.installL2(la, data))
             dirtyToLlc(j, spill->addr, spill->data);
     }

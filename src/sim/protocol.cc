@@ -170,17 +170,17 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
 std::optional<Transfer>
 StreamLinkProtocol::evictRemoteSlot(LineID rlid)
 {
-    const Cache::Entry &e = remote_.entryAt(rlid);
-    if (!e.valid())
+    if (!remote_.validAt(rlid))
         return std::nullopt;
-    Addr vaddr = e.tag << kLineShift;
+    Addr vaddr = remote_.addrAt(rlid);
     std::optional<Transfer> out;
-    if (e.dirty()) {
-        Transfer t = encode(e.data, wb_engine_.get(), true);
+    if (remote_.dirtyAt(rlid)) {
+        const CacheLine &data = remote_.lineAt(rlid);
+        Transfer t = encode(data, wb_engine_.get(), true);
         if (!home_.probe(vaddr))
             panic("StreamLinkProtocol: inclusivity violated for %llx",
                   static_cast<unsigned long long>(vaddr));
-        home_.writeLine(vaddr, e.data, true);
+        home_.writeLine(vaddr, data, true);
         out = t;
         stats_.add(ctr_.remote_evict_dirty, 1);
     } else {
@@ -197,7 +197,7 @@ StreamLinkProtocol::respond(Addr addr, std::uint8_t vway)
     if (!hlid.valid)
         panic("StreamLinkProtocol::respond: %llx not at home",
               static_cast<unsigned long long>(addr));
-    const CacheLine data = home_.entryAt(hlid).data;
+    const CacheLine data = home_.lineAt(hlid);
     Transfer t = encode(data, resp_engine_.get(), false);
     remote_.install(addr, data, CoherenceState::Shared, vway);
     stats_.add(ctr_.responses, 1);
@@ -221,25 +221,24 @@ StreamLinkProtocol::homeFill(Addr addr, const CacheLine &data)
     }
     std::uint8_t vway = home_.victimWay(addr);
     LineID victim_lid(home_.setOf(addr), vway);
-    const Cache::Entry &victim = home_.entryAt(victim_lid);
-    if (victim.valid()) {
-        Addr vaddr = victim.tag << kLineShift;
+    if (home_.validAt(victim_lid)) {
+        Addr vaddr = home_.addrAt(victim_lid);
         if (backinval_hook_ && remote_.probe(vaddr))
             backinval_hook_(vaddr);
 
         Eviction mem_wb;
         mem_wb.valid = true;
         mem_wb.addr = vaddr;
-        mem_wb.data = victim.data;
-        mem_wb.dirty = victim.dirty();
+        mem_wb.data = home_.lineAt(victim_lid);
+        mem_wb.dirty = home_.dirtyAt(victim_lid);
         mem_wb.lid = victim_lid;
 
         LineID rlid = remote_.find(vaddr);
         if (rlid.valid) {
-            const Cache::Entry &re = remote_.entryAt(rlid);
-            if (re.dirty()) {
-                Transfer t = encode(re.data, wb_engine_.get(), true);
-                mem_wb.data = re.data;
+            if (remote_.dirtyAt(rlid)) {
+                const CacheLine &data = remote_.lineAt(rlid);
+                Transfer t = encode(data, wb_engine_.get(), true);
+                mem_wb.data = data;
                 mem_wb.dirty = true;
                 result.backinval_writeback = t;
             }

@@ -22,6 +22,9 @@ SyntheticMemory::SyntheticMemory(const ValueProfile &profile, Addr base,
                                  std::uint64_t value_seed)
     : profile_(profile), base_(lineAlign(base)), seed_(value_seed)
 {
+    templates_.reserve(profile_.template_count);
+    for (std::uint64_t tid = 0; tid < profile_.template_count; ++tid)
+        templates_.push_back(templateLine(tid));
 }
 
 std::uint32_t
@@ -90,7 +93,7 @@ SyntheticMemory::generate(std::uint64_t rel) const
     std::uint64_t region = rel / profile_.region_lines;
     std::uint64_t tid = splitMix64(seed_ ^ 0x7151d5ull ^ region)
                         % profile_.template_count;
-    CacheLine line = templateLine(tid);
+    CacheLine line = templates_[tid];
     for (unsigned w = 0; w < kWordsPerLine; ++w) {
         std::uint64_t hw = splitMix64(h ^ (0xa11ceull + w));
         if (unit(hw) < profile_.mutation_rate)

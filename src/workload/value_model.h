@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "common/line.h"
 #include "common/types.h"
@@ -57,6 +58,7 @@ class SyntheticMemory : public MemoryImage
     Addr base() const { return base_; }
 
   private:
+    /** Constructor helpers: template line @p tid, word by word. */
     CacheLine templateLine(std::uint64_t tid) const;
     std::uint32_t
     templateWord(std::uint64_t tid, unsigned w) const;
@@ -64,6 +66,8 @@ class SyntheticMemory : public MemoryImage
     ValueProfile profile_;
     Addr base_;
     std::uint64_t seed_;
+    /** Template lines by id, built once: generate() copies from it. */
+    std::vector<CacheLine> templates_;
     std::unordered_map<Addr, CacheLine> overrides_;
 };
 

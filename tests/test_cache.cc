@@ -3,13 +3,20 @@
  * Cache-model tests: geometry, lookup, LRU replacement, the
  * replacement-way contract CABLE relies on, installs/evictions,
  * state transitions and LineID-based data-array reads, and the
- * private L1/L2 pair's inclusion and dirty hand-off contract.
+ * private L1/L2 pair's inclusion and dirty hand-off contract. A
+ * differential test drives the split key/stamp/line rows against an
+ * array-of-structs reference model.
  */
+
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cache/cache.h"
 #include "cache/private_caches.h"
+#include "common/rng.h"
 
 using namespace cable;
 
@@ -76,7 +83,7 @@ TEST(Cache, MissThenHit)
     EXPECT_TRUE(c.access(0x1000));
     LineID lid = c.find(0x1000);
     ASSERT_TRUE(lid.valid);
-    EXPECT_EQ(c.entryAt(lid).data, lineOf(1));
+    EXPECT_EQ(c.lineAt(lid), lineOf(1));
     EXPECT_EQ(c.addrAt(lid), 0x1000u);
 }
 
@@ -129,16 +136,16 @@ TEST(Cache, ReinstallSameAddressNoEviction)
     Eviction ev =
         c.install(0x1000, lineOf(2), CoherenceState::Shared, lid.way);
     EXPECT_FALSE(ev.valid);
-    EXPECT_EQ(c.entryAt(c.find(0x1000)).data, lineOf(2));
+    EXPECT_EQ(c.lineAt(c.find(0x1000)), lineOf(2));
 }
 
 TEST(Cache, DirtyTracking)
 {
     Cache c = smallCache();
     c.install(0x40, lineOf(1), CoherenceState::Shared);
-    EXPECT_FALSE(c.entryAt(c.find(0x40)).dirty());
+    EXPECT_FALSE(c.dirtyAt(c.find(0x40)));
     c.markDirty(0x40);
-    EXPECT_TRUE(c.entryAt(c.find(0x40)).dirty());
+    EXPECT_TRUE(c.dirtyAt(c.find(0x40)));
     c.writeLine(0x40, lineOf(3), true);
     Eviction ev = c.install(0x40 + 1024 * 16 * 4, lineOf(7),
                             CoherenceState::Shared,
@@ -153,8 +160,8 @@ TEST(Cache, WriteLineWithoutDirtying)
     Cache c = smallCache();
     c.install(0x80, lineOf(1), CoherenceState::Shared);
     c.writeLine(0x80, lineOf(2), false);
-    EXPECT_FALSE(c.entryAt(c.find(0x80)).dirty());
-    EXPECT_EQ(c.entryAt(c.find(0x80)).data, lineOf(2));
+    EXPECT_FALSE(c.dirtyAt(c.find(0x80)));
+    EXPECT_EQ(c.lineAt(c.find(0x80)), lineOf(2));
 }
 
 TEST(Cache, Invalidate)
@@ -239,6 +246,288 @@ TEST(CachePolicy, RandomStillPrefersInvalidWays)
     c.install(0, lineOf(1), CoherenceState::Shared, 0);
     c.install(1024, lineOf(2), CoherenceState::Shared, 1);
     EXPECT_EQ(c.victimWay(2048), 2); // first invalid way
+}
+
+namespace
+{
+
+/** Reference model: one struct per slot (tag, state, data and both
+ *  stamps), the array-of-structs layout the split rows replace. */
+class RefCache
+{
+  public:
+    RefCache(unsigned sets, unsigned ways, ReplacementPolicy policy)
+        : sets_(sets), ways_(ways), policy_(policy), slots_(sets * ways)
+    {
+    }
+
+    struct Slot
+    {
+        Addr tag = 0;
+        CoherenceState state = CoherenceState::Invalid;
+        CacheLine data;
+        std::uint64_t lru = 0, installed = 0;
+        bool valid() const { return state != CoherenceState::Invalid; }
+    };
+
+    std::uint32_t setOf(Addr a) const { return lineNumber(a) & (sets_ - 1); }
+    Slot &at(std::uint32_t set, unsigned w) { return slots_[set * ways_ + w]; }
+
+    LineID
+    find(Addr a)
+    {
+        for (unsigned w = 0; w < ways_; ++w) {
+            const Slot &e = at(setOf(a), w);
+            if (e.valid() && e.tag == lineNumber(a))
+                return LineID(setOf(a), static_cast<std::uint8_t>(w));
+        }
+        return kInvalidLineID;
+    }
+    Slot &slot(LineID lid) { return at(lid.set, lid.way); }
+
+    bool
+    access(Addr a)
+    {
+        LineID lid = find(a);
+        if (lid.valid)
+            slot(lid).lru = ++clock_;
+        return lid.valid;
+    }
+
+    std::uint8_t
+    victimWay(Addr a)
+    {
+        std::uint8_t victim = 0;
+        std::uint64_t best = ~std::uint64_t{0};
+        for (unsigned w = 0; w < ways_; ++w) {
+            const Slot &e = at(setOf(a), w);
+            if (!e.valid())
+                return static_cast<std::uint8_t>(w);
+            std::uint64_t key =
+                policy_ == ReplacementPolicy::FIFO ? e.installed : e.lru;
+            if (key < best) {
+                best = key;
+                victim = static_cast<std::uint8_t>(w);
+            }
+        }
+        if (policy_ == ReplacementPolicy::Random) {
+            rand_ ^= rand_ << 13;
+            rand_ ^= rand_ >> 7;
+            rand_ ^= rand_ << 17;
+            victim = static_cast<std::uint8_t>(rand_ % ways_);
+        }
+        return victim;
+    }
+
+    Eviction
+    install(Addr a, const CacheLine &d, CoherenceState s, std::uint8_t w)
+    {
+        Slot &e = at(setOf(a), w);
+        Eviction ev;
+        if (e.valid() && e.tag != lineNumber(a))
+            ev = {true, e.tag << kLineShift, e.data,
+                  e.state == CoherenceState::Modified, LineID(setOf(a), w)};
+        e = {lineNumber(a), s, d, ++clock_, clock_};
+        return ev;
+    }
+
+    void
+    writeLine(Addr a, const CacheLine &d, bool dirty)
+    {
+        Slot &e = slot(find(a));
+        e.data = d;
+        if (dirty)
+            e.state = CoherenceState::Modified;
+        e.lru = ++clock_;
+    }
+
+    void
+    clear()
+    {
+        std::fill(slots_.begin(), slots_.end(), Slot{});
+        clock_ = 0;
+    }
+
+  private:
+    unsigned sets_, ways_;
+    ReplacementPolicy policy_;
+    std::vector<Slot> slots_;
+    std::uint64_t clock_ = 0;
+    std::uint64_t rand_ = 0x9e3779b97f4a7c15ull;
+};
+
+void
+expectSameEviction(const Eviction &a, const Eviction &b)
+{
+    EXPECT_EQ(a.valid, b.valid);
+    EXPECT_EQ(a.addr, b.addr);
+    EXPECT_EQ(a.data, b.data);
+    EXPECT_EQ(a.dirty, b.dirty);
+    EXPECT_EQ(a.lid, b.lid);
+}
+
+/** Every slot: same state, and the same address and line. */
+void
+expectSameSlots(Cache &c, RefCache &ref)
+{
+    for (std::uint32_t set = 0; set < c.numSets(); ++set)
+        for (unsigned w = 0; w < c.numWays(); ++w) {
+            LineID lid(set, static_cast<std::uint8_t>(w));
+            const RefCache::Slot &e = ref.slot(lid);
+            ASSERT_EQ(c.stateAt(lid), e.state) << set << "/" << w;
+            ASSERT_EQ(c.lineAt(lid), e.data) << set << "/" << w;
+            if (e.valid()) {
+                ASSERT_EQ(c.addrAt(lid), e.tag << kLineShift);
+            }
+        }
+}
+
+/** Seeded random operation stream against the reference model. */
+void
+runDifferential(ReplacementPolicy policy, unsigned ways,
+                std::uint64_t seed)
+{
+    constexpr unsigned kSets = 8;
+    Cache c({"diff", std::uint64_t{kSets} * ways * kLineBytes, ways,
+             policy});
+    RefCache ref(kSets, ways, policy);
+    Rng rng(seed);
+    // Three working sets' worth of lines, some with the top bits set.
+    auto pick = [&] {
+        Addr line = rng.below(3 * kSets * ways);
+        if (rng.below(8) == 0)
+            line |= Addr{0x3ff} << 48;
+        return line << kLineShift;
+    };
+    for (int step = 0; step < 4000; ++step) {
+        Addr a = pick();
+        CacheLine d = CacheLine::filledWords(
+            static_cast<std::uint32_t>(rng.next()));
+        CoherenceState s = rng.below(2) ? CoherenceState::Shared
+                                        : CoherenceState::Modified;
+        bool resident = ref.find(a).valid;
+        switch (rng.below(12)) {
+          case 0:
+          case 1:
+            ASSERT_EQ(c.access(a), ref.access(a));
+            break;
+          case 2:
+            ASSERT_EQ(c.probe(a), resident);
+            break;
+          case 3:
+            ASSERT_EQ(c.find(a), ref.find(a));
+            break;
+          case 4:
+            ASSERT_EQ(c.victimWay(a), ref.victimWay(a));
+            break;
+          case 5:
+          case 6: {
+            std::uint8_t w = ref.victimWay(a);
+            expectSameEviction(c.install(a, d, s), ref.install(a, d, s, w));
+            break;
+          }
+          case 7: {
+            auto w = static_cast<std::uint8_t>(rng.below(ways));
+            expectSameEviction(c.install(a, d, s, w),
+                               ref.install(a, d, s, w));
+            break;
+          }
+          case 8:
+            if (resident) {
+                bool dirty = rng.below(2);
+                c.writeLine(a, d, dirty);
+                ref.writeLine(a, d, dirty);
+            }
+            break;
+          case 9:
+            if (resident) {
+                c.markDirty(a);
+                ref.slot(ref.find(a)).state = CoherenceState::Modified;
+            }
+            break;
+          case 10: {
+            LineID lid = ref.find(a);
+            if (lid.valid)
+                ref.slot(lid).state = CoherenceState::Invalid;
+            ASSERT_EQ(c.invalidate(a), lid);
+            break;
+          }
+          default:
+            if (rng.below(50) == 0) {
+                c.clear();
+                ref.clear();
+            }
+            break;
+        }
+        expectSameSlots(c, ref);
+        if (::testing::Test::HasFailure())
+            FAIL() << "diverged at step " << step;
+    }
+}
+
+} // namespace
+
+TEST(CacheRows, MatchTheArrayOfStructsModel)
+{
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::LRU, ReplacementPolicy::FIFO,
+          ReplacementPolicy::Random})
+        for (unsigned ways : {1u, 4u, 16u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "policy " << static_cast<int>(policy)
+                         << " ways " << ways);
+            runDifferential(policy, ways, 100 + ways);
+            if (HasFailure())
+                return; // later runs would all report step 0
+        }
+}
+
+TEST(CacheRows, FifoEvictsOldestInstallAfterWriteLine)
+{
+    Cache c({"fifo", 4096, 4, ReplacementPolicy::FIFO});
+    for (unsigned i = 0; i < 4; ++i)
+        c.install(i * 1024, lineOf(i), CoherenceState::Shared);
+    c.writeLine(0, lineOf(9), false);
+    EXPECT_EQ(c.victimWay(4096), 0);
+}
+
+TEST(CacheRows, InvalidatedSlotIsNotFoundAndIsNextVictim)
+{
+    Cache c = smallCache();
+    for (unsigned i = 0; i < 4; ++i)
+        c.install(i * 1024, lineOf(i), CoherenceState::Shared);
+    LineID lid = c.invalidate(2048);
+    ASSERT_TRUE(lid.valid);
+    EXPECT_FALSE(c.find(2048).valid);
+    EXPECT_FALSE(c.access(2048));
+    EXPECT_FALSE(c.validAt(lid));
+    EXPECT_EQ(c.victimWay(4096), lid.way);
+}
+
+TEST(CacheRows, TopBitAddressRoundTrips)
+{
+    Cache c = smallCache();
+    const Addr top = ~Addr{0} & ~Addr{63};
+    c.install(top, lineOf(5), CoherenceState::Shared);
+    LineID lid = c.find(top);
+    ASSERT_TRUE(lid.valid);
+    EXPECT_EQ(c.addrAt(lid), top);
+    c.markDirty(top);
+    EXPECT_TRUE(c.dirtyAt(lid));
+    EXPECT_EQ(c.addrAt(lid), top);
+    EXPECT_EQ(c.find(top), lid);
+    EXPECT_FALSE(c.find(top - kLineBytes * c.numSets()).valid);
+}
+
+TEST(CacheRows, EveryLineIsHostLineAligned)
+{
+    Cache c({"a", 64 * 1024, 16});
+    for (std::uint32_t set = 0; set < c.numSets(); ++set)
+        for (unsigned w = 0; w < c.numWays(); ++w) {
+            auto p = reinterpret_cast<std::uintptr_t>(
+                &c.lineAt(LineID(set, static_cast<std::uint8_t>(w))));
+            ASSERT_EQ(p % 64, 0u) << set << "/" << w;
+        }
 }
 
 TEST(PrivateCaches, StoreDirtiesL1WithASeededValue)

@@ -48,7 +48,7 @@ struct Rig
     fetch(SyntheticMemory &mem, Addr addr, bool store = false)
     {
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
             return FetchResult{};
         }
@@ -83,7 +83,7 @@ TEST(Channel, BasicFetchInstallsAtRemote)
     EXPECT_TRUE(rig.home.probe(0x1000));
     EXPECT_EQ(r.response.raw_bits, 512u);
     EXPECT_GT(r.response.bits, 0u);
-    EXPECT_EQ(rig.remote.entryAt(rig.remote.find(0x1000)).data,
+    EXPECT_EQ(rig.remote.lineAt(rig.remote.find(0x1000)),
               mem.lineAt(0x1000));
 }
 
@@ -152,14 +152,12 @@ TEST(Channel, SharedStateInvariant)
             if (!occ)
                 continue;
             ++tracked;
-            const Cache::Entry &he = rig.home.entryAt(*occ);
-            ASSERT_TRUE(he.valid());
+            ASSERT_TRUE(rig.home.validAt(*occ));
             LineID rlid(rset, static_cast<std::uint8_t>(w));
-            const Cache::Entry &re = rig.remote.entryAt(rlid);
-            ASSERT_TRUE(re.valid());
-            ASSERT_FALSE(re.dirty()); // dirty lines are untracked
-            ASSERT_EQ(he.tag, re.tag);
-            ASSERT_EQ(he.data, re.data);
+            ASSERT_TRUE(rig.remote.validAt(rlid));
+            ASSERT_FALSE(rig.remote.dirtyAt(rlid)); // dirty: untracked
+            ASSERT_EQ(rig.home.addrAt(*occ), rig.remote.addrAt(rlid));
+            ASSERT_EQ(rig.home.lineAt(*occ), rig.remote.lineAt(rlid));
         }
     }
     EXPECT_GT(tracked, 0u);
@@ -172,7 +170,7 @@ TEST(Channel, StoreMissInstallsModifiedAndUntracked)
     rig.fetch(mem, 0x2000, /*store=*/true);
     LineID rlid = rig.remote.find(0x2000);
     ASSERT_TRUE(rlid.valid);
-    EXPECT_TRUE(rig.remote.entryAt(rlid).dirty());
+    EXPECT_TRUE(rig.remote.dirtyAt(rlid));
     EXPECT_FALSE(
         rig.channel.wmt().occupant(rlid.set, rlid.way).has_value());
 }
@@ -186,7 +184,7 @@ TEST(Channel, UpgradeDetachesLine)
     ASSERT_TRUE(
         rig.channel.wmt().occupant(rlid.set, rlid.way).has_value());
     rig.channel.remoteUpgrade(0x3000);
-    EXPECT_TRUE(rig.remote.entryAt(rlid).dirty());
+    EXPECT_TRUE(rig.remote.dirtyAt(rlid));
     EXPECT_FALSE(
         rig.channel.wmt().occupant(rlid.set, rlid.way).has_value());
     EXPECT_EQ(rig.channel.stats().get("upgrades"), 1u);
@@ -208,8 +206,8 @@ TEST(Channel, DirtyEvictionWritesBackCompressed)
     EXPECT_TRUE(wb->writeback);
     EXPECT_FALSE(rig.remote.probe(0x4000));
     // Home copy updated with the dirty data.
-    EXPECT_EQ(rig.home.entryAt(rig.home.find(0x4000)).data, dirty);
-    EXPECT_TRUE(rig.home.entryAt(rig.home.find(0x4000)).dirty());
+    EXPECT_EQ(rig.home.lineAt(rig.home.find(0x4000)), dirty);
+    EXPECT_TRUE(rig.home.dirtyAt(rig.home.find(0x4000)));
 }
 
 TEST(Channel, CleanEvictionSendsNoData)
@@ -254,7 +252,7 @@ TEST(Channel, WriteBackUsesRemoteReferences)
     Transfer t = rig.channel.writeBack(0, d);
     EXPECT_TRUE(t.writeback);
     EXPECT_LT(t.bits, 512u); // compressed against siblings
-    EXPECT_EQ(rig.home.entryAt(rig.home.find(0)).data, d);
+    EXPECT_EQ(rig.home.lineAt(rig.home.find(0)), d);
 }
 
 TEST(Channel, HomeEvictionBackInvalidatesRemote)
@@ -270,11 +268,10 @@ TEST(Channel, HomeEvictionBackInvalidatesRemote)
     // Inclusivity: every remote line still present at home.
     for (std::uint32_t set = 0; set < rig.remote.numSets(); ++set) {
         for (unsigned w = 0; w < rig.remote.numWays(); ++w) {
-            const Cache::Entry &re = rig.remote.entryAt(
-                LineID(set, static_cast<std::uint8_t>(w)));
-            if (!re.valid())
+            LineID rlid(set, static_cast<std::uint8_t>(w));
+            if (!rig.remote.validAt(rlid))
                 continue;
-            ASSERT_TRUE(rig.home.probe(re.tag << kLineShift));
+            ASSERT_TRUE(rig.home.probe(rig.remote.addrAt(rlid)));
         }
     }
 }
@@ -434,7 +431,7 @@ runMixed(const CableConfig &cfg)
         Addr addr = rng.below(1 << 12) * kLineBytes;
         bool store = rng.chance(0.3);
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
         } else {
             std::uint8_t vway = remote.victimWay(addr);
@@ -446,7 +443,7 @@ runMixed(const CableConfig &cfg)
             (void)channel.respondAndInstall(addr, vway, store);
         }
         if (store) {
-            CacheLine d = remote.entryAt(remote.find(addr)).data;
+            CacheLine d = remote.lineAt(remote.find(addr));
             d.setWord(5, d.word(5) ^ 0x5a5a0000u);
             remote.writeLine(addr, d, true);
         }

@@ -793,7 +793,7 @@ TEST(ChannelSpans, SelfWinningOverRefsChainsOntoRefsSerialize)
         bool store = rng.chance(0.3);
         if (rig.remote.access(addr)) {
             if (store
-                && !rig.remote.entryAt(rig.remote.find(addr)).dirty())
+                && !rig.remote.dirtyAt(rig.remote.find(addr)))
                 rig.channel.remoteUpgrade(addr);
             continue;
         }

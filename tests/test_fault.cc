@@ -87,7 +87,7 @@ struct Rig
     fetch(SyntheticMemory &mem, Addr addr, bool store = false)
     {
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
             return FetchResult{};
         }
@@ -240,7 +240,7 @@ TEST(FaultChannel, TransientCorruptionRetransmitsAndDelivers)
     EXPECT_EQ(rig.channel.stats().get("retransmits"), 2u);
     EXPECT_EQ(rig.channel.stats().get("raw_fallbacks"), 0u);
     // Delivered data is bit-exact despite the corruption.
-    EXPECT_EQ(rig.remote.entryAt(rig.remote.find(0x1000)).data,
+    EXPECT_EQ(rig.remote.lineAt(rig.remote.find(0x1000)),
               mem.lineAt(0x1000));
 }
 
@@ -263,7 +263,7 @@ TEST(FaultChannel, PersistentCorruptionFallsBackToRaw)
               cfg.max_retries + 1);
     EXPECT_EQ(rig.channel.stats().get("raw_fallbacks"), 1u);
     EXPECT_EQ(rig.channel.stats().get("raw_resend_cap_hits"), 1u);
-    EXPECT_EQ(rig.remote.entryAt(rig.remote.find(0x2000)).data,
+    EXPECT_EQ(rig.remote.lineAt(rig.remote.find(0x2000)),
               mem.lineAt(0x2000));
 }
 
@@ -337,7 +337,7 @@ TEST(FaultChannel, MetadataCorruptionNeverCorruptsDeliveredData)
         bool store = (i % 7) == 0;
         rig.fetch(mem, addr, store);
         if (!store) {
-            ASSERT_EQ(rig.remote.entryAt(rig.remote.find(addr)).data,
+            ASSERT_EQ(rig.remote.lineAt(rig.remote.find(addr)),
                       mem.lineAt(addr))
                 << "line " << i << " corrupted";
         }
@@ -369,9 +369,9 @@ TEST(FaultChannel, DesyncWithoutFaultModelPropagates)
     // §III-F invariant is now broken with no fault model attached.
     LineID hlid = rig.home.find(ref_addr);
     ASSERT_TRUE(hlid.valid);
-    CacheLine bad = rig.home.entryAt(hlid).data;
+    CacheLine bad = rig.home.lineAt(hlid);
     bad.setWord(0, ~bad.word(0));
-    rig.home.entryAt(hlid).data = bad;
+    rig.home.lineAt(hlid) = bad;
 
     // A write-back whose data duplicates the reference line picks it
     // via the remote hash table; home-side decode then mismatches.
@@ -404,9 +404,9 @@ armDeliveryDesync(Rig &rig, SyntheticMemory &mem, Addr ref_addr)
     CacheLine original = mem.lineAt(ref_addr);
     LineID hlid = rig.home.find(ref_addr);
     EXPECT_TRUE(hlid.valid);
-    CacheLine bad = rig.home.entryAt(hlid).data;
+    CacheLine bad = rig.home.lineAt(hlid);
     bad.setWord(0, ~bad.word(0));
-    rig.home.entryAt(hlid).data = bad;
+    rig.home.lineAt(hlid) = bad;
     return original;
 }
 
@@ -431,7 +431,7 @@ TEST(FaultChannel, NonStrictDesyncRecoversInPlace)
     EXPECT_EQ(rig.channel.stats().get("desync_recoveries"), 1u);
     EXPECT_TRUE(rig.channel.degraded());
     // The raw fallback still delivered the correct data.
-    EXPECT_EQ(rig.home.entryAt(rig.home.find(wb_addr)).data, dup);
+    EXPECT_EQ(rig.home.lineAt(rig.home.find(wb_addr)), dup);
     // Re-arm traffic is charged to the recovery counters only.
     const StatSet &st = rig.channel.stats();
     EXPECT_EQ(st.get("recovery_bits"), st.get("resync_rearm_bits"));
@@ -598,7 +598,7 @@ TEST(FaultChannel, SecondDesyncWithinAuditWindowRecovers)
     // Both recoveries leave a consistent channel behind.
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
     rig.fetch(mem, 0x9000);
-    EXPECT_EQ(rig.remote.entryAt(rig.remote.find(0x9000)).data,
+    EXPECT_EQ(rig.remote.lineAt(rig.remote.find(0x9000)),
               mem.lineAt(0x9000));
 }
 

@@ -41,7 +41,7 @@ struct Rig
     fetch(SyntheticMemory &mem, Addr addr, bool store = false)
     {
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
             return;
         }
@@ -83,9 +83,9 @@ TEST(NonInclusive, HomeEvictionKeepsRemoteCopy)
     unsigned orphans = 0;
     for (std::uint32_t set = 0; set < rig.remote.numSets(); ++set)
         for (unsigned w = 0; w < rig.remote.numWays(); ++w) {
-            const Cache::Entry &e = rig.remote.entryAt(
-                LineID(set, static_cast<std::uint8_t>(w)));
-            if (e.valid() && !rig.home.probe(e.tag << kLineShift))
+            LineID lid(set, static_cast<std::uint8_t>(w));
+            if (rig.remote.validAt(lid)
+                && !rig.home.probe(rig.remote.addrAt(lid)))
                 ++orphans;
         }
     EXPECT_GT(orphans, 0u);
@@ -144,8 +144,8 @@ TEST(NonInclusive, DirtyEvictionOfOrphanReallocatesAtHome)
     auto wb = rig.channel.remoteEvictSlot(rig.remote.find(0));
     ASSERT_TRUE(wb.has_value());
     ASSERT_TRUE(rig.home.probe(0));
-    EXPECT_EQ(rig.home.entryAt(rig.home.find(0)).data, d);
-    EXPECT_TRUE(rig.home.entryAt(rig.home.find(0)).dirty());
+    EXPECT_EQ(rig.home.lineAt(rig.home.find(0)), d);
+    EXPECT_TRUE(rig.home.dirtyAt(rig.home.find(0)));
 }
 
 TEST(NonInclusive, ResponsesStillUseReferences)

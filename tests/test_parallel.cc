@@ -229,13 +229,13 @@ TEST(AllocGuard, SteadyStateEncodeSearchIsAllocationFree)
                     (void)channel.homeInstall(addr, mem.lineAt(addr));
                 (void)channel.remoteFetch(addr, store);
             } else if (store
-                       && !remote.entryAt(remote.find(addr)).dirty()) {
+                       && !remote.dirtyAt(remote.find(addr))) {
                 channel.remoteUpgrade(addr);
             }
             if (store) {
                 // Diverge the remote copy so write-backs carry new
                 // data.
-                CacheLine d = remote.entryAt(remote.find(addr)).data;
+                CacheLine d = remote.lineAt(remote.find(addr));
                 d.setWord(0, d.word(0) + 1);
                 remote.writeLine(addr, d, true);
             }

@@ -130,7 +130,7 @@ TEST(Protocol, DirtyUpdateThenEvictionWritesBack)
     auto wb = rig.proto->evictRemoteSlot(rig.remote.find(0x2000));
     ASSERT_TRUE(wb.has_value());
     EXPECT_TRUE(wb->writeback);
-    EXPECT_EQ(rig.home.entryAt(rig.home.find(0x2000)).data, d);
+    EXPECT_EQ(rig.home.lineAt(rig.home.find(0x2000)), d);
 }
 
 TEST(Protocol, HomeFillReportsDirtyMemoryWriteback)
@@ -208,6 +208,6 @@ TEST(Protocol, StreamRespondInstallsShared)
     rig.fetch(mem, 0x3000);
     LineID rlid = rig.remote.find(0x3000);
     ASSERT_TRUE(rlid.valid);
-    EXPECT_FALSE(rig.remote.entryAt(rlid).dirty());
-    EXPECT_EQ(rig.remote.entryAt(rlid).data, mem.lineAt(0x3000));
+    EXPECT_FALSE(rig.remote.dirtyAt(rlid));
+    EXPECT_EQ(rig.remote.lineAt(rlid), mem.lineAt(0x3000));
 }

@@ -50,7 +50,7 @@ struct Rig
     fetch(SyntheticMemory &mem, Addr addr, bool store = false)
     {
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
             return FetchResult{};
         }
@@ -735,7 +735,7 @@ TEST(Watchdog, StalledArqRaisesTypedTimeout)
     (void)rig.channel.remoteFetch(addr, false);
     LineID rlid = rig.remote.find(addr);
     ASSERT_TRUE(rlid.valid);
-    EXPECT_TRUE(rig.remote.entryAt(rlid).data == mem.lineAt(addr));
+    EXPECT_TRUE(rig.remote.lineAt(rlid) == mem.lineAt(addr));
 }
 
 TEST(Watchdog, DisabledByDefault)

@@ -566,7 +566,7 @@ TEST(Timing, EveryEncodeSearchTimesEachStageOnce)
         Addr addr = rng.below(1 << 12) * kLineBytes;
         bool store = rng.chance(0.3);
         if (remote.access(addr)) {
-            if (store && !remote.entryAt(remote.find(addr)).dirty())
+            if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
             continue;
         }
