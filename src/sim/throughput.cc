@@ -48,22 +48,31 @@ void
 ThroughputSim::runUntil(std::uint64_t ops)
 {
     // Conservative global-time ordering across the group: always
-    // advance the system whose pending thread is earliest.
+    // advance the system whose pending thread is earliest (lowest
+    // index on a tie). A step moves only the stepped system's
+    // threads, so only its entry is refreshed. A finished system
+    // reads ~0, which never wins, as in a full rescan.
+    auto pending = [ops](const MemLinkSystem &sys) {
+        return sys.allThreadsReached(ops) ? ~Cycles{0}
+                                          : sys.nextEventTime();
+    };
+    std::vector<Cycles> next;
+    next.reserve(systems_.size());
+    for (const auto &sys : systems_)
+        next.push_back(pending(*sys));
     while (true) {
-        MemLinkSystem *next = nullptr;
+        std::size_t pick = next.size();
         Cycles best = ~Cycles{0};
-        for (auto &sys : systems_) {
-            if (sys->allThreadsReached(ops))
-                continue;
-            Cycles t = sys->nextEventTime();
-            if (t < best) {
-                best = t;
-                next = sys.get();
+        for (std::size_t i = 0; i < next.size(); ++i) {
+            if (next[i] < best) {
+                best = next[i];
+                pick = i;
             }
         }
-        if (!next)
+        if (pick == next.size())
             break;
-        next->stepOnce();
+        systems_[pick]->stepOnce();
+        next[pick] = pending(*systems_[pick]);
     }
 }
 

@@ -1,7 +1,10 @@
 #include "workload/value_model.h"
 
+#include <bit>
+
 #include "common/log.h"
 #include "common/rng.h"
+#include "common/simd.h"
 
 namespace cable
 {
@@ -16,11 +19,22 @@ unit(std::uint64_t h)
     return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
+/** Slot::diff kinds, in its low two bits. An empty slot's diff is 0,
+ *  so it reads as kSame. */
+constexpr std::uint64_t kSame = 0;
+constexpr std::uint64_t kOneWord = 1;
+constexpr std::uint64_t kPooled = 2;
+constexpr std::uint64_t kKindMask = 3;
+
+constexpr unsigned kInitialSlotsLog2 = 6;
+
 } // namespace
 
 SyntheticMemory::SyntheticMemory(const ValueProfile &profile, Addr base,
                                  std::uint64_t value_seed)
-    : profile_(profile), base_(lineAlign(base)), seed_(value_seed)
+    : profile_(profile), base_(lineAlign(base)), seed_(value_seed),
+      slots_(std::size_t{1} << kInitialSlotsLog2),
+      shift_(64 - kInitialSlotsLog2)
 {
     templates_.reserve(profile_.template_count);
     for (std::uint64_t tid = 0; tid < profile_.template_count; ++tid)
@@ -118,24 +132,86 @@ SyntheticMemory::generate(std::uint64_t rel) const
     return line;
 }
 
-CacheLine
-SyntheticMemory::lineAt(Addr addr)
+std::uint64_t
+SyntheticMemory::relLine(Addr la) const
 {
-    Addr la = lineAlign(addr);
-    auto it = overrides_.find(la);
-    if (it != overrides_.end())
-        return it->second;
     if (la < base_)
         panic("SyntheticMemory: address %llx below base %llx",
               static_cast<unsigned long long>(la),
               static_cast<unsigned long long>(base_));
-    return generate(lineNumber(la - base_));
+    return lineNumber(la - base_);
+}
+
+std::size_t
+SyntheticMemory::probe(Addr key) const
+{
+    std::size_t mask = slots_.size() - 1;
+    auto i = static_cast<std::size_t>(
+        (lineNumber(key) * 0x9e3779b97f4a7c15ull) >> shift_);
+    while (slots_[i].key != 0 && slots_[i].key != key)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+SyntheticMemory::grow()
+{
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot &s : old)
+        if (s.key)
+            slots_[probe(s.key)] = s;
+}
+
+CacheLine
+SyntheticMemory::lineAt(Addr addr) const
+{
+    Addr la = lineAlign(addr);
+    std::uint64_t rel = relLine(la);
+    std::uint64_t diff = slots_[probe(la | 1)].diff;
+    // One named result on every path, so it is built in place.
+    CacheLine line = (diff & kKindMask) == kPooled ? pool_[diff >> 2]
+                                                   : generate(rel);
+    if ((diff & kKindMask) == kOneWord)
+        line.setWord((diff >> 2) & 0xf,
+                     static_cast<std::uint32_t>(diff >> 32));
+    return line;
 }
 
 void
 SyntheticMemory::storeLine(Addr addr, const CacheLine &data)
 {
-    overrides_[lineAlign(addr)] = data;
+    // Regenerating costs less than keeping the line: most written-back
+    // lines differ from it in one word, which then fits in the slot.
+    Addr la = lineAlign(addr);
+    std::uint32_t changed =
+        ~wordEqMask16(generate(relLine(la)).data(), data.data())
+        & 0xffffu;
+    std::size_t i = probe(la | 1);
+    if (slots_[i].key == 0) {
+        if (!changed)
+            return;
+        if ((used_ + 1) * 4 > slots_.size() * 3) {
+            grow();
+            i = probe(la | 1);
+        }
+        slots_[i].key = la | 1;
+        ++used_;
+    }
+    std::uint64_t &diff = slots_[i].diff;
+    if ((diff & kKindMask) == kPooled) {
+        pool_[diff >> 2] = data;
+    } else if (!changed) {
+        diff = kSame;
+    } else if (std::has_single_bit(changed)) {
+        auto w = static_cast<unsigned>(std::countr_zero(changed));
+        diff = kOneWord | std::uint64_t{w} << 2
+               | std::uint64_t{data.word(w)} << 32;
+    } else {
+        diff = kPooled | std::uint64_t{pool_.size()} << 2;
+        pool_.push_back(data);
+    }
 }
 
 } // namespace cable

@@ -9,14 +9,15 @@
  * profile and seed carry identical data at the same offsets even in
  * different address spaces — the property behind the cooperative
  * multiprogram study (Fig 15, SPECrate-style). Stores overwrite
- * lines through an override map, modelling dirty data divergence.
+ * lines, modelling dirty data divergence; each written-back line is
+ * kept as its difference from the generated one (DESIGN.md §3).
  */
 
 #ifndef CABLE_WORKLOAD_VALUE_MODEL_H
 #define CABLE_WORKLOAD_VALUE_MODEL_H
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/line.h"
@@ -26,18 +27,8 @@
 namespace cable
 {
 
-/** Abstract line-granular memory (what DRAM hands the L4). */
-class MemoryImage
-{
-  public:
-    virtual ~MemoryImage() = default;
-    /** Current contents of the line containing @p addr. */
-    virtual CacheLine lineAt(Addr addr) = 0;
-    /** Persists written-back data. */
-    virtual void storeLine(Addr addr, const CacheLine &data) = 0;
-};
-
-class SyntheticMemory : public MemoryImage
+/** Line-granular memory image: what DRAM hands the L4. */
+class SyntheticMemory
 {
   public:
     /**
@@ -49,8 +40,12 @@ class SyntheticMemory : public MemoryImage
     SyntheticMemory(const ValueProfile &profile, Addr base,
                     std::uint64_t value_seed);
 
-    CacheLine lineAt(Addr addr) override;
-    void storeLine(Addr addr, const CacheLine &data) override;
+    /** Current contents of the line containing @p addr (panics
+     *  below base()). */
+    CacheLine lineAt(Addr addr) const;
+    /** Persists written-back data for the line containing @p addr
+     *  (panics below base()). */
+    void storeLine(Addr addr, const CacheLine &data);
 
     /** Pure generator: contents of working-set line @p rel. */
     CacheLine generate(std::uint64_t rel) const;
@@ -58,6 +53,26 @@ class SyntheticMemory : public MemoryImage
     Addr base() const { return base_; }
 
   private:
+    /**
+     * One written-back line, open-addressed by line address. `key`
+     * is the line address | 1 (0 marks an empty slot). `diff` is
+     * the line's difference from generate(): kSame, one changed
+     * word (kOneWord, word index in bits 2-5, value in bits 32-63),
+     * or kPooled with an index into pool_ in bits 2-63.
+     */
+    struct Slot
+    {
+        Addr key = 0;
+        std::uint64_t diff = 0;
+    };
+
+    /** Working-set line index of line address @p la. */
+    std::uint64_t relLine(Addr la) const;
+    /** Index of @p key's slot, or of the empty slot ending its run. */
+    std::size_t probe(Addr key) const;
+    /** Doubles the table and re-places every slot. */
+    void grow();
+
     /** Constructor helpers: template line @p tid, word by word. */
     CacheLine templateLine(std::uint64_t tid) const;
     std::uint32_t
@@ -68,7 +83,13 @@ class SyntheticMemory : public MemoryImage
     std::uint64_t seed_;
     /** Template lines by id, built once: generate() copies from it. */
     std::vector<CacheLine> templates_;
-    std::unordered_map<Addr, CacheLine> overrides_;
+    /** Power-of-two table, at most 3/4 full. */
+    std::vector<Slot> slots_;
+    /** 64 - log2(slots_.size()): Fibonacci hash shift. */
+    unsigned shift_;
+    std::size_t used_ = 0;
+    /** Whole lines with two or more changed words; never freed. */
+    std::vector<CacheLine> pool_;
 };
 
 } // namespace cable

@@ -3,16 +3,22 @@
  * Workload-generator tests: determinism, calibration of the access
  * mix (mem ratio, store fraction, hot/cold split), value-model
  * properties (zero lines, template similarity, byte shifts, shared
- * value seeds for SPECrate copies), trace recording and the profile
- * registry.
+ * value seeds for SPECrate copies), written-back lines read back
+ * exactly (against a whole-line map) and without per-store heap
+ * allocation, trace recording and the profile registry.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <set>
+#include <unordered_map>
+#include <vector>
 
+#include "common/alloc_guard.h"
 #include "common/bitops.h"
+#include "common/rng.h"
 #include "workload/profile.h"
 #include "workload/trace.h"
 #include "workload/value_model.h"
@@ -234,6 +240,151 @@ TEST(ValueModel, StoreOverridesPersist)
     m.storeLine(0x100, modified);
     EXPECT_EQ(m.lineAt(0x100), modified);
     EXPECT_EQ(m.lineAt(0x140), m.generate(lineNumber(0x140)));
+}
+
+TEST(ValueModel, StoresMatchWholeLineReference)
+{
+    // Written-back lines are kept as differences from generate();
+    // a map of whole lines is the reference. The store mix covers
+    // each form a line can take: equal to the generated line, one
+    // changed word (every position), two changed words, random
+    // lines, and re-stores of the same line through one word -> two
+    // words -> one word -> unchanged.
+    const ValueProfile &v = benchmarkProfile("mcf").value;
+    constexpr std::uint64_t kLines = 6000;
+    for (Addr base : {Addr{0}, Addr{1} << 40}) {
+        SCOPED_TRACE(base);
+        SyntheticMemory m(v, base, 11);
+        std::unordered_map<Addr, CacheLine> ref;
+        Rng rng(base + 3);
+        auto expected = [&](Addr la) {
+            auto it = ref.find(la);
+            return it != ref.end() ? it->second
+                                   : m.generate(lineNumber(la - base));
+        };
+        auto withWord = [&](CacheLine line, unsigned w) {
+            line.setWord(w, line.word(w)
+                                ^ static_cast<std::uint32_t>(
+                                    rng.next() | 1));
+            return line;
+        };
+        auto store = [&](Addr la, const CacheLine &data) {
+            m.storeLine(la + rng.below(kLineBytes), data);
+            ref[la] = data;
+        };
+        auto check = [&](Addr la) {
+            ASSERT_EQ(m.lineAt(la + rng.below(kLineBytes)), expected(la))
+                << std::hex << la;
+        };
+        std::uint32_t one_word_positions = 0;
+        for (unsigned op = 0; op < 40000; ++op) {
+            Addr la = base + rng.below(kLines) * kLineBytes;
+            CacheLine gen = m.generate(lineNumber(la - base));
+            switch (rng.below(7)) {
+              case 0:
+                store(la, gen);
+                break;
+              case 1: {
+                auto w = static_cast<unsigned>(op % kWordsPerLine);
+                one_word_positions |= 1u << w;
+                store(la, withWord(gen, w));
+                break;
+              }
+              case 2: {
+                auto w1 = static_cast<unsigned>(rng.below(kWordsPerLine));
+                auto w2 = static_cast<unsigned>(
+                    (w1 + 1 + rng.below(kWordsPerLine - 1))
+                    % kWordsPerLine);
+                store(la, withWord(withWord(gen, w1), w2));
+                break;
+              }
+              case 3: {
+                CacheLine line;
+                for (unsigned w = 0; w < kLineBytes / 8; ++w)
+                    line.setWord64(w, rng.next());
+                store(la, line);
+                break;
+              }
+              case 4: {
+                auto w = static_cast<unsigned>(rng.below(kWordsPerLine));
+                store(la, withWord(gen, w));
+                check(la);
+                store(la, withWord(withWord(gen, w),
+                                   (w + 5) % kWordsPerLine));
+                check(la);
+                store(la, withWord(gen, (w + 9) % kWordsPerLine));
+                check(la);
+                store(la, gen);
+                break;
+              }
+              default:
+                check(la);
+                break;
+            }
+            if (HasFatalFailure())
+                return;
+        }
+        EXPECT_EQ(one_word_positions, 0xffffu);
+        // The table starts at 64 slots and doubles at 3/4 load, so
+        // more than 384 lines means at least three growths.
+        EXPECT_GT(ref.size(), 384u);
+        for (std::uint64_t i = 0; i < kLines; ++i)
+            ASSERT_EQ(m.lineAt(base + i * kLineBytes),
+                      expected(base + i * kLineBytes))
+                << i;
+    }
+}
+
+TEST(ValueModelDeathTest, StoreBelowBasePanics)
+{
+    SyntheticMemory m(ValueProfile{}, Addr{1} << 40, 1);
+    EXPECT_DEATH(m.storeLine((Addr{1} << 40) - kLineBytes, CacheLine{}),
+                 "below base");
+}
+
+TEST(ValueModel, OneWordStoresAllocateOnlyForTableGrowth)
+{
+    ASSERT_TRUE(alloc_guard::hooksLinked());
+    ValueProfile v;
+    SyntheticMemory m(v, 0, 5);
+    constexpr unsigned kStores = 10000;
+    std::vector<CacheLine> lines;
+    lines.reserve(kStores);
+    for (unsigned i = 0; i < kStores; ++i) {
+        CacheLine line = m.generate(i);
+        line.setWord(i % kWordsPerLine, ~line.word(i % kWordsPerLine));
+        lines.push_back(line);
+    }
+    std::uint64_t store_allocs = 0;
+    {
+        alloc_guard::Scope scope;
+        for (unsigned i = 0; i < kStores; ++i)
+            m.storeLine(Addr{i} * kLineBytes, lines[i]);
+        store_allocs = scope.allocations();
+    }
+    EXPECT_LE(store_allocs, std::bit_width(kStores) - 1u);
+
+    // A pooled line (two changed words) too: reads never allocate,
+    // whatever form the line is kept in.
+    CacheLine two = m.generate(kStores);
+    two.setWord(0, ~two.word(0));
+    two.setWord(1, ~two.word(1));
+    m.storeLine(Addr{kStores} * kLineBytes, two);
+    std::uint64_t read_allocs = 0;
+    std::uint64_t mismatches = 0;
+    {
+        alloc_guard::Scope scope;
+        for (unsigned i = 0; i < 2 * kStores; ++i) {
+            CacheLine got = m.lineAt(Addr{i} * kLineBytes);
+            if (i < kStores)
+                mismatches += got != lines[i];
+            else if (i == kStores)
+                mismatches += got != two;
+        }
+        read_allocs = scope.allocations();
+    }
+    EXPECT_EQ(read_allocs, 0u);
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(ValueModel, ByteShiftLinesAreRotations)
