@@ -1,9 +1,8 @@
 /**
  * @file
- * Defining your own workload: build a WorkloadProfile from scratch,
- * record its access stream into a trace file (SimPoint-pinball
- * style), reload it, and drive a CABLE channel with it by hand —
- * the lowest-level public API tour.
+ * Defining your own workload: build a WorkloadProfile from scratch
+ * and drive a CABLE channel with its access stream by hand — the
+ * lowest-level public API tour.
  *
  *   $ ./custom_workload
  */
@@ -11,7 +10,7 @@
 #include <cstdio>
 
 #include "core/channel.h"
-#include "workload/trace.h"
+#include "workload/access_gen.h"
 #include "workload/value_model.h"
 
 using namespace cable;
@@ -39,20 +38,10 @@ main()
     prof.access.seq_frac = 0.05;
     prof.access.stride_frac = 0.05;
 
-    // 2. Record a trace and round-trip it through the binary format.
+    // 2. Replay its access stream against a raw CABLE channel: an
+    //    L4-sized home cache backing an LLC-sized remote cache.
     const Addr base = Addr{1} << 40;
     AccessGen gen(prof.access, base, /*seed=*/7);
-    Trace trace = recordTrace(gen, prof.name, 80000);
-    saveTrace(trace, "/tmp/ptrchase.trace");
-    Trace loaded = loadTrace("/tmp/ptrchase.trace");
-    std::printf("recorded %zu ops (%llu instructions) -> %s\n",
-                loaded.ops.size(),
-                static_cast<unsigned long long>(
-                    loaded.instructionCount()),
-                "/tmp/ptrchase.trace");
-
-    // 3. Replay it against a raw CABLE channel: an L4-sized home
-    //    cache backing an LLC-sized remote cache.
     Cache home({"l4", 4u << 20, 16});
     Cache remote({"llc", 1u << 20, 8});
     CableConfig ccfg;
@@ -60,8 +49,11 @@ main()
     CableChannel channel(home, remote, ccfg);
     SyntheticMemory mem(prof.value, base, /*value_seed=*/7);
 
-    std::uint64_t hits = 0, fetches = 0;
-    for (const MemOp &op : loaded.ops) {
+    const std::uint64_t ops = 80000;
+    std::uint64_t instructions = 0, hits = 0, fetches = 0;
+    for (std::uint64_t i = 0; i < ops; ++i) {
+        MemOp op = gen.next();
+        instructions += 1 + op.gap;
         Addr la = lineAlign(op.addr);
         if (remote.access(la)) {
             ++hits;
@@ -77,6 +69,9 @@ main()
     }
 
     const StatSet &s = channel.stats();
+    std::printf("%s: %llu ops (%llu instructions)\n", prof.name.c_str(),
+                static_cast<unsigned long long>(ops),
+                static_cast<unsigned long long>(instructions));
     std::printf("LLC hits %llu, off-chip fetches %llu\n",
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(fetches));
@@ -91,6 +86,5 @@ main()
                 static_cast<unsigned long long>(s.get("refs_3")),
                 static_cast<unsigned long long>(s.get("self_only")),
                 static_cast<unsigned long long>(s.get("raw_sends")));
-    std::remove("/tmp/ptrchase.trace");
     return 0;
 }

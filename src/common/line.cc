@@ -20,15 +20,4 @@ CacheLine::toString() const
     return out;
 }
 
-std::uint64_t
-CacheLine::contentHash() const
-{
-    std::uint64_t h = 0xcbf29ce484222325ull;
-    for (auto b : bytes_) {
-        h ^= b;
-        h *= 0x100000001b3ull;
-    }
-    return h;
-}
-
 } // namespace cable

@@ -102,9 +102,6 @@ class CacheLine
     /** Hex dump for test diagnostics. */
     std::string toString() const;
 
-    /** FNV-1a content hash, used by tests and dedup checks. */
-    std::uint64_t contentHash() const;
-
   private:
     std::array<std::uint8_t, kLineBytes> bytes_;
 };

@@ -1,8 +1,8 @@
 /**
  * @file
- * Statistics package: named counters, bucketed histograms, running
- * distributions and quantile sketches with merge, epoch-delta and
- * dump facilities, in the spirit of gem5's stats but minimal.
+ * Statistics package: named counters, bucketed histograms and
+ * quantile sketches with merge, epoch-delta and dump facilities, in
+ * the spirit of gem5's stats but minimal.
  *
  * Hot paths register a name once (counterId(), histId(), ...) and
  * update through the returned handle, an index: no key string, no
@@ -288,103 +288,6 @@ class Histogram
     std::uint64_t max_ = 0;
 };
 
-/**
- * Running scalar distribution: exact count/sum/sum-of-squares and
- * extrema over double-valued samples — the bucket-free companion to
- * Histogram for quantities where mean and spread matter but the
- * shape does not (e.g. per-epoch compression ratio).
- */
-class Distribution
-{
-  public:
-    void
-    record(double v)
-    {
-        ++count_;
-        sum_ += v;
-        sumsq_ += v * v;
-        min_ = std::min(min_, v);
-        max_ = std::max(max_, v);
-    }
-
-    std::uint64_t samples() const { return count_; }
-
-    double
-    mean() const
-    {
-        return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-    }
-
-    double
-    variance() const
-    {
-        if (count_ < 2)
-            return 0.0;
-        double m = mean();
-        double v = sumsq_ / static_cast<double>(count_) - m * m;
-        return v > 0.0 ? v : 0.0;
-    }
-
-    double
-    min() const
-    {
-        return count_ ? min_ : 0.0;
-    }
-
-    double
-    max() const
-    {
-        return count_ ? max_ : 0.0;
-    }
-
-    void
-    merge(const Distribution &o)
-    {
-        if (!o.count_)
-            return;
-        count_ += o.count_;
-        sum_ += o.sum_;
-        sumsq_ += o.sumsq_;
-        min_ = std::min(min_, o.min_);
-        max_ = std::max(max_, o.max_);
-    }
-
-    /** Moments cannot be un-merged: deltas carry them cumulatively. */
-    Distribution delta(const Distribution &) const { return *this; }
-
-    void
-    clear()
-    {
-        *this = Distribution{};
-    }
-
-    void
-    dumpJson(JsonWriter &jw) const
-    {
-        jw.beginObject();
-        jw.field("count", count_);
-        jw.field("mean", mean());
-        jw.field("variance", variance());
-        jw.field("min", min());
-        jw.field("max", max());
-        jw.endObject();
-    }
-
-    void
-    dumpText(std::ostream &os) const
-    {
-        os << " n=" << count_ << " mean=" << mean() << " min=" << min()
-           << " max=" << max();
-    }
-
-  private:
-    std::uint64_t count_ = 0;
-    double sum_ = 0.0;
-    double sumsq_ = 0.0;
-    double min_ = std::numeric_limits<double>::max();
-    double max_ = std::numeric_limits<double>::lowest();
-};
-
 /** A counter as a stat kind, with the operations every kind of
  *  StatTable value provides. Deltas clamp: a counter that ran
  *  backwards reads 0. */
@@ -408,7 +311,6 @@ struct StatId
 };
 using CounterId = StatId<Counter>;
 using HistId = StatId<Histogram>;
-using DistId = StatId<Distribution>;
 using SketchId = StatId<QuantileSketch>;
 
 /**
@@ -527,8 +429,8 @@ class StatTable
     std::map<std::string, std::uint32_t> index_;
 };
 
-/** Named counters, histograms, distributions and quantile
- *  sketches; see the file comment for the handle contract. */
+/** Named counters, histograms and quantile sketches; see the file
+ *  comment for the handle contract. */
 class StatSet
 {
   public:
@@ -545,7 +447,6 @@ class StatSet
     {
         return {hists_.slot(n, scale, bucket_width, linear_buckets)};
     }
-    DistId distId(const std::string &n) { return {dists_.slot(n)}; }
     SketchId
     sketchId(const std::string &n)
     {
@@ -556,7 +457,6 @@ class StatSet
     void add(CounterId c, std::uint64_t d) { counters_.touch(c.index).v += d; }
     std::uint64_t value(CounterId c) const { return counters_.at(c.index).v; }
     Histogram &hist(HistId id) { return hists_.touch(id.index); }
-    Distribution &dist(DistId id) { return dists_.touch(id.index); }
     QuantileSketch &
     sketch(SketchId id)
     {
@@ -572,7 +472,6 @@ class StatSet
     {
         return hist(histId(n, b...));
     }
-    Distribution &dist(const std::string &n) { return dist(distId(n)); }
     QuantileSketch &
     sketch(const std::string &n)
     {
@@ -621,11 +520,6 @@ class StatSet
     {
         return hists_.find(n);
     }
-    const Distribution *
-    findDist(const std::string &n) const
-    {
-        return dists_.find(n);
-    }
     const QuantileSketch *
     findSketch(const std::string &n) const
     {
@@ -637,7 +531,6 @@ class StatSet
     {
         counters_.clear();
         hists_.clear();
-        dists_.clear();
         sketches_.clear();
     }
 
@@ -647,19 +540,17 @@ class StatSet
     {
         counters_.dump(os, prefix);
         hists_.dump(os, prefix);
-        dists_.dump(os, prefix);
         sketches_.dump(os, prefix);
     }
 
-    /** One JSON object: "counters", "histograms", "distributions"
-     *  and "sketches" sub-objects. */
+    /** One JSON object: "counters", "histograms" and "sketches"
+     *  sub-objects. */
     void
     dumpJson(JsonWriter &jw) const
     {
         jw.beginObject();
         counters_.dumpJson(jw, "counters");
         hists_.dumpJson(jw, "histograms");
-        dists_.dumpJson(jw, "distributions");
         sketches_.dumpJson(jw, "sketches");
         jw.endObject();
     }
@@ -670,14 +561,13 @@ class StatSet
     {
         counters_.merge(other.counters_);
         hists_.merge(other.hists_);
-        dists_.merge(other.dists_);
         sketches_.merge(other.sketches_);
     }
 
     /**
      * Interval (epoch) snapshot: everything accumulated since
-     * @p earlier, as a new StatSet. Counters and histogram buckets
-     * subtract; distributions are carried over cumulatively.
+     * @p earlier, as a new StatSet. Counters and histogram and
+     * sketch buckets subtract.
      */
     StatSet
     delta(const StatSet &earlier) const
@@ -685,7 +575,6 @@ class StatSet
         StatSet d;
         d.counters_ = counters_.delta(earlier.counters_);
         d.hists_ = hists_.delta(earlier.hists_);
-        d.dists_ = dists_.delta(earlier.dists_);
         d.sketches_ = sketches_.delta(earlier.sketches_);
         return d;
     }
@@ -704,7 +593,6 @@ class StatSet
   private:
     StatTable<Counter> counters_;
     StatTable<Histogram> hists_;
-    StatTable<Distribution> dists_;
     StatTable<QuantileSketch> sketches_;
 };
 

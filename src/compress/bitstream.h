@@ -72,12 +72,6 @@ class BitVec
      */
     const std::uint8_t *data() const { return bytes_.data(); }
 
-    /**
-     * Count of 0→1/1→0 transitions when the stream is serialized over
-     * a @p width bit bus; used for the bit-toggle study (§VI-D).
-     */
-    std::uint64_t toggleCount(unsigned width) const;
-
   private:
     /** Write whole bytes straight into the backing store. */
     friend class BitWriter;

@@ -239,24 +239,6 @@ TEST(StatSet, EpochDeltaOfIdleEpochIsAllZero)
     EXPECT_EQ(d.findSketch("frame_bits")->samples(), 0u);
 }
 
-TEST(StatSet, EpochDeltaSingleSampleDistribution)
-{
-    // Distributions cannot be un-merged, so the delta carries them
-    // cumulatively — and a single sample must yield clean moments
-    // (variance 0, min == max == mean), not NaN.
-    StatSet s;
-    StatSet snapshot = s;
-    s.dist("ratio").record(2.5);
-    StatSet d = s.delta(snapshot);
-    const Distribution *dist = d.findDist("ratio");
-    ASSERT_NE(dist, nullptr);
-    EXPECT_EQ(dist->samples(), 1u);
-    EXPECT_DOUBLE_EQ(dist->mean(), 2.5);
-    EXPECT_DOUBLE_EQ(dist->variance(), 0.0);
-    EXPECT_DOUBLE_EQ(dist->min(), 2.5);
-    EXPECT_DOUBLE_EQ(dist->max(), 2.5);
-}
-
 TEST(StatSet, EpochDeltaAfterMergeOfDisjointHistograms)
 {
     // Fold a worker's disjoint histograms in mid-epoch: the next
@@ -308,15 +290,15 @@ TEST(StatSet, MergeCombinesAllKinds)
     b.add(b_z, 20);
     b.add("fresh", 5); // registered only in b
     b.hist("h").record(4);
-    b.dist("d").record(0.5);
+    b.sketch("q").record(64);
     a.merge(b);
     EXPECT_EQ(a.get("c"), 3u);
     EXPECT_EQ(a.get("z"), 30u);
     EXPECT_EQ(a.get("fresh"), 5u);
     ASSERT_NE(a.findHist("h"), nullptr);
     EXPECT_EQ(a.findHist("h")->samples(), 1u);
-    ASSERT_NE(a.findDist("d"), nullptr);
-    EXPECT_DOUBLE_EQ(a.findDist("d")->mean(), 0.5);
+    ASSERT_NE(a.findSketch("q"), nullptr);
+    EXPECT_EQ(a.findSketch("q")->samples(), 1u);
 }
 
 TEST(StatSet, HandlesSurviveClearAndCopy)
@@ -364,7 +346,6 @@ TEST(StatSet, RegisteredButUntouchedIsInvisible)
     CounterId idle = s.counterId("idle");
     (void)s.histId("idle_hist", Histogram::Scale::Linear, 1, 4);
     (void)s.sketchId("idle_sketch");
-    (void)s.distId("idle_dist");
     s.add("seen", 2);
 
     auto text = [](const StatSet &set) {
@@ -381,7 +362,7 @@ TEST(StatSet, RegisteredButUntouchedIsInvisible)
     const std::string only_seen = "seen 2\n";
     const std::string only_seen_json =
         "{\"counters\":{\"seen\":2},\"histograms\":{},"
-        "\"distributions\":{},\"sketches\":{}}";
+        "\"sketches\":{}}";
     const std::map<std::string, std::uint64_t> only_seen_counters = {
         {"seen", 2}};
 
@@ -393,7 +374,6 @@ TEST(StatSet, RegisteredButUntouchedIsInvisible)
     EXPECT_FALSE(s.ratioOpt("seen", "idle").has_value());
     EXPECT_EQ(s.findHist("idle_hist"), nullptr);
     EXPECT_EQ(s.findSketch("idle_sketch"), nullptr);
-    EXPECT_EQ(s.findDist("idle_dist"), nullptr);
 
     // Neither merge nor delta carries the idle registrations along.
     StatSet merged;
@@ -416,34 +396,18 @@ TEST(StatSet, DumpJsonIsWellFormed)
     StatSet s;
     s.add("a b", 1);
     s.hist("h").record(7);
-    s.dist("d").record(1.5);
     std::ostringstream os;
     JsonWriter jw(os);
     s.dumpJson(jw);
     std::string out = os.str();
     EXPECT_NE(out.find("\"a b\":1"), std::string::npos);
     EXPECT_NE(out.find("\"histograms\""), std::string::npos);
-    EXPECT_NE(out.find("\"distributions\""), std::string::npos);
+    EXPECT_NE(out.find("\"sketches\""), std::string::npos);
     // Balanced braces/brackets — cheap structural sanity.
     EXPECT_EQ(std::count(out.begin(), out.end(), '{'),
               std::count(out.begin(), out.end(), '}'));
     EXPECT_EQ(std::count(out.begin(), out.end(), '['),
               std::count(out.begin(), out.end(), ']'));
-}
-
-TEST(Distribution, MomentsAndMerge)
-{
-    Distribution d;
-    d.record(1.0);
-    d.record(3.0);
-    EXPECT_EQ(d.samples(), 2u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 1.0);
-    Distribution e;
-    e.record(5.0);
-    d.merge(e);
-    EXPECT_EQ(d.samples(), 3u);
-    EXPECT_DOUBLE_EQ(d.max(), 5.0);
 }
 
 // ---------------------------------------------------------------------

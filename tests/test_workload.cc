@@ -5,13 +5,12 @@
  * properties (zero lines, template similarity, byte shifts, shared
  * value seeds for SPECrate copies), written-back lines read back
  * exactly (against a whole-line map) and without per-store heap
- * allocation, trace recording and the profile registry.
+ * allocation, and the profile registry.
  */
 
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cstdio>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -19,8 +18,8 @@
 #include "common/alloc_guard.h"
 #include "common/bitops.h"
 #include "common/rng.h"
+#include "workload/access_gen.h"
 #include "workload/profile.h"
-#include "workload/trace.h"
 #include "workload/value_model.h"
 
 using namespace cable;
@@ -412,36 +411,4 @@ TEST(ValueModel, ByteShiftLinesAreRotations)
         rotation_found = all;
     }
     EXPECT_TRUE(rotation_found);
-}
-
-TEST(Trace, RecordSaveLoadRoundTrip)
-{
-    const WorkloadProfile &p = benchmarkProfile("hmmer");
-    AccessGen g(p.access, 1 << 30, 5);
-    Trace t = recordTrace(g, "hmmer", 5000);
-    EXPECT_EQ(t.ops.size(), 5000u);
-    EXPECT_GT(t.instructionCount(), 5000u);
-
-    std::string path = ::testing::TempDir() + "/cable_trace.bin";
-    saveTrace(t, path);
-    Trace u = loadTrace(path);
-    EXPECT_EQ(u.benchmark, "hmmer");
-    ASSERT_EQ(u.ops.size(), t.ops.size());
-    for (std::size_t i = 0; i < t.ops.size(); ++i) {
-        EXPECT_EQ(u.ops[i].addr, t.ops[i].addr);
-        EXPECT_EQ(u.ops[i].store, t.ops[i].store);
-        EXPECT_EQ(u.ops[i].gap, t.ops[i].gap);
-    }
-    std::remove(path.c_str());
-}
-
-TEST(Trace, LoadRejectsGarbage)
-{
-    std::string path = ::testing::TempDir() + "/cable_garbage.bin";
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    std::fputs("not a trace", f);
-    std::fclose(f);
-    EXPECT_EXIT(loadTrace(path), ::testing::ExitedWithCode(1),
-                "corrupt");
-    std::remove(path.c_str());
 }

@@ -1,94 +1,31 @@
 /**
  * @file
- * cable_sim: command-line driver for custom experiments, the
- * front door for users who want numbers without writing C++.
+ * cable_sim: command-line driver for custom experiments, the front
+ * door for users who want numbers without writing C++.
  *
  *   cable_sim list
- *   cable_sim ratio <benchmark> [options]
- *   cable_sim throughput <benchmark> [options]
- *   cable_sim coherence <benchmark> [options]
- *   cable_sim numa <benchmark> [options]
- *   cable_sim chaos <benchmark> [options]
+ *   cable_sim <ratio|throughput|coherence|numa|chaos> <benchmark>
+ *             [--flag value ...]
  *
- * Common options:
- *   --scheme S      link scheme (cable_sim list names them)
- *   --ops N         memory operations (per thread)
- *   --seed N        simulation seed
- * ratio options:
- *   --llc-kb N --l4-kb N --engine E --accesses N --max-refs N
- *   --ht-factor F --link-bits N --timing --stats --prefetch N
- * throughput options:
- *   --threads N --group N --warmup N
- * coherence/numa options:
- *   --nodes N
- * coherence batch options:
- *   --replicas N    independent replica systems (seed-derived
- *                   streams; stats merged in replica order)
- *   --jobs N        worker threads for the replica batch (0 = all
- *                   hardware threads). Results are bit-identical
- *                   for every value of --jobs.
- * fault-injection options (ratio/throughput, cable scheme only):
- *   --fault-rate P      per-bit wire flip probability in [0,1]
- *   --burst-rate P      per-packet burst probability in [0,1]
- *   --burst-len N       bits per burst (default 8)
- *   --drop-sync-rate P  sync-message loss probability in [0,1]
- *   --meta-rate P       metadata soft-error probability in [0,1]
- *   --fault-seed N      fault-injection stream seed
- *   --max-retries N     compressed resends before raw fallback
- *   --crc-bits N        frame CRC width: 0, 8 or 16
- *   --audit-period N    cycles between §III-F invariant audits
- *   --arq-watchdog N    retry-cycle budget before CableTimeoutError
- *                       (0 = unbounded, the default)
- *   --strict-desync     surface desyncs as CableDesyncError (exit 3)
- *                       instead of recovering in place
- * chaos options (crash/recovery soak; DESIGN.md §12):
- *   --crashes N         endpoint crash/restart events (default 10)
- *   --corrupt-prob P    probability a checkpoint image is damaged
- *                       before reload (default 0.4)
- *   --ckpt-dir D        round-trip checkpoints through files in D
- *   --chaos-out F       machine-readable report JSON
- *                       (schema "cable-chaos-v1")
- *   --no-watchdog       skip the ARQ-watchdog timeout scenario
- * telemetry options (ratio):
- *   --metrics-out F     machine-readable metrics JSON
- *                       (schema "cable-metrics-v1"); also enables
- *                       stage-span recording (the t_stage_*_ns
- *                       histograms and the critpath section)
- *   --trace-out F       structured per-line trace events
- *   --trace-format T    jsonl (default) or chrome (trace_event)
- *   --trace-sample N    keep 1-in-N encode events (deterministic,
- *                       counter-based; control events always pass)
- *   --critpath-out F    per-stage critical-path attribution report
- *                       (schema "cable-critpath-v1"); enables stage
- *                       span recording
- *   --critpath-sample N record spans on 1-in-N transfers
- *                       (default 64, deterministic by transfer
- *                       ordinal; requires --critpath-out or
- *                       --metrics-out)
- *   --stats-interval K  epoch stats snapshot every K ops/thread
- *   --live-stats K      print one machine-readable link-health
- *                       status line (JSONL, stdout) every K ops;
- *                       deterministic — no wall-clock fields
- *   --phase-out F       online phase-detection report (schema
- *                       "cable-phases-v1"): seed-deterministic
- *                       CUSUM change points over the epoch stream;
- *                       requires --stats-interval or --live-stats
- * global options:
- *   --log-level L       quiet|warn|info|debug (default info)
- *
- * Every flag is validated up front: unknown flags, malformed
- * numbers and out-of-range values abort with an actionable message
- * and a non-zero exit code before any simulation starts.
+ * `cable_sim` alone prints every option and the commands that read
+ * it; `cable_sim <command>` prints that command's options. Both are
+ * printed from kFlags, the table that also validates every flag up
+ * front: an invalid invocation exits 2 with a "cable_sim: error:"
+ * line before any simulation starts.
  */
 
+#include <algorithm>
+#include <bit>
 #include <cerrno>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -135,113 +72,10 @@ nameSet(const std::vector<std::string> &names)
     return {names.begin(), names.end()};
 }
 
-struct Args
-{
-    std::string command;
-    std::string benchmark;
-    std::map<std::string, std::string> flags;
-
-    bool
-    has(const std::string &k) const
-    {
-        return flags.count(k) > 0;
-    }
-
-    std::string
-    str(const std::string &k, const std::string &dflt) const
-    {
-        auto it = flags.find(k);
-        return it == flags.end() ? dflt : it->second;
-    }
-
-    /** Strict non-negative integer: full-string decimal parse. */
-    std::uint64_t
-    num(const std::string &k, std::uint64_t dflt) const
-    {
-        auto it = flags.find(k);
-        if (it == flags.end())
-            return dflt;
-        const std::string &text = it->second;
-        errno = 0;
-        char *end = nullptr;
-        unsigned long long v =
-            std::strtoull(text.c_str(), &end, 10);
-        if (text.empty() || end != text.c_str() + text.size()
-            || text.find_first_not_of("0123456789") != std::string::npos)
-            fail("--%s expects a non-negative integer, got '%s'",
-                 k.c_str(), text.c_str());
-        if (errno == ERANGE)
-            fail("--%s value '%s' does not fit in 64 bits", k.c_str(),
-                 text.c_str());
-        return v;
-    }
-
-    /** Strict finite double: full-string parse. */
-    double
-    real(const std::string &k, double dflt) const
-    {
-        auto it = flags.find(k);
-        if (it == flags.end())
-            return dflt;
-        const std::string &text = it->second;
-        errno = 0;
-        char *end = nullptr;
-        double v = std::strtod(text.c_str(), &end);
-        if (text.empty() || end != text.c_str() + text.size())
-            fail("--%s expects a number, got '%s'", k.c_str(),
-                 text.c_str());
-        if (errno == ERANGE)
-            fail("--%s value '%s' out of range", k.c_str(),
-                 text.c_str());
-        return v;
-    }
-
-    /** A probability flag: value must lie in [0, 1]. */
-    double
-    probability(const std::string &k) const
-    {
-        double p = real(k, 0.0);
-        if (p < 0.0 || p > 1.0)
-            fail("--%s must be a probability in [0, 1], got %s",
-                 k.c_str(), str(k, "0").c_str());
-        return p;
-    }
-};
-
-/** Flags every command accepts. */
-const std::set<std::string> kCommonFlags = {"scheme", "ops", "seed",
-                                            "stats", "log-level"};
-/** Extra flags per command. */
-const std::set<std::string> kMemFlags = {
-    "llc-kb",    "l4-kb",      "engine",     "accesses",
-    "max-refs",  "ht-factor",  "link-bits",  "timing",
-    "prefetch",  "fault-rate", "burst-rate", "burst-len",
-    "drop-sync-rate", "meta-rate", "fault-seed", "max-retries",
-    "crc-bits",  "audit-period", "arq-watchdog", "strict-desync",
-};
-/** Chaos-soak flags (chaos command). */
-const std::set<std::string> kChaosFlags = {
-    "crashes", "corrupt-prob", "ckpt-dir", "chaos-out", "no-watchdog",
-};
-const std::set<std::string> kThroughputFlags = {"threads", "group",
-                                                "warmup"};
-const std::set<std::string> kNodeFlags = {"nodes"};
-/** Replica-batch flags (coherence command). */
-const std::set<std::string> kBatchFlags = {"replicas", "jobs"};
-/** Telemetry export flags (ratio command). */
-const std::set<std::string> kTelemetryFlags = {
-    "metrics-out", "trace-out", "trace-format",
-    "trace-sample", "stats-interval", "critpath-out",
-    "critpath-sample", "live-stats", "phase-out",
-};
-/** Presence-only switches; everything else must carry a value. */
-const std::set<std::string> kBoolFlags = {"stats", "timing",
-                                          "strict-desync",
-                                          "no-watchdog"};
-
-/** The names of @p names, sorted, each after @p prefix. */
+/** @p names in order, each after @p prefix, space-separated. */
+template <typename Container>
 std::string
-joined(const std::set<std::string> &names, const char *prefix)
+joined(const Container &names, const char *prefix)
 {
     std::string out;
     for (const auto &name : names) {
@@ -253,101 +87,275 @@ joined(const std::set<std::string> &names, const char *prefix)
     return out;
 }
 
-void
-checkFlags(const Args &a, const std::set<std::string> &allowed)
+/** Command masks: bit i is command i of kCommands. */
+enum Cmd : unsigned
 {
-    std::set<std::string> accepted = kCommonFlags;
-    accepted.insert(allowed.begin(), allowed.end());
-    for (const auto &[flag, value] : a.flags) {
-        if (!accepted.count(flag))
-            fail("unknown option '--%s' for command '%s'; it accepts: %s",
-                 flag.c_str(), a.command.c_str(),
-                 joined(accepted, "--").c_str());
+    kList = 1,
+    kRatio = 2,
+    kThroughput = 4,
+    kCoherence = 8,
+    kNuma = 16,
+    kChaos = 32,
+};
+/** Commands that simulate a benchmark. */
+constexpr unsigned kRuns = kRatio | kThroughput | kCoherence | kNuma | kChaos;
+/** Commands that build a MemSystemConfig (memCfg). */
+constexpr unsigned kMem = kRatio | kThroughput | kChaos;
+
+/** How a flag's value is read and checked. */
+enum class Kind
+{
+    Switch, // presence only; takes no value
+    U64,    // decimal integer in [lo, hi]
+    U32,    // the same, and fits in 32 bits
+    Real,   // finite number in (lo, hi]
+    Prob,   // finite number in [0, 1]
+    Str,    // any text
+    Choice, // one of choices()
+};
+
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
+using Names = std::vector<std::string>;
+
+/** One flag: the commands that read it, what it accepts, its help. */
+struct Flag
+{
+    const char *name;
+    Kind kind;
+    unsigned cmds;
+    const char *dflt; // as typed; nullptr: none (reads as 0 or "")
+    double lo, hi;
+    const char *help;
+    Names (*choices)() = nullptr;
+};
+
+Names traceFormats() { return {"jsonl", "chrome"}; }
+Names crcWidths() { return {"0", "8", "16"}; }
+Names logLevels() { return {"quiet", "warn", "info", "debug"}; }
+
+/**
+ * Every flag of every command. A name may have one row per group of
+ * commands (--ops has a default per command). Rules that tie flags
+ * together (l4 >= llc, faults need cable and a CRC, the telemetry
+ * dependencies) are code in memCfg and the commands.
+ */
+const Flag kFlags[] = {
+    {"scheme", Kind::Choice, kRuns, "cable", 0, 0, "link scheme",
+     schemeNames},
+    {"ops", Kind::U64, kRatio | kCoherence, "400000", 1, kNoMax,
+     "ops per thread"},
+    {"ops", Kind::U64, kThroughput, "3000", 1, kNoMax, "ops per thread"},
+    {"ops", Kind::U64, kNuma, "40000", 1, kNoMax, "ops per thread"},
+    {"ops", Kind::U64, kChaos, "20000", 100, kNoMax,
+     "memory operations (enough for a meaningful crash schedule)"},
+    {"seed", Kind::U64, kRuns, "1", 0, kNoMax, "simulation seed"},
+    {"stats", Kind::Switch, kRatio | kCoherence | kChaos, nullptr, 0, 0,
+     "print the full stats dump"},
+    {"log-level", Kind::Choice, kList | kRuns, "info", 0, 0,
+     "log verbosity", logLevels},
+
+    // The memory-link system (ratio, throughput, chaos).
+    {"llc-kb", Kind::U64, kMem, "1024", 64, kNoMax,
+     "remote LLC KiB per thread"},
+    {"l4-kb", Kind::U64, kMem, "4096", 0, kNoMax,
+     "home L4 KiB per thread, at least --llc-kb"},
+    {"engine", Kind::Choice, kMem, "lbe", 0, 0, "CABLE delegate engine",
+     delegateEngineNames},
+    {"accesses", Kind::U32, kMem, "6", 1, 64,
+     "candidate data-array reads per search"},
+    {"max-refs", Kind::U32, kMem, "3", 1, 3,
+     "references per transfer (2-bit wire field)"},
+    {"ht-factor", Kind::Real, kMem, nullptr, 0, 16,
+     "hash-table entries per cache line at both ends (default home "
+     "0.5, remote 1.0)"},
+    {"link-bits", Kind::U32, kMem, "16", 1, 512, "link width in bits"},
+    {"timing", Kind::Switch, kRatio | kChaos, nullptr, 0, 0,
+     "timed run: cycles, IPC and energy"},
+    {"prefetch", Kind::U32, kMem, "0", 0, 16, "prefetch degree"},
+
+    // Fault injection (cable scheme only).
+    {"fault-rate", Kind::Prob, kMem, "0", 0, 1,
+     "per-bit wire flip probability"},
+    {"burst-rate", Kind::Prob, kMem, "0", 0, 1,
+     "per-packet burst probability"},
+    {"burst-len", Kind::U32, kMem, "8", 1, 512, "bits per burst"},
+    {"drop-sync-rate", Kind::Prob, kMem, "0", 0, 1,
+     "sync-message loss probability"},
+    {"meta-rate", Kind::Prob, kMem, "0", 0, 1,
+     "metadata soft-error probability"},
+    {"fault-seed", Kind::U64, kMem, nullptr, 0, kNoMax,
+     "fault-injection stream seed (default 0xfa017)"},
+    {"max-retries", Kind::U32, kMem, "3", 0, 64,
+     "compressed resends before raw fallback"},
+    {"crc-bits", Kind::Choice, kMem, "16", 0, 0, "frame CRC width",
+     crcWidths},
+    {"audit-period", Kind::U64, kMem, "500000", 1000, kNoMax,
+     "cycles between invariant audits"},
+    {"arq-watchdog", Kind::U64, kRatio | kThroughput, "0", 0, kNoMax,
+     "retry-cycle budget before a timeout, exit 3 (0 = unbounded)"},
+    {"strict-desync", Kind::Switch, kMem, nullptr, 0, 0,
+     "end the run at the first desync, exit 3, instead of recovering"},
+
+    // throughput
+    {"threads", Kind::U32, kThroughput, "2048", 1, kNoMax,
+     "threads sharing the link"},
+    {"group", Kind::U32, kThroughput, "8", 1, kNoMax,
+     "threads simulated in detail, at most --threads"},
+    {"warmup", Kind::U64, kThroughput, nullptr, 0, kNoMax,
+     "warm-up ops per thread (default 4 x --ops)"},
+
+    // coherence and numa
+    {"nodes", Kind::U32, kCoherence | kNuma, "4", 2, 64, "chips"},
+    {"replicas", Kind::U32, kCoherence, "1", 1, 1024,
+     "independent replica systems, stats merged in replica order"},
+    {"jobs", Kind::U32, kCoherence, "1", 0, 256,
+     "worker threads for the replicas (0 = all hardware threads); "
+     "output is the same for every value"},
+
+    // chaos: crash/recovery soak (DESIGN.md §12)
+    {"crashes", Kind::U32, kChaos, "10", 1, 10000,
+     "endpoint crash/restart events"},
+    {"corrupt-prob", Kind::Prob, kChaos, "0.4", 0, 1,
+     "probability a checkpoint image is damaged before reload"},
+    {"ckpt-dir", Kind::Str, kChaos, nullptr, 0, 0,
+     "round-trip checkpoints through files in this directory"},
+    {"chaos-out", Kind::Str, kChaos, nullptr, 0, 0,
+     "report file (schema cable-chaos-v1)"},
+    {"no-watchdog", Kind::Switch, kChaos, nullptr, 0, 0,
+     "skip the ARQ-watchdog timeout scenario"},
+
+    // ratio telemetry (DESIGN.md §13-14)
+    {"metrics-out", Kind::Str, kRatio, nullptr, 0, 0,
+     "metrics file (schema cable-metrics-v1); records stage spans"},
+    {"trace-out", Kind::Str, kRatio, nullptr, 0, 0,
+     "per-line trace event file"},
+    {"trace-format", Kind::Choice, kRatio, "jsonl", 0, 0,
+     "trace file format", traceFormats},
+    {"trace-sample", Kind::U64, kRatio, "1", 1, kNoMax,
+     "keep 1 in N encode events (control events always pass)"},
+    {"critpath-out", Kind::Str, kRatio, nullptr, 0, 0,
+     "critical-path report (schema cable-critpath-v1)"},
+    {"critpath-sample", Kind::U64, kRatio, "64", 1, kNoMax,
+     "record stage spans on 1 in N transfers"},
+    {"stats-interval", Kind::U64, kRatio, nullptr, 1, kNoMax,
+     "epoch stats snapshot every N ops"},
+    {"live-stats", Kind::U64, kRatio, nullptr, 1, kNoMax,
+     "print a JSONL link-health line every N ops"},
+    {"phase-out", Kind::Str, kRatio, nullptr, 0, 0,
+     "phase report (schema cable-phases-v1); needs an epoch stream"},
+};
+
+/** The row of @p name that @p cmds read, or nullptr. */
+const Flag *
+findFlag(const std::string &name, unsigned cmds)
+{
+    for (const Flag &f : kFlags)
+        if (name == f.name && (f.cmds & cmds))
+            return &f;
+    return nullptr;
+}
+
+/** "in [lo, hi]", "in (lo, hi]" or "at least lo". */
+std::string
+rangeText(const Flag &f)
+{
+    char buf[64];
+    if (f.hi == kNoMax)
+        std::snprintf(buf, sizeof(buf), "at least %.15g", f.lo);
+    else
+        std::snprintf(buf, sizeof(buf), "in %c%.15g, %.15g]",
+                      f.kind == Kind::Real ? '(' : '[', f.lo, f.hi);
+    return buf;
+}
+
+/** Fails unless @p text is a value @p f accepts. */
+void
+checkValue(const Flag &f, const std::string &text)
+{
+    const char *t = text.c_str();
+    if (f.kind == Kind::Switch || f.kind == Kind::Str)
+        return;
+    if (f.kind == Kind::Choice) {
+        Names names = f.choices();
+        if (std::find(names.begin(), names.end(), text) == names.end())
+            fail("--%s must be one of: %s; got '%s'", f.name,
+                 joined(names, "").c_str(), t);
+        return;
     }
-}
-
-Args
-parse(int argc, char **argv)
-{
-    Args a;
-    if (argc >= 2)
-        a.command = argv[1];
-    int i = 2;
-    if (i < argc && argv[i][0] != '-')
-        a.benchmark = argv[i++];
-    for (; i < argc; ++i) {
-        const char *arg = argv[i];
-        if (arg[0] != '-' || arg[1] != '-')
-            fail("unexpected argument '%s' (options start with --)",
-                 arg);
-        std::string flag(arg + 2);
-        if (flag.empty())
-            fail("empty option name '--'");
-        bool boolean = kBoolFlags.count(flag) != 0;
-        // A following token is this flag's value unless it looks
-        // like another option. A leading '-' followed by a digit is
-        // a (negative) number, not an option — consuming it lets
-        // the numeric validators reject e.g. '--critpath-sample -5'
-        // with the actionable out-of-range message instead of a
-        // misleading "expects a value".
-        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
-        bool next_is_value =
-            next
-            && (next[0] != '-'
-                || (next[1] >= '0' && next[1] <= '9'));
-        if (next_is_value)
-            a.flags[flag] = argv[++i];
-        else if (boolean)
-            a.flags[flag] = "1";
-        else
-            fail("--%s expects a value (e.g. '--%s <value>')",
-                 flag.c_str(), flag.c_str());
+    double v;
+    if (f.kind == Kind::U64 || f.kind == Kind::U32) {
+        if (text.empty()
+            || text.find_first_not_of("0123456789") != std::string::npos)
+            fail("--%s expects a non-negative integer, got '%s'", f.name,
+                 t);
+        errno = 0;
+        unsigned long long n = std::strtoull(t, nullptr, 10);
+        if (errno == ERANGE
+            || (f.kind == Kind::U32
+                && n > std::numeric_limits<std::uint32_t>::max()))
+            fail("--%s value '%s' does not fit in %d bits", f.name, t,
+                 f.kind == Kind::U32 ? 32 : 64);
+        v = static_cast<double>(n);
+    } else {
+        errno = 0;
+        char *end = nullptr;
+        v = std::strtod(t, &end);
+        if (text.empty() || end != t + text.size() || !std::isfinite(v))
+            fail("--%s expects a finite number, got '%s'", f.name, t);
+        if (errno == ERANGE)
+            fail("--%s value '%s' out of range", f.name, t);
     }
-    return a;
+    if (v < f.lo || v > f.hi || (f.kind == Kind::Real && v == f.lo))
+        fail("--%s must be %s, got '%s'", f.name, rangeText(f).c_str(),
+             t);
 }
 
-int
-usage()
+/** A parsed command line; every flag in it passed checkValue. */
+struct Args
 {
-    std::fprintf(
-        stderr,
-        "usage: cable_sim <list|ratio|throughput|coherence|numa"
-        "|chaos> [benchmark] [--flag value ...]\n"
-        "run 'cable_sim list' for benchmarks and schemes.\n");
-    return 2;
-}
+    std::string command;
+    unsigned cmd = 0; // the command's Cmd bit
+    std::string benchmark;
+    std::map<std::string, std::string> given;
 
-void
-checkBenchmark(const std::string &name)
-{
-    for (const auto &known : spec2006Benchmarks())
-        if (known == name)
-            return;
-    fail("unknown benchmark '%s' (run 'cable_sim list' to see them)",
-         name.c_str());
-}
+    bool has(const char *k) const { return given.count(k) > 0; }
 
-void
-checkScheme(const std::string &scheme)
-{
-    if (!nameSet(schemeNames()).count(scheme))
-        fail("unknown scheme '%s' (run 'cable_sim list' to see them)",
-             scheme.c_str());
-}
+    /** The given value, else the row's default, else "". A flag the
+     *  command does not read takes the default of a row that has it. */
+    std::string
+    str(const char *k) const
+    {
+        auto it = given.find(k);
+        if (it != given.end())
+            return it->second;
+        const Flag *f = findFlag(k, cmd);
+        if (!f && !(f = findFlag(k, ~0u)))
+            panic("cable_sim reads undeclared flag --%s", k);
+        return f->dflt ? f->dflt : "";
+    }
+
+    std::uint64_t
+    u64(const char *k) const
+    {
+        return std::strtoull(str(k).c_str(), nullptr, 10);
+    }
+    unsigned u32(const char *k) const { return static_cast<unsigned>(u64(k)); }
+    double
+    real(const char *k) const
+    {
+        return std::strtod(str(k).c_str(), nullptr);
+    }
+};
 
 MemSystemConfig
 memCfg(const Args &a)
 {
     MemSystemConfig cfg;
-    cfg.scheme = a.str("scheme", "cable");
-    checkScheme(cfg.scheme);
-    cfg.seed = a.num("seed", 1);
+    cfg.scheme = a.str("scheme");
+    cfg.seed = a.u64("seed");
 
-    std::uint64_t llc_kb = a.num("llc-kb", 1024);
-    std::uint64_t l4_kb = a.num("l4-kb", 4096);
-    if (llc_kb < 64)
-        fail("--llc-kb must be at least 64 (a few sets), got %llu",
-             static_cast<unsigned long long>(llc_kb));
+    std::uint64_t llc_kb = a.u64("llc-kb");
+    std::uint64_t l4_kb = a.u64("l4-kb");
     if (l4_kb < llc_kb)
         fail("--l4-kb (%llu) must be >= --llc-kb (%llu): the home "
              "cache must contain the remote cache",
@@ -355,80 +363,28 @@ memCfg(const Args &a)
              static_cast<unsigned long long>(llc_kb));
     cfg.llc_bytes_per_thread = llc_kb << 10;
     cfg.l4_bytes_per_thread = l4_kb << 10;
-
-    std::uint64_t link_bits = a.num("link-bits", 16);
-    if (link_bits < 1 || link_bits > 512)
-        fail("--link-bits must be in [1, 512], got %llu",
-             static_cast<unsigned long long>(link_bits));
-    cfg.link.width_bits = static_cast<unsigned>(link_bits);
-
-    cfg.cable.engine = a.str("engine", "lbe");
-    if (!nameSet(delegateEngineNames()).count(cfg.cable.engine))
-        fail("unknown delegate engine '%s' (run 'cable_sim list')",
-             cfg.cable.engine.c_str());
-
-    std::uint64_t accesses = a.num("accesses", 6);
-    if (accesses < 1 || accesses > 64)
-        fail("--accesses must be in [1, 64], got %llu",
-             static_cast<unsigned long long>(accesses));
-    cfg.cable.data_accesses = static_cast<unsigned>(accesses);
-
-    std::uint64_t max_refs = a.num("max-refs", 3);
-    if (max_refs < 1 || max_refs > 3)
-        fail("--max-refs must be in [1, 3] (2-bit wire field), "
-             "got %llu",
-             static_cast<unsigned long long>(max_refs));
-    cfg.cable.max_refs = static_cast<unsigned>(max_refs);
-
-    double ht_factor = a.real("ht-factor", 0.0);
-    if (a.has("ht-factor")) {
-        if (ht_factor <= 0.0 || ht_factor > 16.0)
-            fail("--ht-factor must be in (0, 16], got %s",
-                 a.str("ht-factor", "").c_str());
-        cfg.cable.home_ht_factor = ht_factor;
-        cfg.cable.remote_ht_factor = ht_factor;
-    }
-
-    std::uint64_t prefetch = a.num("prefetch", 0);
-    if (prefetch > 16)
-        fail("--prefetch degree must be at most 16, got %llu",
-             static_cast<unsigned long long>(prefetch));
-    cfg.prefetch_degree = static_cast<unsigned>(prefetch);
+    cfg.link.width_bits = a.u32("link-bits");
+    cfg.cable.engine = a.str("engine");
+    cfg.cable.data_accesses = a.u32("accesses");
+    cfg.cable.max_refs = a.u32("max-refs");
+    if (a.has("ht-factor"))
+        cfg.cable.home_ht_factor = cfg.cable.remote_ht_factor =
+            a.real("ht-factor");
+    cfg.prefetch_degree = a.u32("prefetch");
     cfg.timing = a.has("timing");
 
     // --- fault injection ---------------------------------------------
-    cfg.fault.bit_error_rate = a.probability("fault-rate");
-    cfg.fault.burst_rate = a.probability("burst-rate");
-    cfg.fault.drop_sync_rate = a.probability("drop-sync-rate");
-    cfg.fault.meta_corrupt_rate = a.probability("meta-rate");
-    cfg.fault.seed = a.num("fault-seed", cfg.fault.seed);
-
-    std::uint64_t burst_len = a.num("burst-len", cfg.fault.burst_len);
-    if (burst_len < 1 || burst_len > 512)
-        fail("--burst-len must be in [1, 512], got %llu",
-             static_cast<unsigned long long>(burst_len));
-    cfg.fault.burst_len = static_cast<unsigned>(burst_len);
-
-    std::uint64_t max_retries =
-        a.num("max-retries", cfg.cable.max_retries);
-    if (max_retries > 64)
-        fail("--max-retries must be at most 64, got %llu",
-             static_cast<unsigned long long>(max_retries));
-    cfg.cable.max_retries = static_cast<unsigned>(max_retries);
-
-    std::uint64_t crc_bits = a.num("crc-bits", cfg.cable.frame_crc_bits);
-    if (crc_bits != 0 && crc_bits != 8 && crc_bits != 16)
-        fail("--crc-bits must be 0, 8 or 16, got %llu",
-             static_cast<unsigned long long>(crc_bits));
-    cfg.cable.frame_crc_bits = static_cast<unsigned>(crc_bits);
-
-    std::uint64_t audit = a.num("audit-period", cfg.fault_audit_period);
-    if (audit < 1000)
-        fail("--audit-period must be at least 1000 cycles, got %llu",
-             static_cast<unsigned long long>(audit));
-    cfg.fault_audit_period = audit;
-
-    cfg.cable.arq_watchdog_cycles = a.num("arq-watchdog", 0);
+    cfg.fault.bit_error_rate = a.real("fault-rate");
+    cfg.fault.burst_rate = a.real("burst-rate");
+    cfg.fault.drop_sync_rate = a.real("drop-sync-rate");
+    cfg.fault.meta_corrupt_rate = a.real("meta-rate");
+    if (a.has("fault-seed"))
+        cfg.fault.seed = a.u64("fault-seed");
+    cfg.fault.burst_len = a.u32("burst-len");
+    cfg.cable.max_retries = a.u32("max-retries");
+    cfg.cable.frame_crc_bits = a.u32("crc-bits");
+    cfg.fault_audit_period = a.u64("audit-period");
+    cfg.cable.arq_watchdog_cycles = a.u64("arq-watchdog");
     cfg.cable.strict_desync = a.has("strict-desync");
     if (cfg.cable.strict_desync && cfg.scheme != "cable")
         fail("--strict-desync requires --scheme cable");
@@ -443,89 +399,6 @@ memCfg(const Args &a)
         fail("wire fault injection with --crc-bits 0 would deliver "
              "corrupt frames undetected; use --crc-bits 8 or 16");
     return cfg;
-}
-
-/** Parsed --metrics-out / --trace-* / --stats-interval options. */
-struct TelemetryArgs
-{
-    std::string metrics_path;
-    std::string trace_path;
-    std::string critpath_path;
-    std::string phases_path;
-    std::string trace_format = "jsonl";
-    std::uint64_t trace_sample = 1;
-    std::uint64_t critpath_sample = 64;
-    std::uint64_t stats_interval = 0; // ops per epoch; 0 = off
-    std::uint64_t live_stats = 0;     // ops per status line; 0 = off
-
-    /** Stage-span recording is on when any consumer of the critpath
-     *  report (standalone or metrics section) asked for it. */
-    bool
-    wantCritPath() const
-    {
-        return !critpath_path.empty() || !metrics_path.empty();
-    }
-
-    /** The phase detector runs for the report and/or the phase
-     *  annotations on live status lines. */
-    bool
-    wantPhases() const
-    {
-        return !phases_path.empty() || live_stats > 0;
-    }
-
-    /** Ops per epoch of the single epoch stream that drives stats
-     *  deltas, live lines and phase detection alike. */
-    std::uint64_t
-    epochInterval() const
-    {
-        return stats_interval ? stats_interval : live_stats;
-    }
-};
-
-TelemetryArgs
-telemetryArgs(const Args &a)
-{
-    TelemetryArgs t;
-    t.metrics_path = a.str("metrics-out", "");
-    t.trace_path = a.str("trace-out", "");
-    t.trace_format = a.str("trace-format", "jsonl");
-    if (t.trace_format != "jsonl" && t.trace_format != "chrome")
-        fail("--trace-format must be 'jsonl' or 'chrome', got '%s'",
-             t.trace_format.c_str());
-    t.trace_sample = a.num("trace-sample", 1);
-    if (t.trace_sample < 1)
-        fail("--trace-sample must be at least 1 (1 = every event)");
-    t.critpath_path = a.str("critpath-out", "");
-    t.critpath_sample = a.num("critpath-sample", 64);
-    if (t.critpath_sample < 1)
-        fail("--critpath-sample must be at least 1 "
-             "(1 = every transfer)");
-    t.stats_interval = a.num("stats-interval", 0);
-    if (a.has("stats-interval") && t.stats_interval < 1)
-        fail("--stats-interval must be at least 1 op");
-    t.live_stats = a.num("live-stats", 0);
-    if (a.has("live-stats") && t.live_stats < 1)
-        fail("--live-stats must be at least 1 op");
-    if (t.stats_interval && t.live_stats
-        && t.stats_interval != t.live_stats)
-        fail("--live-stats (%llu) and --stats-interval (%llu) must "
-             "agree when both are given: one epoch stream drives "
-             "stats deltas, live lines and phase detection",
-             static_cast<unsigned long long>(t.live_stats),
-             static_cast<unsigned long long>(t.stats_interval));
-    t.phases_path = a.str("phase-out", "");
-    if (!t.phases_path.empty() && t.epochInterval() == 0)
-        fail("--phase-out requires an epoch stream: pass "
-             "--stats-interval K (or --live-stats K) to define "
-             "the detector's epochs");
-    if (t.trace_path.empty()
-        && (a.has("trace-format") || a.has("trace-sample")))
-        fail("--trace-format/--trace-sample require --trace-out");
-    if (a.has("critpath-sample") && !t.wantCritPath())
-        fail("--critpath-sample requires --critpath-out or "
-             "--metrics-out");
-    return t;
 }
 
 /** One epoch snapshot: stats delta over [prev op target, this one]. */
@@ -583,101 +456,54 @@ spanOverhead(const SpanRecorder &rec)
 }
 
 /**
- * Writes the standalone cable-critpath-v1 document: run identity,
- * the span-sampling period, and the analyzer's per-stage bottleneck
- * attribution (tools/check_metrics.py validates the schema;
- * tools/critpath.py recomputes the same report from a JSONL trace).
+ * Writes one JSON document to @p path, the file --@p flag names:
+ * {"schema": @p schema, "tool": "cable_sim", ...what @p body writes}
+ * and a newline. A failed open or write is a usage error.
+ * tools/check_metrics.py validates every schema written here.
  */
+template <typename Body>
 void
-writeCritPath(const TelemetryArgs &tel, const Args &a,
-              const MemSystemConfig &cfg, std::uint64_t ops,
-              MemLinkSystem &sys, const CritPathAnalyzer &analyzer)
+writeJson(const std::string &path, const char *flag, const char *schema,
+          Body &&body)
 {
-    std::ofstream os(tel.critpath_path);
+    std::ofstream os(path);
     if (!os)
-        fail("cannot open --critpath-out file '%s'",
-             tel.critpath_path.c_str());
+        fail("cannot open --%s file '%s'", flag, path.c_str());
     JsonWriter jw(os);
     jw.beginObject();
-    jw.field("schema", "cable-critpath-v1");
+    jw.field("schema", schema);
     jw.field("tool", "cable_sim");
-    jw.field("command", a.command);
-    jw.field("benchmark", a.benchmark);
-    jw.field("scheme", cfg.scheme);
-    jw.field("ops", ops);
-    jw.field("seed", cfg.seed);
-    jw.field("sample", tel.critpath_sample);
-    jw.key("critpath");
-    CritPathOverhead oh = spanOverhead(sys.protocol().spanRecorder());
-    analyzer.writeReport(jw, &oh);
+    body(jw);
     jw.endObject();
     os << "\n";
     if (!os)
-        fail("write to --critpath-out file '%s' failed",
-             tel.critpath_path.c_str());
+        fail("write to --%s file '%s' failed", flag, path.c_str());
 }
 
-/**
- * Writes the standalone cable-phases-v1 document: run identity, the
- * epoch interval and the detector's full report — config, boundary
- * list and per-phase summaries. Reruns with the same seed produce a
- * byte-identical file (ctest compares two), and tools/phases.py
- * recomputes the same boundaries from the metrics epochs.
- */
+/** The run identity the ratio documents open with. */
 void
-writePhases(const TelemetryArgs &tel, const Args &a,
-            const MemSystemConfig &cfg, std::uint64_t ops,
-            const PhaseDetector &detector)
+writeIdentity(JsonWriter &jw, const Args &a, const MemSystemConfig &cfg)
 {
-    std::ofstream os(tel.phases_path);
-    if (!os)
-        fail("cannot open --phase-out file '%s'",
-             tel.phases_path.c_str());
-    JsonWriter jw(os);
-    jw.beginObject();
-    jw.field("schema", "cable-phases-v1");
-    jw.field("tool", "cable_sim");
     jw.field("command", a.command);
     jw.field("benchmark", a.benchmark);
     jw.field("scheme", cfg.scheme);
-    jw.field("ops", ops);
-    jw.field("seed", cfg.seed);
-    jw.field("interval", tel.epochInterval());
-    jw.key("phases");
-    detector.writeReport(jw);
-    jw.endObject();
-    os << "\n";
-    if (!os)
-        fail("write to --phase-out file '%s' failed",
-             tel.phases_path.c_str());
 }
 
 /**
- * Writes the cable-metrics-v1 JSON document: run identity, derived
- * results, the full counter/histogram/distribution sets, per-epoch
+ * Writes the body of the cable-metrics-v1 document: run identity,
+ * derived results, the full counter/histogram/sketch sets, per-epoch
  * deltas and the trace-file cross-reference tools/check_metrics.py
  * validates against the trace itself.
  */
 void
-writeMetrics(const TelemetryArgs &tel, const Args &a,
+writeMetrics(JsonWriter &jw, const Args &a,
              const MemSystemConfig &cfg, std::uint64_t ops,
              MemLinkSystem &sys, const std::vector<Epoch> &epochs,
              const SamplingTraceSink *sampler,
              const StatSet *structures,
              const CritPathAnalyzer *critpath)
 {
-    std::ofstream os(tel.metrics_path);
-    if (!os)
-        fail("cannot open --metrics-out file '%s'",
-             tel.metrics_path.c_str());
-    JsonWriter jw(os);
-    jw.beginObject();
-    jw.field("schema", "cable-metrics-v1");
-    jw.field("tool", "cable_sim");
-    jw.field("command", a.command);
-    jw.field("benchmark", a.benchmark);
-    jw.field("scheme", cfg.scheme);
-
+    writeIdentity(jw, a, cfg);
     jw.key("config");
     jw.beginObject();
     jw.field("ops", ops);
@@ -685,9 +511,9 @@ writeMetrics(const TelemetryArgs &tel, const Args &a,
     jw.field("engine", cfg.cable.engine);
     jw.field("link_bits", cfg.link.width_bits);
     jw.field("timing", cfg.timing);
-    jw.field("stats_interval", tel.stats_interval);
+    jw.field("stats_interval", a.u64("stats-interval"));
     jw.field("critpath_sample",
-             critpath ? tel.critpath_sample : 0);
+             critpath ? a.u64("critpath-sample") : 0);
     jw.endObject();
 
     const StatSet &st = sys.protocol().stats();
@@ -763,9 +589,9 @@ writeMetrics(const TelemetryArgs &tel, const Args &a,
     if (sampler) {
         jw.key("trace");
         jw.beginObject();
-        jw.field("file", tel.trace_path);
-        jw.field("format", tel.trace_format);
-        jw.field("sample", tel.trace_sample);
+        jw.field("file", a.str("trace-out"));
+        jw.field("format", a.str("trace-format"));
+        jw.field("sample", a.u64("trace-sample"));
         jw.field("encode_seen", sampler->encodeSeen());
         jw.field("events", sampler->emitted());
         jw.endObject();
@@ -785,11 +611,6 @@ writeMetrics(const TelemetryArgs &tel, const Args &a,
     } else {
         jw.nullField("critpath");
     }
-    jw.endObject();
-    os << "\n";
-    if (!os)
-        fail("write to --metrics-out file '%s' failed",
-             tel.metrics_path.c_str());
 }
 
 void
@@ -803,26 +624,19 @@ printFaultStats(MemLinkSystem &sys)
     std::printf("faults injected    %llu\n",
                 static_cast<unsigned long long>(
                     inj.get("faults_injected")));
-    std::printf("crc detected       %llu\n",
-                static_cast<unsigned long long>(
-                    ch.get("crc_detected")));
-    std::printf("retransmits        %llu\n",
-                static_cast<unsigned long long>(
-                    ch.get("retransmits")));
-    std::printf("raw fallbacks      %llu\n",
-                static_cast<unsigned long long>(
-                    ch.get("raw_fallbacks")));
-    std::printf("desync recoveries  %llu\n",
-                static_cast<unsigned long long>(
-                    ch.get("desync_recoveries")));
-    std::printf("degraded cycles    %llu\n",
-                static_cast<unsigned long long>(
-                    ch.get("degraded_cycles")));
+    for (const char *name : {"crc_detected", "retransmits",
+                             "raw_fallbacks", "desync_recoveries",
+                             "degraded_cycles"}) {
+        std::string label = name;
+        std::replace(label.begin(), label.end(), '_', ' ');
+        std::printf("%-19s%llu\n", label.c_str(),
+                    static_cast<unsigned long long>(ch.get(name)));
+    }
     std::printf("goodput ratio      %.3fx\n", sys.goodputRatio());
 }
 
 int
-cmdList()
+cmdList(const Args &)
 {
     std::printf("benchmarks (zero/value-dominant marked *):\n ");
     for (const auto &name : spec2006Benchmarks())
@@ -838,14 +652,40 @@ cmdList()
 int
 cmdRatio(const Args &a)
 {
-    std::set<std::string> allowed = kMemFlags;
-    allowed.insert(kTelemetryFlags.begin(), kTelemetryFlags.end());
-    checkFlags(a, allowed);
     MemSystemConfig cfg = memCfg(a);
-    TelemetryArgs tel = telemetryArgs(a);
-    std::uint64_t ops = a.num("ops", 400000);
-    if (ops < 1)
-        fail("--ops must be at least 1");
+    std::uint64_t ops = a.u64("ops");
+    // Telemetry outputs (an empty path is off) and their rules.
+    const std::string metrics_path = a.str("metrics-out");
+    const std::string trace_path = a.str("trace-out");
+    const std::string critpath_path = a.str("critpath-out");
+    const std::string phases_path = a.str("phase-out");
+    const std::uint64_t live_stats = a.u64("live-stats");
+    // One epoch stream drives stats deltas, live lines and phase
+    // detection alike.
+    const std::uint64_t interval =
+        a.has("stats-interval") ? a.u64("stats-interval") : live_stats;
+    if (live_stats && interval != live_stats)
+        fail("--live-stats (%llu) and --stats-interval (%llu) must "
+             "agree when both are given: one epoch stream drives "
+             "stats deltas, live lines and phase detection",
+             static_cast<unsigned long long>(live_stats),
+             static_cast<unsigned long long>(interval));
+    if (!phases_path.empty() && interval == 0)
+        fail("--phase-out requires an epoch stream: pass "
+             "--stats-interval K (or --live-stats K) to define "
+             "the detector's epochs");
+    if (trace_path.empty()
+        && (a.has("trace-format") || a.has("trace-sample")))
+        fail("--trace-format/--trace-sample require --trace-out");
+    // Stage spans are recorded for either consumer of the critpath
+    // report (standalone or metrics section); the phase detector runs
+    // for its report and for the live lines' phase field.
+    const bool want_critpath =
+        !critpath_path.empty() || !metrics_path.empty();
+    const bool want_phases = !phases_path.empty() || live_stats > 0;
+    if (a.has("critpath-sample") && !want_critpath)
+        fail("--critpath-sample requires --critpath-out or "
+             "--metrics-out");
     MemLinkSystem sys(cfg, {benchmarkProfile(a.benchmark)});
 
     // Trace sink chain: critpath analyzer tee → deterministic
@@ -857,23 +697,23 @@ cmdRatio(const Args &a)
     std::unique_ptr<SamplingTraceSink> sampler;
     CritPathAnalyzer analyzer;
     std::unique_ptr<AnalyzerTraceSink> analyzer_sink;
-    if (!tel.trace_path.empty()) {
-        trace_os.open(tel.trace_path);
+    if (!trace_path.empty()) {
+        trace_os.open(trace_path);
         if (!trace_os)
             fail("cannot open --trace-out file '%s'",
-                 tel.trace_path.c_str());
-        if (tel.trace_format == "chrome")
+                 trace_path.c_str());
+        if (a.str("trace-format") == "chrome")
             file_sink = std::make_unique<ChromeTraceSink>(trace_os);
         else
             file_sink = std::make_unique<JsonlTraceSink>(trace_os);
         sampler = std::make_unique<SamplingTraceSink>(
-            *file_sink, tel.trace_sample);
+            *file_sink, a.u64("trace-sample"));
     }
-    if (tel.wantCritPath()) {
+    if (want_critpath) {
         analyzer_sink = std::make_unique<AnalyzerTraceSink>(
             analyzer, sampler.get());
         sys.setTraceSink(analyzer_sink.get());
-        sys.setSpanSampling(tel.critpath_sample);
+        sys.setSpanSampling(a.u64("critpath-sample"));
     } else if (sampler) {
         sys.setTraceSink(sampler.get());
     }
@@ -881,95 +721,74 @@ cmdRatio(const Args &a)
     // feed the metrics export and the phase report; off otherwise so
     // plain runs pay nothing.
     CableChannel *cable_ch = sys.protocol().cableChannel();
-    if (cable_ch && (!tel.metrics_path.empty() || tel.wantPhases()))
+    if (cable_ch && (!metrics_path.empty() || want_phases))
         cable_ch->setSketchesEnabled(true);
 
     // The head of the sink chain sees the phase-boundary control
     // events (they always pass the sampler, like every non-Encode
     // type), so both trace formats carry the phase annotations.
-    TraceSink *trace_head =
-        analyzer_sink ? static_cast<TraceSink *>(analyzer_sink.get())
-                      : static_cast<TraceSink *>(sampler.get());
+    TraceSink *trace_head = sampler.get();
+    if (analyzer_sink)
+        trace_head = analyzer_sink.get();
 
     PhaseDetector detector;
-    std::uint64_t interval = tel.epochInterval();
     std::vector<Epoch> epochs;
-    try {
-        if (interval > 0) {
-            // run() targets absolute op counts and is re-entrant, so
-            // stepping epoch by epoch reproduces the single-run
-            // schedule.
-            StatSet prev;
-            std::uint64_t next = 0;
-            do {
-                next = std::min(next + interval, ops);
-                sys.run(next);
-                Epoch e{next, sys.protocol().stats().delta(prev)};
-                prev = sys.protocol().stats();
-                if (tel.wantPhases()
-                    && detector.observe(e.stats, next)
-                    && trace_head) {
-                    TraceEvent ev;
-                    ev.type = TraceEvent::Type::Phase;
-                    ev.when = next;
-                    ev.aux = detector.currentPhase();
-                    trace_head->emit(ev);
-                }
-                if (tel.live_stats > 0) {
-                    // One self-describing JSONL status line per
-                    // epoch: counters of the epoch just closed plus
-                    // the detector's current phase. Deliberately no
-                    // wall-clock field — reruns are byte-identical.
-                    double f[kPhaseFeatureCount];
-                    PhaseDetector::features(e.stats, f);
-                    JsonWriter jw(std::cout);
-                    jw.beginObject();
-                    jw.field("live", "cable-live-v1");
-                    jw.field("ops", next);
-                    jw.field("transfers",
-                             e.stats.get("transfers"));
-                    jw.field("wire_bits",
-                             e.stats.get("wire_bits"));
-                    jw.field("bit_ratio", f[2]);
-                    jw.field("hit_rate", f[0]);
-                    jw.field("coverage", f[1]);
-                    jw.field("phase", detector.currentPhase());
-                    jw.field("health",
-                             cable_ch && cable_ch->degraded()
-                                 ? "degraded"
-                                 : "healthy");
-                    jw.endObject();
-                    std::cout << "\n";
-                }
-                epochs.push_back(std::move(e));
-            } while (next < ops);
-            if (tel.wantPhases())
-                detector.finish();
-        } else {
-            sys.run(ops);
-        }
-    } catch (const CableDesyncError &e) {
-        // Only reachable under --strict-desync: recovery is the
-        // default; strict mode turns the first desync terminal.
-        std::fprintf(stderr, "cable_sim: strict desync: %s\n",
-                     e.what());
-        return 3;
-    } catch (const CableTimeoutError &e) {
-        // Only reachable with a finite --arq-watchdog budget.
-        std::fprintf(stderr, "cable_sim: ARQ watchdog: %s\n",
-                     e.what());
-        return 3;
+    if (interval > 0) {
+        // run() targets absolute op counts and is re-entrant, so
+        // stepping epoch by epoch reproduces the single-run schedule.
+        StatSet prev;
+        std::uint64_t next = 0;
+        do {
+            next = std::min(next + interval, ops);
+            sys.run(next);
+            Epoch e{next, sys.protocol().stats().delta(prev)};
+            prev = sys.protocol().stats();
+            if (want_phases && detector.observe(e.stats, next)
+                && trace_head) {
+                TraceEvent ev;
+                ev.type = TraceEvent::Type::Phase;
+                ev.when = next;
+                ev.aux = detector.currentPhase();
+                trace_head->emit(ev);
+            }
+            if (live_stats > 0) {
+                // One self-describing JSONL status line per epoch:
+                // counters of the epoch just closed plus the
+                // detector's current phase. Deliberately no
+                // wall-clock field — reruns are byte-identical.
+                double f[kPhaseFeatureCount];
+                PhaseDetector::features(e.stats, f);
+                JsonWriter jw(std::cout);
+                jw.beginObject();
+                jw.field("live", "cable-live-v1");
+                jw.field("ops", next);
+                jw.field("transfers", e.stats.get("transfers"));
+                jw.field("wire_bits", e.stats.get("wire_bits"));
+                jw.field("bit_ratio", f[2]);
+                jw.field("hit_rate", f[0]);
+                jw.field("coverage", f[1]);
+                jw.field("phase", detector.currentPhase());
+                jw.field("health", cable_ch && cable_ch->degraded()
+                                       ? "degraded"
+                                       : "healthy");
+                jw.endObject();
+                std::cout << "\n";
+            }
+            epochs.push_back(std::move(e));
+        } while (next < ops);
+        if (want_phases)
+            detector.finish();
+    } else {
+        sys.run(ops);
     }
 
     // End-of-run structure probe (before the trace flush so its
     // struct_snapshot control event lands in the stream).
     std::optional<StatSet> structures;
-    if (CableChannel *ch = sys.protocol().cableChannel())
-        structures = ch->snapshotStructures();
-    if (analyzer_sink)
-        analyzer_sink->flush();
-    else if (sampler)
-        sampler->flush();
+    if (cable_ch)
+        structures = cable_ch->snapshotStructures();
+    if (trace_head)
+        trace_head->flush();
 
     std::printf("benchmark          %s\n", a.benchmark.c_str());
     std::printf("scheme             %s\n", cfg.scheme.c_str());
@@ -991,38 +810,55 @@ cmdRatio(const Args &a)
         std::printf("--- protocol stats ---\n");
         sys.protocol().stats().dump(std::cout, "  ");
     }
-    if (!tel.metrics_path.empty())
-        writeMetrics(tel, a, cfg, ops, sys, epochs, sampler.get(),
-                     structures ? &*structures : nullptr,
-                     analyzer_sink ? &analyzer : nullptr);
-    if (!tel.critpath_path.empty())
-        writeCritPath(tel, a, cfg, ops, sys, analyzer);
-    if (!tel.phases_path.empty())
-        writePhases(tel, a, cfg, ops, detector);
+    if (!metrics_path.empty())
+        writeJson(metrics_path, "metrics-out", "cable-metrics-v1",
+                  [&](JsonWriter &jw) {
+                      writeMetrics(jw, a, cfg, ops, sys, epochs,
+                                   sampler.get(),
+                                   structures ? &*structures : nullptr,
+                                   analyzer_sink ? &analyzer : nullptr);
+                  });
+    // The analyzer's per-stage bottleneck attribution; tools/
+    // critpath.py recomputes the same report from a JSONL trace.
+    if (!critpath_path.empty())
+        writeJson(critpath_path, "critpath-out", "cable-critpath-v1",
+                  [&](JsonWriter &jw) {
+                      writeIdentity(jw, a, cfg);
+                      jw.field("ops", ops);
+                      jw.field("seed", cfg.seed);
+                      jw.field("sample", a.u64("critpath-sample"));
+                      jw.key("critpath");
+                      CritPathOverhead oh = spanOverhead(
+                          sys.protocol().spanRecorder());
+                      analyzer.writeReport(jw, &oh);
+                  });
+    // The detector's config, boundaries and per-phase summaries;
+    // tools/phases.py recomputes the same boundaries from the
+    // metrics epochs.
+    if (!phases_path.empty())
+        writeJson(phases_path, "phase-out", "cable-phases-v1",
+                  [&](JsonWriter &jw) {
+                      writeIdentity(jw, a, cfg);
+                      jw.field("ops", ops);
+                      jw.field("seed", cfg.seed);
+                      jw.field("interval", interval);
+                      jw.key("phases");
+                      detector.writeReport(jw);
+                  });
     return 0;
 }
 
 int
 cmdThroughput(const Args &a)
 {
-    std::set<std::string> allowed = kMemFlags;
-    allowed.insert(kThroughputFlags.begin(), kThroughputFlags.end());
-    checkFlags(a, allowed);
     MemSystemConfig cfg = memCfg(a);
-    cfg.timing = true;
-    std::uint64_t threads_n = a.num("threads", 2048);
-    std::uint64_t group_n = a.num("group", 8);
-    if (threads_n < 1)
-        fail("--threads must be at least 1");
-    if (group_n < 1 || group_n > threads_n)
-        fail("--group must be in [1, --threads], got %llu",
-             static_cast<unsigned long long>(group_n));
-    unsigned threads = static_cast<unsigned>(threads_n);
-    unsigned group = static_cast<unsigned>(group_n);
-    std::uint64_t ops = a.num("ops", 3000);
-    if (ops < 1)
-        fail("--ops must be at least 1");
-    std::uint64_t warmup = a.num("warmup", 4 * ops);
+    unsigned threads = a.u32("threads");
+    unsigned group = a.u32("group");
+    if (group > threads)
+        fail("--group (%u) must be at most --threads (%u)", group,
+             threads);
+    std::uint64_t ops = a.u64("ops");
+    std::uint64_t warmup = a.has("warmup") ? a.u64("warmup") : 4 * ops;
 
     ThroughputSim sim(cfg, benchmarkProfile(a.benchmark), threads,
                       group);
@@ -1037,47 +873,35 @@ cmdThroughput(const Args &a)
     return 0;
 }
 
+/** The multi-node set-up coherence and numa share: scheme, nodes,
+ *  seed, and hash tables a quarter of each cache. */
+template <typename Config>
+Config
+nodeCfg(const Args &a)
+{
+    Config cfg;
+    cfg.scheme = a.str("scheme");
+    cfg.nodes = a.u32("nodes");
+    cfg.seed = a.u64("seed");
+    cfg.cable.home_ht_factor = 0.25;
+    cfg.cable.remote_ht_factor = 0.25;
+    return cfg;
+}
+
 int
 cmdCoherence(const Args &a)
 {
-    std::set<std::string> allowed = kNodeFlags;
-    allowed.insert(kBatchFlags.begin(), kBatchFlags.end());
-    checkFlags(a, allowed);
-    MultiChipConfig cfg;
-    cfg.scheme = a.str("scheme", "cable");
-    checkScheme(cfg.scheme);
-    std::uint64_t nodes = a.num("nodes", 4);
-    if (nodes < 2 || nodes > 64)
-        fail("--nodes must be in [2, 64], got %llu",
-             static_cast<unsigned long long>(nodes));
-    cfg.nodes = static_cast<unsigned>(nodes);
-    cfg.seed = a.num("seed", 1);
-    cfg.cable.home_ht_factor = 0.25;
-    cfg.cable.remote_ht_factor = 0.25;
-    std::uint64_t ops = a.num("ops", 400000);
-    if (ops < 1)
-        fail("--ops must be at least 1");
-
-    std::uint64_t replicas = a.num("replicas", 1);
-    if (replicas < 1 || replicas > 1024)
-        fail("--replicas must be in [1, 1024], got %llu",
-             static_cast<unsigned long long>(replicas));
-    std::uint64_t jobs = a.num("jobs", 1);
-    if (jobs > 256)
-        fail("--jobs must be in [0, 256] (0 = all hardware "
-             "threads), got %llu",
-             static_cast<unsigned long long>(jobs));
-    unsigned njobs = jobs == 0 ? hardwareJobs()
-                               : static_cast<unsigned>(jobs);
+    auto cfg = nodeCfg<MultiChipConfig>(a);
+    unsigned replicas = a.u32("replicas");
+    unsigned jobs = a.u32("jobs");
 
     // The batch driver: R independent replica systems run across
     // the worker pool, stats merged in replica order — bit-identical
     // output for every --jobs value. One replica with the base seed
     // is exactly the legacy single-system run.
-    MultiChipBatch batch(cfg, benchmarkProfile(a.benchmark),
-                         static_cast<unsigned>(replicas));
+    MultiChipBatch batch(cfg, benchmarkProfile(a.benchmark), replicas);
     MultiChipBatchResult res =
-        batch.run(ops, static_cast<unsigned>(njobs));
+        batch.run(a.u64("ops"), jobs == 0 ? hardwareJobs() : jobs);
     std::printf("benchmark          %s\n", a.benchmark.c_str());
     if (replicas > 1)
         std::printf("scheme             %s, %u nodes, %u replicas\n",
@@ -1101,23 +925,9 @@ cmdCoherence(const Args &a)
 int
 cmdNuma(const Args &a)
 {
-    checkFlags(a, kNodeFlags);
-    NumaConfig cfg;
-    cfg.scheme = a.str("scheme", "cable");
-    checkScheme(cfg.scheme);
-    std::uint64_t nodes = a.num("nodes", 4);
-    if (nodes < 2 || nodes > 64)
-        fail("--nodes must be in [2, 64], got %llu",
-             static_cast<unsigned long long>(nodes));
-    cfg.nodes = static_cast<unsigned>(nodes);
-    cfg.seed = a.num("seed", 1);
-    cfg.cable.home_ht_factor = 0.25;
-    cfg.cable.remote_ht_factor = 0.25;
-    std::uint64_t ops = a.num("ops", 40000);
-    if (ops < 1)
-        fail("--ops must be at least 1");
+    auto cfg = nodeCfg<NumaConfig>(a);
     NumaSystem sys(cfg, benchmarkProfile(a.benchmark));
-    sys.run(ops);
+    sys.run(a.u64("ops"));
     std::printf("benchmark          %s\n", a.benchmark.c_str());
     std::printf("scheme             %s, %u nodes, 1 thread/node\n",
                 cfg.scheme.c_str(), cfg.nodes);
@@ -1132,18 +942,11 @@ cmdNuma(const Args &a)
     return 0;
 }
 
-/** Writes the cable-chaos-v1 report document. */
+/** Writes the body of the cable-chaos-v1 report document. */
 void
-writeChaosReport(const std::string &path, const Args &a,
-                 const ChaosConfig &cfg, const ChaosReport &r)
+writeChaosReport(JsonWriter &jw, const Args &a, const ChaosConfig &cfg,
+                 const ChaosReport &r)
 {
-    std::ofstream os(path);
-    if (!os)
-        fail("cannot open --chaos-out file '%s'", path.c_str());
-    JsonWriter jw(os);
-    jw.beginObject();
-    jw.field("schema", "cable-chaos-v1");
-    jw.field("tool", "cable_sim");
     jw.field("benchmark", a.benchmark);
     jw.field("ok", r.ok);
     jw.field("failure", r.failure);
@@ -1180,18 +983,11 @@ writeChaosReport(const std::string &path, const Args &a,
 
     jw.key("stats");
     r.subject_stats.dumpJson(jw);
-    jw.endObject();
-    os << "\n";
-    if (!os)
-        fail("write to --chaos-out file '%s' failed", path.c_str());
 }
 
 int
 cmdChaos(const Args &a)
 {
-    std::set<std::string> allowed = kMemFlags;
-    allowed.insert(kChaosFlags.begin(), kChaosFlags.end());
-    checkFlags(a, allowed);
     MemSystemConfig mem = memCfg(a);
     if (mem.scheme != "cable")
         fail("chaos requires --scheme cable; scheme '%s' has no "
@@ -1201,18 +997,11 @@ cmdChaos(const Args &a)
     ChaosConfig cfg;
     cfg.mem = mem;
     cfg.benchmark = a.benchmark;
-    cfg.ops = a.num("ops", 20000);
-    if (cfg.ops < 100)
-        fail("--ops must be at least 100 for a meaningful schedule");
+    cfg.ops = a.u64("ops");
     cfg.seed = mem.seed;
-    std::uint64_t crashes = a.num("crashes", 10);
-    if (crashes < 1 || crashes > 10000)
-        fail("--crashes must be in [1, 10000], got %llu",
-             static_cast<unsigned long long>(crashes));
-    cfg.crashes = static_cast<unsigned>(crashes);
-    cfg.corrupt_prob =
-        a.has("corrupt-prob") ? a.probability("corrupt-prob") : 0.4;
-    cfg.ckpt_dir = a.str("ckpt-dir", "");
+    cfg.crashes = a.u32("crashes");
+    cfg.corrupt_prob = a.real("corrupt-prob");
+    cfg.ckpt_dir = a.str("ckpt-dir");
     if (!cfg.ckpt_dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(cfg.ckpt_dir, ec);
@@ -1230,18 +1019,7 @@ cmdChaos(const Args &a)
         cfg.mem.fault.meta_corrupt_rate = 1e-3;
     }
 
-    ChaosReport r;
-    try {
-        r = runChaos(cfg);
-    } catch (const CableCheckpointError &e) {
-        // The harness rejects corrupt images internally; only real
-        // file-system trouble (unwritable --ckpt-dir, disk full)
-        // reaches this handler.
-        std::fprintf(stderr, "cable_sim: checkpoint I/O: %s\n",
-                     e.what());
-        return 2;
-    }
-
+    ChaosReport r = runChaos(cfg);
     std::printf("benchmark          %s\n", a.benchmark.c_str());
     std::printf("memory ops         %llu\n",
                 static_cast<unsigned long long>(cfg.ops));
@@ -1260,10 +1038,130 @@ cmdChaos(const Args &a)
         std::printf("--- subject stats ---\n");
         r.subject_stats.dump(std::cout, "  ");
     }
-    std::string out = a.str("chaos-out", "");
+    std::string out = a.str("chaos-out");
     if (!out.empty())
-        writeChaosReport(out, a, cfg, r);
+        writeJson(out, "chaos-out", "cable-chaos-v1",
+                  [&](JsonWriter &jw) { writeChaosReport(jw, a, cfg, r); });
     return r.ok ? 0 : 1;
+}
+
+/** The commands, in Cmd bit order. */
+const struct
+{
+    const char *name;
+    int (*run)(const Args &);
+} kCommands[] = {{"list", cmdList},           {"ratio", cmdRatio},
+                 {"throughput", cmdThroughput}, {"coherence", cmdCoherence},
+                 {"numa", cmdNuma},           {"chaos", cmdChaos}};
+
+/**
+ * Prints the synopsis and the options of command @p cmd, or of every
+ * command (each row naming its commands) when @p cmd is 0, to
+ * stderr; returns the usage-error exit code.
+ */
+int
+usage(unsigned cmd)
+{
+    std::fprintf(
+        stderr,
+        "usage: cable_sim <list|ratio|throughput|coherence|numa"
+        "|chaos> [benchmark] [--flag value ...]\n"
+        "run 'cable_sim list' for benchmarks and schemes.\n\n");
+    if (cmd)
+        std::fprintf(stderr, "%s options:\n",
+                     kCommands[std::countr_zero(cmd)].name);
+    else
+        std::fprintf(stderr, "options [commands that read them]:\n");
+    static const char *const kPlaceholder[] = {"",  "N", "N", "F",
+                                               "P", "S", "NAME"};
+    for (const Flag &f : kFlags) {
+        if (cmd && !(f.cmds & cmd))
+            continue;
+        std::string text = f.help;
+        if (f.choices)
+            text += ": " + joined(f.choices(), "");
+        else if (f.kind != Kind::Switch && f.kind != Kind::Str
+                 && (f.lo > 0 || f.hi != kNoMax))
+            text += ", " + rangeText(f);
+        if (f.dflt)
+            text += std::string(" (default ") + f.dflt + ")";
+        if (!cmd) {
+            std::set<std::string> readers;
+            for (unsigned i = 0; i < std::size(kCommands); ++i)
+                if (f.cmds & (1u << i))
+                    readers.insert(kCommands[i].name);
+            text += " [" + joined(readers, "") + "]";
+        }
+        std::string flag = f.name;
+        if (f.kind != Kind::Switch)
+            flag += std::string(" ") + kPlaceholder[static_cast<int>(f.kind)];
+        std::fprintf(stderr, "  --%-19s %s\n", flag.c_str(),
+                     text.c_str());
+    }
+    return 2;
+}
+
+/**
+ * Reads the command, the benchmark and every flag, checking each flag
+ * against kFlags as it goes: unknown, not read by the command,
+ * repeated, a switch given a value, a value missing or invalid.
+ */
+Args
+parse(int argc, char **argv)
+{
+    Args a;
+    if (argc < 2)
+        std::exit(usage(0));
+    a.command = argv[1];
+    for (unsigned i = 0; i < std::size(kCommands); ++i)
+        if (a.command == kCommands[i].name)
+            a.cmd = 1u << i;
+    if (!a.cmd) {
+        std::fprintf(stderr, "cable_sim: error: unknown command '%s'\n",
+                     a.command.c_str());
+        std::exit(usage(0));
+    }
+    int i = 2;
+    if (i < argc && argv[i][0] != '-')
+        a.benchmark = argv[i++];
+    for (; i < argc; ++i) {
+        const char *arg = argv[i];
+        if (arg[0] != '-' || arg[1] != '-')
+            fail("unexpected argument '%s' (options start with --)",
+                 arg);
+        std::string name(arg + 2);
+        const Flag *f = findFlag(name, a.cmd);
+        if (!f) {
+            std::set<std::string> accepted;
+            for (const Flag &g : kFlags)
+                if (g.cmds & a.cmd)
+                    accepted.insert(g.name);
+            fail("unknown option '--%s' for command '%s'; it accepts: %s",
+                 name.c_str(), a.command.c_str(),
+                 joined(accepted, "--").c_str());
+        }
+        if (a.given.count(name))
+            fail("--%s is given twice", name.c_str());
+        const char *next = i + 1 < argc ? argv[i + 1] : nullptr;
+        if (f->kind == Kind::Switch) {
+            if (next && (next[0] != '-' || next[1] != '-'))
+                fail("--%s is a switch and takes no value, got '%s'",
+                     name.c_str(), next);
+            a.given[name] = "1";
+            continue;
+        }
+        // The next token is this flag's value unless it looks like
+        // another option. A '-' then a digit is a (negative) number,
+        // so '--live-stats -3' gets the range message rather than a
+        // misleading "expects a value".
+        if (!next
+            || (next[0] == '-' && !(next[1] >= '0' && next[1] <= '9')))
+            fail("--%s expects a value (e.g. '--%s <value>')",
+                 name.c_str(), name.c_str());
+        checkValue(*f, next);
+        a.given[name] = argv[++i];
+    }
+    return a;
 }
 
 } // namespace
@@ -1272,37 +1170,37 @@ int
 main(int argc, char **argv)
 {
     Args a = parse(argc, argv);
-    if (a.has("log-level")) {
-        auto level = parseLogLevel(a.str("log-level", ""));
-        if (!level)
-            fail("--log-level must be quiet, warn, info or debug, "
-                 "got '%s'",
-                 a.str("log-level", "").c_str());
-        setLogLevel(*level);
+    if (a.has("log-level"))
+        setLogLevel(*parseLogLevel(a.str("log-level")));
+    if (a.cmd != kList) {
+        if (a.benchmark.empty()) {
+            std::fprintf(stderr,
+                         "cable_sim: error: command '%s' needs a "
+                         "benchmark, e.g. 'cable_sim %s mcf' (run "
+                         "'cable_sim list' to see them)\n",
+                         a.command.c_str(), a.command.c_str());
+            return usage(a.cmd);
+        }
+        if (!nameSet(spec2006Benchmarks()).count(a.benchmark))
+            fail("unknown benchmark '%s' (run 'cable_sim list' to see them)",
+                 a.benchmark.c_str());
     }
-    if (a.command == "list")
-        return cmdList();
-    if (a.command.empty())
-        return usage();
-    if (a.command != "ratio" && a.command != "throughput"
-        && a.command != "coherence" && a.command != "numa"
-        && a.command != "chaos") {
-        std::fprintf(stderr, "cable_sim: error: unknown command '%s'\n",
-                     a.command.c_str());
-        return usage();
+    try {
+        return kCommands[std::countr_zero(a.cmd)].run(a);
+    } catch (const CableDesyncError &e) {
+        // Only reachable under --strict-desync.
+        std::fprintf(stderr, "cable_sim: strict desync: %s\n", e.what());
+        return 3;
+    } catch (const CableTimeoutError &e) {
+        // Only reachable with a finite --arq-watchdog budget.
+        std::fprintf(stderr, "cable_sim: ARQ watchdog: %s\n", e.what());
+        return 3;
+    } catch (const CableCheckpointError &e) {
+        // The chaos harness rejects corrupt images internally; only
+        // real file-system trouble (unwritable --ckpt-dir, disk full)
+        // reaches this handler.
+        std::fprintf(stderr, "cable_sim: checkpoint I/O: %s\n",
+                     e.what());
+        return 2;
     }
-    if (a.benchmark.empty())
-        fail("command '%s' needs a benchmark, e.g. 'cable_sim %s mcf'"
-             " (run 'cable_sim list' to see them)",
-             a.command.c_str(), a.command.c_str());
-    checkBenchmark(a.benchmark);
-    if (a.command == "ratio")
-        return cmdRatio(a);
-    if (a.command == "throughput")
-        return cmdThroughput(a);
-    if (a.command == "coherence")
-        return cmdCoherence(a);
-    if (a.command == "chaos")
-        return cmdChaos(a);
-    return cmdNuma(a);
 }

@@ -89,8 +89,7 @@ SCHEMA_KEYS = {
     "cable-lint-v1": {"schema", "files", "findings"},
 }
 
-STATS_BLOCK_KEYS = {"counters", "histograms", "distributions",
-                    "sketches"}
+STATS_BLOCK_KEYS = {"counters", "histograms", "sketches"}
 
 strict = True
 errors = []
@@ -186,7 +185,7 @@ def check_ratio(results, key):
 
 
 def check_stats_block(stats, where):
-    for key in ("counters", "histograms", "distributions"):
+    for key in ("counters", "histograms"):
         if key not in stats:
             err(f"{where}: missing '{key}' block")
             return
@@ -544,11 +543,15 @@ def check_trajectory_v1(m):
         # Structure snapshots riding along (the retired
         # cable-structures-v1 document, in entries before it was
         # folded into the metrics "structures" section) get the full
-        # invariant check too.
+        # invariant check too. Those snapshots predate the removal of
+        # the always-empty "distributions" stats block.
         snap = e["benches"].get("ratio_mcf_structures")
         if isinstance(snap, dict) \
                 and snap.get("schema") == "cable-structures-v1":
-            check_structures(snap.get("structures", {}),
+            structures = dict(snap.get("structures", {}))
+            if structures.get("distributions") == {}:
+                del structures["distributions"]
+            check_structures(structures,
                              f"{where}.ratio_mcf_structures")
         cp = e["benches"].get("ratio_mcf_critpath")
         if isinstance(cp, dict) \
