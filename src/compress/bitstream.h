@@ -9,6 +9,7 @@
 #ifndef CABLE_COMPRESS_BITSTREAM_H
 #define CABLE_COMPRESS_BITSTREAM_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -270,6 +271,15 @@ class BitReader
             return take(nbits);
         const std::uint64_t hi = take(nbits - 32);
         return (hi << 32) | take(32);
+    }
+
+    /** Ends the stream after its first @p nbits bits (never before
+     *  the current position, never past the vector's end): reads
+     *  beyond the new end overrun. */
+    void
+    limit(std::size_t nbits)
+    {
+        size_ = std::max(pos_, std::min(nbits, size_));
     }
 
     std::size_t pos() const { return pos_; }

@@ -642,7 +642,7 @@ void
 CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
                           const CacheLine &original, Addr addr)
 {
-    if (!cfg_.verify_roundtrip || chosen.raw)
+    if (chosen.raw)
         return;
     // Receiver-side reconstruction from the receiver's own data
     // array. The reference list is scratch, reused across transfers.
@@ -795,7 +795,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
             traceControl(TraceEvent::Type::Retransmit, addr,
                          dir.writeback, attempt);
             t.retrans_bits += t.bits + t.crc_bits;
-            t.retry_cycles += cfg_.retry_backoff_cycles
+            t.retry_cycles += kRetryBackoffCycles
                               << std::min(attempt - 1, 16u);
             checkArqWatchdog(t, addr, dir.writeback);
         }
@@ -892,7 +892,7 @@ CableChannel::rawFallbackResend(Transfer &t, const CacheLine &original)
         }
         stats_.add("retransmits", 1);
         t.retries += 1;
-        t.retry_cycles += cfg_.retry_backoff_cycles
+        t.retry_cycles += kRetryBackoffCycles
                           << std::min(attempt, 16u);
     }
     spans_.close(sp, static_cast<std::uint16_t>(

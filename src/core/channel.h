@@ -85,8 +85,6 @@ struct CableConfig
      * exist at the home (the paper's suggested solution).
      */
     bool inclusive = true;
-    /** Decompress-and-compare every transfer (cheap; keep on). */
-    bool verify_roundtrip = true;
     /** Disable all compression (uncompressed baseline). */
     bool compression_enabled = true;
     /** H3 seed; vary per channel instance. */
@@ -102,8 +100,6 @@ struct CableConfig
     unsigned frame_crc_bits = 16;
     /** Compressed retransmits before the uncompressed escape hatch. */
     unsigned max_retries = 3;
-    /** Base NACK backoff in link cycles; doubles per retry. */
-    Cycles retry_backoff_cycles = 8;
     /** Clean transfers in degraded mode before re-arming references. */
     unsigned rearm_window = 256;
     /**
@@ -125,6 +121,9 @@ struct CableConfig
 
 /** Raw-fallback ARQ attempts before assuming link-layer recovery. */
 constexpr unsigned kRawResendCap = 8;
+
+/** Base NACK backoff in link cycles; doubles per retry. */
+constexpr Cycles kRetryBackoffCycles = 8;
 
 /** One data movement over the link. */
 struct Transfer

@@ -24,13 +24,22 @@
  *   EVBUF    0xA6  seq clock, counters, buffered entries
  *   COUNTERS 0xA7  every StatSet counter (name, value)
  *
+ * The body layout is written down once, as a walk over the sections
+ * that capture() runs with a writer and restore() with a reader, so
+ * the two directions cannot drift apart. Each range check sits beside
+ * the field it guards and does nothing when writing.
+ *
  * Load-time validation is exhaustive and typed: truncation, magic or
  * version skew, CRC mismatch, malformed sections and geometry
  * mismatches each raise CableCheckpointError with a distinct Kind —
- * never undefined behaviour. restore() parses the whole image into
- * temporaries before touching the channel (strong exception
- * guarantee). save() writes `path + ".tmp"` and renames, so a crash
- * mid-write never leaves a torn image at the published path.
+ * never undefined behaviour. The reader's BitReader is limited to the
+ * declared body, so a field past its end overruns and is rejected as
+ * a BadSection naming its section; no loop or allocation is sized by
+ * an image count the body cannot back. restore() walks the image into
+ * copies of the channel's structures and moves them in only once the
+ * whole image has validated (strong exception guarantee). save()
+ * writes `path + ".tmp"` and renames, so a crash mid-write never
+ * leaves a torn image at the published path.
  */
 
 #ifndef CABLE_CORE_CHECKPOINT_H
@@ -166,6 +175,16 @@ class ChannelCheckpoint
 
     /** Atomically writes an image's backing bytes to @p path. */
     static void writeImage(const BitVec &image, const std::string &path);
+
+  private:
+    /** The checkpointed state, over copies of the channel's
+     *  structures (checkpoint.cc). */
+    struct State;
+
+    /** The one definition of the body layout: capture() runs it with
+     *  a writer, restore() with a reader. */
+    template <class IO>
+    static void walk(IO &io, State &s);
 };
 
 } // namespace cable

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -562,6 +564,126 @@ TEST(CheckpointSections, EmptySlotNamingALineRejected)
     body[empty_set - kCkptHeaderBits + kCkptSetBits - 1] = true;
     expectBadSection(rig.channel, sealImage(body), digest0,
                      "empty slot naming set 1");
+}
+
+TEST(CheckpointSections, HugeCountInShortBodyRejectedTyped)
+{
+    // A body that ends right after a COUNTERS count of 2^32 - 1: the
+    // reader must stop at the body end instead of looping or
+    // allocating by the count.
+    Rig rig;
+    SyntheticMemory mem(similarValues(), 0, 22);
+    warm(rig, mem, 300, 22);
+    const BitVec image = ChannelCheckpoint::capture(rig.channel);
+    const std::uint64_t digest0 = fullDigest(rig.channel);
+
+    auto secs = walkSections(image);
+    ASSERT_EQ(secs.size(), 7u);
+    const Section &counters = secs[6];
+    ASSERT_EQ(counters.tag, kCkptTagCounters);
+    std::vector<bool> body =
+        bodyBits(image, counters.begin + kCkptSectionTagBits);
+    body.insert(body.end(), kCkptNumCountersBits, true);
+
+    auto t0 = std::chrono::steady_clock::now();
+    expectBadSection(rig.channel, sealImage(body), digest0,
+                     "huge counter count");
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(1));
+}
+
+namespace
+{
+
+/** Bits [sec.begin, sec.end) of @p image. */
+std::vector<bool>
+sectionBits(const BitVec &image, const Section &sec)
+{
+    std::vector<bool> bits;
+    for (std::size_t i = sec.begin; i < sec.end; ++i)
+        bits.push_back(image.bit(i));
+    return bits;
+}
+
+/** The (name, value) pairs of a COUNTERS section. */
+std::map<std::string, std::uint64_t>
+countersOf(const BitVec &image, const Section &sec)
+{
+    BitVec sub;
+    for (bool b : sectionBits(image, sec))
+        sub.pushBit(b);
+    BitReader r(sub);
+    EXPECT_EQ(r.get(kCkptSectionTagBits), kCkptTagCounters);
+    std::map<std::string, std::uint64_t> out;
+    std::uint64_t n = r.get(kCkptNumCountersBits);
+    for (std::uint64_t c = 0; c < n; ++c) {
+        std::string name(r.get(kCkptNameLenBits), ' ');
+        for (char &ch : name)
+            ch = static_cast<char>(r.get(kCkptByteBits));
+        out[name] = r.get(kCkptCountBits);
+    }
+    EXPECT_FALSE(r.overrun());
+    return out;
+}
+
+} // namespace
+
+TEST(Checkpoint, RestoreThenCaptureReproducesEverySection)
+{
+    // capture -> restore into a fresh channel -> capture must give
+    // back the same image, bit for bit, except where a restore is
+    // meant to differ: the epoch advances and checkpoint_restores is
+    // counted.
+    Rig rig;
+    SyntheticMemory mem(similarValues(), 0, 23);
+    warm(rig, mem, 600, 23);
+    // The channel acknowledges evictions at once, so EVBUF is empty
+    // unless entries are pushed by hand. Bytes that differ from
+    // their neighbours show any reordering.
+    CacheLine a, b;
+    for (unsigned i = 0; i < kLineBytes; ++i) {
+        a.setByte(i, static_cast<std::uint8_t>(3 * i + 1));
+        b.setByte(i, static_cast<std::uint8_t>(0xff - 5 * i));
+    }
+    (void)rig.channel.evictionBuffer().push(LineID(5, 2), a);
+    (void)rig.channel.evictionBuffer().push(LineID(300, 7), b);
+    const BitVec first = ChannelCheckpoint::capture(rig.channel);
+
+    Rig fresh;
+    ChannelCheckpoint::restore(fresh.channel, first);
+    const BitVec second = ChannelCheckpoint::capture(fresh.channel);
+
+    auto s1 = walkSections(first);
+    auto s2 = walkSections(second);
+    ASSERT_EQ(s1.size(), 7u);
+    ASSERT_EQ(s2.size(), 7u);
+    for (std::size_t i = 0; i + 1 < s1.size(); ++i) {
+        ASSERT_EQ(s1[i].tag, s2[i].tag);
+        std::vector<bool> x = sectionBits(first, s1[i]);
+        std::vector<bool> y = sectionBits(second, s2[i]);
+        if (s1[i].tag == kCkptTagChannel) {
+            // tag, health, healthy_streak, then the epoch.
+            const std::size_t at =
+                kCkptSectionTagBits + kCkptHealthBits + kCkptCountBits;
+            std::uint64_t e1 = 0, e2 = 0;
+            for (std::size_t k = at; k < at + kCkptCountBits; ++k) {
+                e1 = (e1 << 1) | x[k];
+                e2 = (e2 << 1) | y[k];
+                x[k] = y[k] = false;
+            }
+            EXPECT_EQ(e2, e1 + 1);
+        }
+        EXPECT_EQ(x, y) << "section 0x" << std::hex << s1[i].tag;
+    }
+    ASSERT_EQ(s1[5].tag, kCkptTagEvbuf);
+    ASSERT_GT(s1[5].end - s1[5].begin, 2 * kLineBytes * kCkptByteBits);
+
+    auto c1 = countersOf(first, s1[6]);
+    auto c2 = countersOf(second, s2[6]);
+    EXPECT_EQ(c1.count("checkpoint_restores"), 0u);
+    EXPECT_EQ(c2["checkpoint_restores"], 1u);
+    c2.erase("checkpoint_restores");
+    EXPECT_EQ(c1, c2);
 }
 
 TEST(Checkpoint, AtomicFileSaveLoad)

@@ -1,8 +1,7 @@
 // Fixture: a fully symmetric writer/reader pair with a contract
-// declaration, alias wrappers, a repeated body field, and the three
-// legitimate non-wire get() shapes (name-keyed accessor, smart
-// pointer, explicitly ignored plumbing). cable_verify.py must report
-// nothing for this file.
+// declaration, a repeated body field, and the two legitimate
+// non-wire get() shapes (name-keyed accessor, smart pointer).
+// cable_verify.py must report nothing for this file.
 
 #include <cstdint>
 #include <memory>
@@ -10,7 +9,6 @@
 inline constexpr unsigned kMagicBits = 16;
 inline constexpr unsigned kLenBits = 8;
 inline constexpr unsigned kByteBits = 8;
-inline constexpr unsigned kTagBits = 4;
 
 struct BitWriter
 {
@@ -32,17 +30,9 @@ struct StatSet
 // cable-wire-decl: pair.msg len kLenBits
 // cable-wire-decl: pair.msg body kByteBits*len
 
-// cable-wire-alias: putTag put kTagBits
-void putTag(BitWriter &bw, unsigned tag);
-
-// cable-wire-alias: expectTag get kTagBits
-unsigned long long expectTag(BitReader &br, unsigned want);
-
 void
 writeMsg(BitWriter &bw, const unsigned char *body, unsigned len)
 {
-    // cable-wire: pair.tagged tag kTagBits
-    putTag(bw, 3);
     // cable-wire: pair.msg magic kMagicBits
     bw.put(0xC0DEu, kMagicBits);
     // cable-wire: pair.msg len kLenBits
@@ -56,10 +46,8 @@ unsigned long long
 readMsg(BitReader &br, const StatSet &stats,
         const std::shared_ptr<int> &owner)
 {
-    // cable-wire: pair.tagged tag kTagBits
-    unsigned long long acc = expectTag(br, 3);
     // cable-wire: pair.msg magic kMagicBits
-    acc += br.get(kMagicBits);
+    unsigned long long acc = br.get(kMagicBits);
     // cable-wire: pair.msg len kLenBits
     unsigned long long len = br.get(kLenBits, "MSG");
     for (unsigned long long i = 0; i < len; ++i)
@@ -68,11 +56,4 @@ readMsg(BitReader &br, const StatSet &stats,
     acc += stats.get("transfers");            // name-keyed accessor
     acc += owner.get() != nullptr ? 1u : 0u;  // smart pointer
     return acc;
-}
-
-void
-forwardWidth(BitWriter &bw, unsigned long long value, unsigned nbits)
-{
-    // cable-wire: ignore width forwarded by an annotated wrapper
-    bw.put(value, nbits);
 }

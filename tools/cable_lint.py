@@ -20,7 +20,8 @@ Enforces five invariants that generic linters cannot express:
         ``allow(R002)`` directive.
   R003  wire-format widths: in src/core/ and in the resync layer
         (src/sim/resync.*), the width argument of every serialization
-        site — put(value, WIDTH) and get(WIDTH[, tag]), as
+        site — put(value, WIDTH), get(WIDTH[, ...]) and the
+        checkpoint walk's rw(value, WIDTH), as
         cable_scan.bitstream_calls finds them — must be a named
         constant or expression, not a bare integer literal (the wire
         contract lives in core/wire_format.h and core/checkpoint.h,

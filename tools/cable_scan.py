@@ -7,10 +7,11 @@ The two tools are two rule sets over one reading of the source:
     and a copy with comments and string/char literals blanked, which
     preserves every line and column so findings anchor exactly.
   - ``bitstream_calls`` is the one definition of a serialization
-    site: a ``.put(value, WIDTH)`` or ``.get(WIDTH[, tag])`` call.
-    The linter's R003 checks the width of each site in its scope;
-    the verifier requires every site in a wire file to carry a
-    ``cable-wire`` marker whose width matches.
+    site: a ``.put(value, WIDTH)``, ``.get(WIDTH[, ...])`` or
+    checkpoint-walk ``.rw(value, WIDTH)`` call. The linter's R003
+    checks the width of each site in its scope; the verifier requires
+    every site in a wire file to carry a ``cable-wire`` marker whose
+    width matches.
   - ``Finding`` is the one diagnostic shape: a code (R/W/F plus three
     digits), a repo-relative path, a 1-based line and a detail. Both
     report schemas (cable-lint-v1, cable-verify-v1) serialize it
@@ -32,7 +33,7 @@ import sys
 from dataclasses import dataclass
 
 EXPECT_RE = re.compile(r"//\s*expect:\s*([A-Z]\d{3})")
-CALL_RE = re.compile(r"\.(put|get)\s*\(")
+CALL_RE = re.compile(r"\.(put|get|rw)\s*\(")
 # Characters scanned past an opening parenthesis for its argument
 # list; a call whose parentheses do not close within it is skipped.
 ARGS_WINDOW = 600
@@ -162,7 +163,7 @@ def split_top_level_args(text: str):
 
 @dataclass
 class Call:
-    name: str  # put | get
+    name: str  # put | get | rw
     line: int  # 1-based
     pos: int  # offset into Source.code, orders calls on one line
     role: str  # write | read
@@ -170,18 +171,19 @@ class Call:
 
 
 def bitstream_calls(src: Source) -> list[Call]:
-    """Every serialization site in @p src. put(value, WIDTH) takes its
-    last argument as the width. get(WIDTH[, tag]) takes its first;
-    the checkpoint Cursor's diagnostic tag (a literal or a name array)
-    may follow. A zero-argument smart-pointer .get() and a name-keyed
-    accessor .get("counter"), whose only argument is a blanked string
-    literal, are not sites."""
+    """Every serialization site in @p src. put(value, WIDTH) and the
+    checkpoint walk's rw(value, WIDTH), which writes or reads the
+    field by the side that runs the walk, take their last argument
+    as the width; an rw site counts as a write. get(WIDTH[, ...])
+    takes its first. A zero-argument smart-pointer .get() and a
+    name-keyed accessor .get("counter"), whose only argument is a
+    blanked string literal, are not sites."""
     calls = []
     for m in CALL_RE.finditer(src.code):
         args = src.args_at(m.end())
         if args is None:
             continue
-        if m.group(1) == "put":
+        if m.group(1) != "get":
             if len(args) < 2:
                 continue
             role, width = "write", args[-1]

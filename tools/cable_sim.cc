@@ -115,6 +115,10 @@ enum class Kind
 };
 
 constexpr double kNoMax = std::numeric_limits<double>::infinity();
+/** Cache sizes stop at 4 GiB per thread, so memCfg's KiB-to-bytes
+ *  shift (`kb << 10`) cannot wrap; a larger value is a usage error,
+ *  not a 0-byte cache or an out-of-memory abort. */
+constexpr double kMaxCacheKb = 1u << 22;
 using Names = std::vector<std::string>;
 
 /** One flag: the commands that read it, what it accepts, its help. */
@@ -155,9 +159,9 @@ const Flag kFlags[] = {
      "log verbosity", logLevels},
 
     // The memory-link system (ratio, throughput, chaos).
-    {"llc-kb", Kind::U64, kMem, "1024", 64, kNoMax,
+    {"llc-kb", Kind::U64, kMem, "1024", 64, kMaxCacheKb,
      "remote LLC KiB per thread"},
-    {"l4-kb", Kind::U64, kMem, "4096", 0, kNoMax,
+    {"l4-kb", Kind::U64, kMem, "4096", 0, kMaxCacheKb,
      "home L4 KiB per thread, at least --llc-kb"},
     {"engine", Kind::Choice, kMem, "lbe", 0, 0, "CABLE delegate engine",
      delegateEngineNames},

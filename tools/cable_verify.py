@@ -5,7 +5,7 @@ Two static proofs over the serialization and recovery layers:
 
 1. Wire-format symmetry. Serialization sites in the registered files
    carry ``// cable-wire: <record> <field> <width>[*<count>]``
-   markers (plus the decl/write/read/alias/ignore variants below).
+   markers (plus the decl/write/read variants below).
    The verifier reconstructs every record's field sequence from the
    annotated writer and reader call sites and fails on any order,
    width or count asymmetry, on marker/code width drift, and on any
@@ -39,12 +39,6 @@ Directives (in comments):
   // cable-wire-write: ... / // cable-wire-read: ...
       Manual writer/reader site where no parseable call exists
       (accounting `+=` lines, bit loops).
-  // cable-wire-alias: <function> <put|get> <width>
-      Declares a wrapper whose call sites are put/get sites with the
-      given implied width (putCounter, Cursor::expectTag).
-  // cable-wire: ignore <reason>
-      Exempts the call on this or the next line (plumbing inside an
-      annotated wrapper that forwards a width variable).
 
 Sequence rules: a record needs at least two roles. Writer and reader
 sequences must match exactly (field, width, count, in order); a role
@@ -110,7 +104,6 @@ CODES = {
 # contract declarations; the .cc files carry annotated call sites.
 WIRE_FILES = [
     "src/core/wire_format.h",
-    "src/core/checkpoint.cc",
     "src/core/channel.cc",
     "src/sim/protocol.cc",
     "src/sim/resync.cc",
@@ -128,8 +121,6 @@ RECOVERY_BITS_CLASSES = ("None", "Handshake", "Rearm", "Retrans")
 # -read:, with the kind as group 1 (None for a call-site marker).
 WIRE_MARK_RE = re.compile(
     r"//\s*cable-wire(?:-(decl|write|read))?:\s*(.+?)\s*$")
-WIRE_ALIAS_RE = re.compile(
-    r"//\s*cable-wire-alias:\s*(\w+)\s+(put|get)\s+(\S+)")
 
 
 @dataclass
@@ -163,36 +154,15 @@ def parse_field_spec(spec: str):
 # ---------------------------------------------------------------------
 
 
-def looks_like_declaration(args: list[str]) -> bool:
-    """True when an alias-name match is the function's own definition
-    rather than a call site (parameters carry types: 'BitWriter &bw',
-    'std::uint32_t tag')."""
-    if not args or not args[0]:
-        return False
-    first = args[0]
-    return ("&" in first or "*" in first
-            or len(first.replace("::", " ").split()) > 1)
-
-
 def scan_wire_file(src: Source, sites: list[WireSite],
                    findings: list[Finding]):
     rel = src.path
-    # Call-site markers by 0-based line; None marks an ignore.
-    marks: dict[int, tuple | None] = {}
-    aliases: dict[str, tuple[str, str]] = {}  # fn -> (role, width)
+    marks: dict[int, tuple] = {}  # call-site markers by 0-based line
     for idx, line in enumerate(src.raw_lines):
-        m = WIRE_ALIAS_RE.search(line)
-        if m:
-            role = "write" if m.group(2) == "put" else "read"
-            aliases[m.group(1)] = (role, m.group(3))
-            continue
         m = WIRE_MARK_RE.search(line)
         if not m:
             continue
         kind, payload = m.groups()
-        if kind is None and payload.split()[:1] == ["ignore"]:
-            marks[idx] = None
-            continue
         spec = parse_field_spec(payload)
         if spec is None:
             findings.append(Finding(
@@ -203,26 +173,17 @@ def scan_wire_file(src: Source, sites: list[WireSite],
             sites.append(WireSite(*spec, kind, rel, idx + 1))
 
     # Events as (line_idx, pos, payload): markers (pos -1, so they
-    # sort ahead of a call on their own line) and serialization calls
-    # — the shared put/get sites plus the declared alias wrappers —
-    # whose payload is (role, width, name). An alias call's width is
-    # None: the alias declares it.
+    # sort ahead of a call on their own line) and the shared
+    # serialization calls, whose payload is (role, width, name).
     events = [(idx, -1, spec) for idx, spec in marks.items()]
     events += [(c.line - 1, c.pos,
                 (c.role, re.sub(r"\s+", "", c.width), c.name))
                for c in bitstream_calls(src)]
-    for fn, (role, _width) in aliases.items():
-        for m in re.finditer(r"\b" + re.escape(fn) + r"\s*\(", src.code):
-            args = src.args_at(m.end())
-            if args is None or looks_like_declaration(args):
-                continue
-            events.append((src.line_of(m.start()), m.start(),
-                           (role, None, fn)))
 
-    # A marker (or ignore) binds to the next serialization call at or
-    # below it, as long as the statement starts within a few lines —
+    # A marker binds to the next serialization call at or below it,
+    # as long as the statement starts within a few lines —
     # multi-line statements put the call 1-3 lines under the marker.
-    pending = None  # (marker line_idx, spec or None)
+    pending = None  # (marker line_idx, spec)
     for idx, pos, payload in sorted(events, key=lambda e: e[:2]):
         if pos < 0:
             pending = (idx, payload)
@@ -234,18 +195,12 @@ def scan_wire_file(src: Source, sites: list[WireSite],
                 f"{what}() call without a cable-wire marker"))
             pending = None
             continue
-        spec = pending[1]
+        record, fname, width, count = pending[1]
         pending = None
-        if spec is None:
-            continue
-        record, fname, width, count = spec
-        source = "the call"
-        if call_width is None:
-            call_width, source = aliases[what][1], f"alias {what}"
         if width != call_width:
             findings.append(Finding(
                 "W002", rel, idx + 1,
-                f"marker width '{width}' but {source} encodes "
+                f"marker width '{width}' but the call encodes "
                 f"'{call_width}'"))
         sites.append(WireSite(record, fname, width, count, role,
                               rel, idx + 1))
