@@ -23,9 +23,9 @@ Cache::Cache(const Config &cfg) : cfg_(cfg)
         fatal("%s: %u sets is not a power of two", cfg_.name.c_str(),
               num_sets_);
     set_bits_ = bitsToIndex(num_sets_);
-    keys_.assign(lines, kInvalidKey);
-    stamps_.assign(lines, 0);
-    lines_.resize(lines);
+    keys_ = ZeroRow<std::uint64_t>(lines);
+    stamps_ = ZeroRow<std::uint64_t>(lines);
+    lines_ = ZeroRow<AlignedLine>(lines);
 }
 
 void
@@ -57,7 +57,7 @@ Cache::find(Addr addr) const
     Addr tag = lineNumber(addr);
     const std::uint64_t *keys = keys_.data() + std::size_t{set} * cfg_.ways;
     for (unsigned w = 0; w < cfg_.ways; ++w) {
-        if ((keys[w] >> 2) == tag)
+        if (lineOfKey(keys[w]) == tag)
             return LineID(set, static_cast<std::uint8_t>(w));
     }
     return kInvalidLineID;
@@ -70,7 +70,7 @@ Cache::addrAt(LineID lid) const
     if (key == kInvalidKey)
         panic("%s: addrAt(invalid slot %u/%u)", cfg_.name.c_str(),
               lid.set, lid.way);
-    return (key >> 2) << kLineShift;
+    return lineOfKey(key) << kLineShift;
 }
 
 void
@@ -113,7 +113,7 @@ Cache::victimWay(Addr addr) const
         std::min_element(stamps, stamps + cfg_.ways) - stamps);
 }
 
-Eviction
+void
 Cache::install(Addr addr, const CacheLine &data, CoherenceState state,
                std::uint8_t way)
 {
@@ -121,25 +121,10 @@ Cache::install(Addr addr, const CacheLine &data, CoherenceState state,
         panic("%s: install way %u out of range", cfg_.name.c_str(), way);
     if (state == CoherenceState::Invalid)
         panic("%s: install in state Invalid", cfg_.name.c_str());
-    std::uint32_t set = setOf(addr);
-    std::size_t i = std::size_t{set} * cfg_.ways + way;
-    std::uint64_t &key = keys_[i];
-    CacheLine &line = lines_[i].line;
-
-    Eviction ev;
-    if (key != kInvalidKey && (key >> 2) != lineNumber(addr)) {
-        ev.valid = true;
-        ev.addr = (key >> 2) << kLineShift;
-        ev.data = line;
-        ev.dirty = static_cast<CoherenceState>(key & kStateMask)
-                   == CoherenceState::Modified;
-        ev.lid = LineID(set, way);
-    }
-
-    key = keyOf(addr, state);
-    line = data;
+    std::size_t i = std::size_t{setOf(addr)} * cfg_.ways + way;
+    keys_[i] = keyOf(addr, state);
+    lines_[i].line = data;
     stamps_[i] = ++lru_clock_;
-    return ev;
 }
 
 void
@@ -178,9 +163,9 @@ Cache::invalidate(Addr addr)
 void
 Cache::clear()
 {
-    std::fill(keys_.begin(), keys_.end(), kInvalidKey);
-    std::fill(stamps_.begin(), stamps_.end(), 0);
-    std::fill(lines_.begin(), lines_.end(), AlignedLine{});
+    keys_.zero();
+    stamps_.zero();
+    lines_.zero();
     lru_clock_ = 0;
 }
 

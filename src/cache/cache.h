@@ -9,14 +9,17 @@
  *  - victimWay() exposes the replacement way *before* an install, so
  *    requests can carry way-replacement info the way the UltraSPARC
  *    T1/T2 do (§II-C); and
- *  - install() reports the displaced line (non-silent eviction), so
- *    the home cache can keep its hash table and WMT synchronized.
+ *  - the victim slot can be read (addrAt/lineAt/dirtyAt) before
+ *    install() overwrites it (non-silent eviction), so the home
+ *    cache can keep its hash table and WMT synchronized.
  *
  * Lines are addressed by LineID (set + way) for CABLE's data-array
  * reads, which need no tag check (§III-C). As in that hardware, tags
  * live apart from data: the slots are three set-major rows, a key row
  * (tag and state in one word), a stamp row and a line row, so a
- * lookup reads only the key row (DESIGN.md §3).
+ * lookup reads only the key row. The rows are ZeroRows: an all-zero
+ * slot is Invalid, so a cache costs memory only for the sets a run
+ * touches (DESIGN.md §3).
  */
 
 #ifndef CABLE_CACHE_CACHE_H
@@ -25,10 +28,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/line.h"
 #include "common/types.h"
+#include "common/zero_row.h"
 
 namespace cable
 {
@@ -41,7 +44,7 @@ enum class CoherenceState : std::uint8_t
     Modified, ///< dirty; never used as reference data (§II-A)
 };
 
-/** Result of an install: the line that was displaced, if any. */
+/** A line leaving a cache on its way to memory, if any. */
 struct Eviction
 {
     bool valid = false;
@@ -119,10 +122,8 @@ class Cache
     CoherenceState
     stateAt(LineID lid) const
     {
-        std::uint64_t key = keys_[index(lid)];
-        return key == kInvalidKey
-                   ? CoherenceState::Invalid
-                   : static_cast<CoherenceState>(key & kStateMask);
+        return static_cast<CoherenceState>(keys_[index(lid)]
+                                           & kStateMask);
     }
     bool
     validAt(LineID lid) const
@@ -153,17 +154,18 @@ class Cache
     std::uint8_t victimWay(Addr addr) const;
 
     /**
-     * Installs @p data for @p addr in @p way of its set, returning
-     * any displaced line. Also promotes the line in LRU order.
+     * Installs @p data for @p addr in @p way of its set, overwriting
+     * whatever the slot held; a caller that needs the displaced line
+     * reads the slot first. Also promotes the line in LRU order.
      */
-    Eviction install(Addr addr, const CacheLine &data,
-                     CoherenceState state, std::uint8_t way);
+    void install(Addr addr, const CacheLine &data, CoherenceState state,
+                 std::uint8_t way);
 
     /** install() into victimWay(). */
-    Eviction
+    void
     install(Addr addr, const CacheLine &data, CoherenceState state)
     {
-        return install(addr, data, state, victimWay(addr));
+        install(addr, data, state, victimWay(addr));
     }
 
     /** Overwrites the data of a resident line; optionally dirties. */
@@ -180,24 +182,26 @@ class Cache
 
     const Config &config() const { return cfg_; }
 
-  private:
     /** One element of the line row: each line on its own host line. */
     struct alignas(64) AlignedLine
     {
         CacheLine line;
     };
 
-    /** Key-row word: (line number << 2) | state for a valid slot. The
-     *  sentinel's line number (2^62 - 1) exceeds any real one, so a
-     *  lookup needs no separate validity test. */
-    static constexpr std::uint64_t kInvalidKey = ~std::uint64_t{0};
+  private:
+    /** Key-row word: (~line number << 2) | state. The zero word is
+     *  Invalid (state 0) and names line number 2^62 - 1, which
+     *  exceeds any real one, so a lookup needs no validity test. */
+    static constexpr std::uint64_t kInvalidKey = 0;
     static constexpr std::uint64_t kStateMask = 3;
 
     static std::uint64_t
     keyOf(Addr addr, CoherenceState s)
     {
-        return (lineNumber(addr) << 2) | static_cast<std::uint64_t>(s);
+        return (~lineNumber(addr) << 2) | static_cast<std::uint64_t>(s);
     }
+    /** Line number a key word names (2^62 - 1 for kInvalidKey). */
+    static std::uint64_t lineOfKey(std::uint64_t key) { return ~key >> 2; }
 
     std::size_t
     index(LineID lid) const
@@ -224,9 +228,9 @@ class Cache
     std::uint64_t lru_clock_ = 0;
     mutable std::uint64_t rand_state_ = 0x9e3779b97f4a7c15ull;
     // Three set-major rows, slot i = set * ways + way in each.
-    std::vector<std::uint64_t> keys_;   ///< tag + state; kInvalidKey
-    std::vector<std::uint64_t> stamps_; ///< LRU recency / FIFO install
-    std::vector<AlignedLine> lines_;    ///< data, 64-B aligned
+    ZeroRow<std::uint64_t> keys_;   ///< tag + state; kInvalidKey
+    ZeroRow<std::uint64_t> stamps_; ///< LRU recency / FIFO install
+    ZeroRow<AlignedLine> lines_;    ///< data, 64-B aligned
 };
 
 } // namespace cable

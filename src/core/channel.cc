@@ -279,22 +279,26 @@ CableChannel::CableChannel(Cache &home, Cache &remote,
     spans_.bind(stats_);
 }
 
-void
-CableChannel::dropSignatures(SignatureHashTable &table,
-                             const CacheLine &data, LineID lid)
+SigList
+CableChannel::insertSignatures(const CacheLine &data) const
 {
     SigList sigs;
     extractInsertSignaturesInto(data, cfg_.sig, sigs);
+    return sigs;
+}
+
+void
+CableChannel::dropSignatures(SignatureHashTable &table,
+                             const SigList &sigs, LineID lid)
+{
     for (std::uint32_t sig : sigs)
         table.remove(sig, lid);
 }
 
 void
 CableChannel::addSignatures(SignatureHashTable &table,
-                            const CacheLine &data, LineID lid)
+                            const SigList &sigs, LineID lid)
 {
-    SigList sigs;
-    extractInsertSignaturesInto(data, cfg_.sig, sigs);
     for (std::uint32_t sig : sigs)
         table.insert(sig, lid);
 }
@@ -1086,8 +1090,10 @@ CableChannel::resynchronizeRange(std::uint32_t set_lo,
                 || home_.lineAt(hlid) != remote_.lineAt(rlid))
                 continue;
             wmt_.set(set, static_cast<std::uint8_t>(way), hlid);
-            addSignatures(home_ht_, home_.lineAt(hlid), hlid);
-            addSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
+            // The two copies are equal (checked above).
+            SigList sigs = insertSignatures(home_.lineAt(hlid));
+            addSignatures(home_ht_, sigs, hlid);
+            addSignatures(remote_ht_, sigs, rlid);
             ++relinked;
         }
     }
@@ -1281,7 +1287,8 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
         if (backinval_hook_ && remote_.probe(vaddr))
             backinval_hook_(vaddr);
         const CacheLine &vdata = home_.lineAt(victim_lid);
-        dropSignatures(home_ht_, vdata, victim_lid);
+        SigList sigs = insertSignatures(vdata);
+        dropSignatures(home_ht_, sigs, victim_lid);
 
         Eviction mem_wb;
         mem_wb.valid = true;
@@ -1296,9 +1303,15 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
         // metadata is detached, so the line simply stops serving as
         // a reference.
         LineID rlid = remote_.find(vaddr);
+        if (rlid.valid && !remote_.dirtyAt(rlid)) {
+            // A clean remote copy's signatures are the home copy's
+            // unless a fault let the two diverge.
+            const CacheLine &rdata = remote_.lineAt(rlid);
+            if (rdata != vdata)
+                sigs = insertSignatures(rdata);
+            dropSignatures(remote_ht_, sigs, rlid);
+        }
         if (rlid.valid && !cfg_.inclusive) {
-            if (!remote_.dirtyAt(rlid))
-                dropSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
             wmt_.clear(rlid.set, rlid.way);
             stats_.add(ctr_.noninclusive_detaches, 1);
         } else if (rlid.valid) {
@@ -1309,8 +1322,6 @@ CableChannel::homeInstall(Addr addr, const CacheLine &data, bool dirty)
                     Direction::kWriteBack, rdata, rlid, vaddr);
                 mem_wb.data = rdata;
                 mem_wb.dirty = true;
-            } else {
-                dropSignatures(remote_ht_, rdata, rlid);
             }
             wmt_.clear(rlid.set, rlid.way);
             evbuf_.push(rlid, rdata);
@@ -1347,13 +1358,18 @@ CableChannel::remoteEvictSlot(LineID rlid)
         // remote-side removal is local; the home-side cleanup rides
         // on the eviction notice, which the fault model may drop —
         // leaving stale home metadata for the audit/verify to catch.
-        dropSignatures(remote_ht_, vdata, rlid);
+        SigList sigs = insertSignatures(vdata);
+        dropSignatures(remote_ht_, sigs, rlid);
         if (syncMessageLost()) {
             stats_.add("sync_drops_evict", 1);
         } else {
             auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-            if (hlid)
-                dropSignatures(home_ht_, home_.lineAt(*hlid), *hlid);
+            if (hlid) {
+                const CacheLine &hdata = home_.lineAt(*hlid);
+                if (hdata != vdata)
+                    sigs = insertSignatures(hdata);
+                dropSignatures(home_ht_, sigs, *hlid);
+            }
             wmt_.clear(rlid.set, rlid.way);
         }
     }
@@ -1410,8 +1426,9 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
         // stale and must not serve as reference data.
         home_.markDirty(addr);
     } else {
-        addSignatures(home_ht_, data, home_lid);
-        addSignatures(remote_ht_, data, LineID(rset, vway));
+        SigList sigs = insertSignatures(data);
+        addSignatures(home_ht_, sigs, home_lid);
+        addSignatures(remote_ht_, sigs, LineID(rset, vway));
         wmt_.set(rset, vway, home_lid);
     }
 
@@ -1453,7 +1470,9 @@ CableChannel::remoteUpgrade(Addr addr)
               static_cast<unsigned long long>(addr));
     if (remote_.dirtyAt(rlid))
         return; // already Modified
-    dropSignatures(remote_ht_, remote_.lineAt(rlid), rlid);
+    const CacheLine &rdata = remote_.lineAt(rlid);
+    SigList sigs = insertSignatures(rdata);
+    dropSignatures(remote_ht_, sigs, rlid);
     // The home-side metadata cleanup rides on CABLE's upgrade notice
     // (§III-F); if the fault model drops it, stale home signatures
     // and a stale WMT entry survive while the remote copy silently
@@ -1464,8 +1483,12 @@ CableChannel::remoteUpgrade(Addr addr)
         stats_.add("sync_drops_upgrade", 1);
     } else {
         auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-        if (hlid)
-            dropSignatures(home_ht_, home_.lineAt(*hlid), *hlid);
+        if (hlid) {
+            const CacheLine &hdata = home_.lineAt(*hlid);
+            if (hdata != rdata)
+                sigs = insertSignatures(hdata);
+            dropSignatures(home_ht_, sigs, *hlid);
+        }
         wmt_.clear(rlid.set, rlid.way);
     }
     remote_.markDirty(addr);

@@ -722,11 +722,15 @@ class CableChannel
     /** True when a sync message to the home side was lost. */
     bool syncMessageLost();
 
-    /** Removes the insert-signatures of (data→lid) from @p table. */
-    void dropSignatures(SignatureHashTable &table,
-                        const CacheLine &data, LineID lid);
-    void addSignatures(SignatureHashTable &table, const CacheLine &data,
-                       LineID lid);
+    /** The insert-signatures of @p data, extracted once per insert
+     *  or evict event and applied to every table the event touches
+     *  (again only for a line whose data differs). */
+    SigList insertSignatures(const CacheLine &data) const;
+    /** Removes / adds the mappings @p sigs → @p lid in @p table. */
+    static void dropSignatures(SignatureHashTable &table,
+                               const SigList &sigs, LineID lid);
+    static void addSignatures(SignatureHashTable &table,
+                              const SigList &sigs, LineID lid);
 
     /**
      * Emits a non-encode (control) trace event, if tracing is on.

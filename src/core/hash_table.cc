@@ -1,6 +1,5 @@
 #include "core/hash_table.h"
 
-#include <algorithm>
 #include <bit>
 #include <span>
 #include <unordered_map>
@@ -19,7 +18,7 @@ SignatureHashTable::SignatureHashTable(const Config &cfg)
     if (cfg_.bucket_ways == 0)
         fatal("SignatureHashTable: bucket_ways must be >= 1");
     num_buckets_ = std::bit_ceil(cfg.entries ? cfg.entries : 1);
-    slots_.assign(num_buckets_ * cfg_.bucket_ways, Slot{});
+    slots_ = ZeroRow<Slot>(num_buckets_ * cfg_.bucket_ways);
 }
 
 void
@@ -158,7 +157,7 @@ SignatureHashTable::clear()
     // preserves `occupancy == inserts - evictions` across
     // desync-recovery flushes.
     evictions_ += occupancy();
-    std::fill(slots_.begin(), slots_.end(), Slot{});
+    slots_.zero();
     age_clock_ = 0;
 }
 

@@ -21,6 +21,7 @@
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zero_row.h"
 #include "core/signature.h"
 
 namespace cable
@@ -81,16 +82,17 @@ class SignatureHashTable
 
     void clear();
 
-  private:
-    /** Serializes/restores buckets, clocks and counters
-     *  (core/checkpoint.h). */
-    friend class ChannelCheckpoint;
-
+    /** One bucket slot; all-zero bytes is the empty slot. */
     struct Slot
     {
         LineID lid;
         std::uint64_t age = 0;
     };
+
+  private:
+    /** Serializes/restores buckets, clocks and counters
+     *  (core/checkpoint.h). */
+    friend class ChannelCheckpoint;
 
     /** Index in slots_ of the first slot of sig's bucket. */
     std::size_t
@@ -105,7 +107,7 @@ class SignatureHashTable
     std::uint64_t num_buckets_;
     // Every bucket's slots, bucket-major: bucket b is
     // slots_[b * bucket_ways, (b + 1) * bucket_ways).
-    std::vector<Slot> slots_;
+    ZeroRow<Slot> slots_;
 
     // Lifetime traffic counters (monotonic; clear() converts every
     // live slot into an eviction so occupancy == inserts − evictions

@@ -18,7 +18,7 @@ WayMapTable::WayMapTable(const Config &cfg) : cfg_(cfg)
     home_way_bits_ = bitsToIndex(cfg_.home_ways);
     if (home_way_bits_ == 0)
         home_way_bits_ = 1; // direct-mapped still needs a way field
-    slots_.resize(std::size_t{cfg_.remote_sets} * cfg_.remote_ways);
+    slots_ = ZeroRow<Slot>(std::size_t{cfg_.remote_sets} * cfg_.remote_ways);
 }
 
 WayMapTable::Slot &
@@ -115,9 +115,10 @@ void
 WayMapTable::clearAll()
 {
     for (Slot &s : slots_) {
-        if (s.valid)
+        if (s.valid) {
             ++clears_;
-        s.valid = false;
+            s.valid = false;
+        }
     }
 }
 

@@ -23,10 +23,10 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zero_row.h"
 
 namespace cable
 {
@@ -109,15 +109,16 @@ class WayMapTable
      */
     void snapshot(StatSet &out, const std::string &prefix) const;
 
-  private:
-    /** Serializes/restores slots and counters (core/checkpoint.h). */
-    friend class ChannelCheckpoint;
-
+    /** One remote slot's entry; all-zero bytes is the empty entry. */
     struct Slot
     {
         std::uint32_t norm = 0;
         bool valid = false;
     };
+
+  private:
+    /** Serializes/restores slots and counters (core/checkpoint.h). */
+    friend class ChannelCheckpoint;
 
     Slot &at(std::uint32_t set, std::uint8_t way);
     const Slot &at(std::uint32_t set, std::uint8_t way) const;
@@ -126,7 +127,7 @@ class WayMapTable
     unsigned remote_set_bits_;
     unsigned alias_bits_;
     unsigned home_way_bits_;
-    std::vector<Slot> slots_;
+    ZeroRow<Slot> slots_;
 
     // Lifetime traffic counters; lookupRemoteWay is logically const
     // but still traffic, hence mutable.

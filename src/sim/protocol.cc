@@ -236,9 +236,9 @@ StreamLinkProtocol::homeFill(Addr addr, const CacheLine &data)
         LineID rlid = remote_.find(vaddr);
         if (rlid.valid) {
             if (remote_.dirtyAt(rlid)) {
-                const CacheLine &data = remote_.lineAt(rlid);
-                Transfer t = encode(data, wb_engine_.get(), true);
-                mem_wb.data = data;
+                const CacheLine &rdata = remote_.lineAt(rlid);
+                Transfer t = encode(rdata, wb_engine_.get(), true);
+                mem_wb.data = rdata;
                 mem_wb.dirty = true;
                 result.backinval_writeback = t;
             }

@@ -47,6 +47,18 @@ constexpr Addr kA = 0x000; // line 0
 constexpr Addr kB = 0x080; // line 2
 constexpr Addr kC = 0x100; // line 4
 
+/** The line an install of @p a into @p way would displace, read from
+ *  the slot before the install overwrites it. */
+Eviction
+displaced(const Cache &c, Addr a, std::uint8_t way)
+{
+    LineID lid(c.setOf(a), way);
+    Eviction ev;
+    if (c.validAt(lid) && c.addrAt(lid) != lineAlign(a))
+        ev = {true, c.addrAt(lid), c.lineAt(lid), c.dirtyAt(lid), lid};
+    return ev;
+}
+
 /** Fills L2 then L1, the order every system uses on a miss. */
 void
 fill(PrivateCaches &p, Addr la, std::uint32_t v)
@@ -118,8 +130,9 @@ TEST(Cache, InstallReturnsEviction)
     Cache c = smallCache();
     for (unsigned i = 0; i < 4; ++i)
         c.install(i * 1024, lineOf(i), CoherenceState::Shared);
-    Eviction ev = c.install(4096, lineOf(9), CoherenceState::Shared,
-                            c.victimWay(4096));
+    std::uint8_t way = c.victimWay(4096);
+    Eviction ev = displaced(c, 4096, way);
+    c.install(4096, lineOf(9), CoherenceState::Shared, way);
     ASSERT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, 0u);
     EXPECT_EQ(ev.data, lineOf(0));
@@ -133,8 +146,8 @@ TEST(Cache, ReinstallSameAddressNoEviction)
     Cache c = smallCache();
     c.install(0x1000, lineOf(1), CoherenceState::Shared);
     LineID lid = c.find(0x1000);
-    Eviction ev =
-        c.install(0x1000, lineOf(2), CoherenceState::Shared, lid.way);
+    Eviction ev = displaced(c, 0x1000, lid.way);
+    c.install(0x1000, lineOf(2), CoherenceState::Shared, lid.way);
     EXPECT_FALSE(ev.valid);
     EXPECT_EQ(c.lineAt(c.find(0x1000)), lineOf(2));
 }
@@ -147,9 +160,10 @@ TEST(Cache, DirtyTracking)
     c.markDirty(0x40);
     EXPECT_TRUE(c.dirtyAt(c.find(0x40)));
     c.writeLine(0x40, lineOf(3), true);
-    Eviction ev = c.install(0x40 + 1024 * 16 * 4, lineOf(7),
-                            CoherenceState::Shared,
-                            c.find(0x40).way);
+    Addr other = 0x40 + 1024 * 16 * 4;
+    std::uint8_t way = c.find(0x40).way;
+    Eviction ev = displaced(c, other, way);
+    c.install(other, lineOf(7), CoherenceState::Shared, way);
     ASSERT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
     EXPECT_EQ(ev.data, lineOf(3));
@@ -196,8 +210,8 @@ TEST(Cache, DirectMapped)
 {
     Cache c({"dm", 1024, 1}); // 16 sets, 1 way
     c.install(0, lineOf(1), CoherenceState::Shared);
-    Eviction ev =
-        c.install(1024, lineOf(2), CoherenceState::Shared, 0);
+    Eviction ev = displaced(c, 1024, 0);
+    c.install(1024, lineOf(2), CoherenceState::Shared, 0);
     EXPECT_TRUE(ev.valid);
     EXPECT_EQ(ev.addr, 0u);
 }
@@ -270,7 +284,11 @@ class RefCache
         bool valid() const { return state != CoherenceState::Invalid; }
     };
 
-    std::uint32_t setOf(Addr a) const { return lineNumber(a) & (sets_ - 1); }
+    std::uint32_t
+    setOf(Addr a) const
+    {
+        return static_cast<std::uint32_t>(lineNumber(a) & (sets_ - 1));
+    }
     Slot &at(std::uint32_t set, unsigned w) { return slots_[set * ways_ + w]; }
 
     LineID
@@ -382,10 +400,15 @@ expectSameSlots(Cache &c, RefCache &ref)
         }
 }
 
-/** Seeded random operation stream against the reference model. */
+/** The largest line number an address can have. */
+constexpr Addr kMaxLine = ~Addr{0} >> kLineShift;
+
+/** Seeded random operation stream against the reference model. With
+ *  @p ends, lines are drawn from both ends of the line-number range
+ *  (0 upward and kMaxLine downward) instead. */
 void
 runDifferential(ReplacementPolicy policy, unsigned ways,
-                std::uint64_t seed)
+                std::uint64_t seed, bool ends = false)
 {
     constexpr unsigned kSets = 8;
     Cache c({"diff", std::uint64_t{kSets} * ways * kLineBytes, ways,
@@ -395,8 +418,12 @@ runDifferential(ReplacementPolicy policy, unsigned ways,
     // Three working sets' worth of lines, some with the top bits set.
     auto pick = [&] {
         Addr line = rng.below(3 * kSets * ways);
-        if (rng.below(8) == 0)
+        if (ends) {
+            if (rng.below(2))
+                line = kMaxLine - line;
+        } else if (rng.below(8) == 0) {
             line |= Addr{0x3ff} << 48;
+        }
         return line << kLineShift;
     };
     for (int step = 0; step < 4000; ++step) {
@@ -422,14 +449,19 @@ runDifferential(ReplacementPolicy policy, unsigned ways,
             break;
           case 5:
           case 6: {
+            // install() picks the way itself; expectSameSlots below
+            // fails if it is not the model's.
             std::uint8_t w = ref.victimWay(a);
-            expectSameEviction(c.install(a, d, s), ref.install(a, d, s, w));
+            expectSameEviction(displaced(c, a, w),
+                               ref.install(a, d, s, w));
+            c.install(a, d, s);
             break;
           }
           case 7: {
             auto w = static_cast<std::uint8_t>(rng.below(ways));
-            expectSameEviction(c.install(a, d, s, w),
+            expectSameEviction(displaced(c, a, w),
                                ref.install(a, d, s, w));
+            c.install(a, d, s, w);
             break;
           }
           case 8:
@@ -480,6 +512,38 @@ TEST(CacheRows, MatchTheArrayOfStructsModel)
             if (HasFailure())
                 return; // later runs would all report step 0
         }
+}
+
+TEST(CacheRows, KeyEncodingAtBothEndsMatchesTheModel)
+{
+    // The all-zero key is Invalid and decodes to line 2^62 - 1, past
+    // kMaxLine (2^58 - 1); lines 0 and kMaxLine must round-trip.
+    for (ReplacementPolicy policy :
+         {ReplacementPolicy::LRU, ReplacementPolicy::Random})
+        for (unsigned ways : {1u, 4u}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "policy " << static_cast<int>(policy)
+                         << " ways " << ways);
+            runDifferential(policy, ways, 7 + ways, /*ends=*/true);
+            if (HasFailure())
+                return;
+        }
+    for (Addr line : {Addr{0}, kMaxLine}) {
+        Cache c = smallCache();
+        Addr a = line << kLineShift;
+        EXPECT_FALSE(c.probe(a));
+        c.install(a, lineOf(3), CoherenceState::Shared);
+        LineID lid = c.find(a);
+        ASSERT_TRUE(lid.valid);
+        EXPECT_EQ(c.addrAt(lid), a);
+        EXPECT_EQ(c.stateAt(lid), CoherenceState::Shared);
+        c.setState(lid, CoherenceState::Modified);
+        EXPECT_EQ(c.find(a), lid);
+        EXPECT_TRUE(c.dirtyAt(lid));
+        c.setState(lid, CoherenceState::Invalid);
+        EXPECT_FALSE(c.probe(a));
+        EXPECT_EQ(c.stateAt(lid), CoherenceState::Invalid);
+    }
 }
 
 TEST(CacheRows, FifoEvictsOldestInstallAfterWriteLine)

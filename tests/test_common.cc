@@ -1,21 +1,31 @@
 /**
  * @file
  * Unit tests for the common substrate: bit utilities, the CacheLine
- * value type, bitstreams, deterministic RNG and the stats package.
+ * value type, bitstreams, deterministic RNG, the stats package and
+ * the zero-page rows (with the all-zero invariant of every element
+ * type stored in one).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <new>
 #include <sstream>
+#include <unistd.h>
+#include <utility>
 #include <vector>
 
+#include "cache/cache.h"
 #include "common/bitops.h"
 #include "common/line.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/types.h"
+#include "common/zero_row.h"
 #include "compress/bitstream.h"
+#include "core/hash_table.h"
+#include "core/wmt.h"
 
 using namespace cable;
 
@@ -567,4 +577,76 @@ TEST(Stats, DumpIsSorted)
     s.dump(os, "p.");
     std::string out = os.str();
     EXPECT_LT(out.find("p.aa 2"), out.find("p.zz 1"));
+}
+
+namespace
+{
+
+/** True if a T value-initialized over zero bytes leaves every byte
+ *  zero, i.e. no member has a non-zero default. */
+template <class T>
+bool
+valueInitIsZero()
+{
+    alignas(T) unsigned char buf[sizeof(T)] = {};
+    ::new (static_cast<void *>(buf)) T{};
+    return std::all_of(buf, buf + sizeof(T),
+                       [](unsigned char b) { return b == 0; });
+}
+
+} // namespace
+
+TEST(ZeroRow, EveryRowElementValueInitializesToZeroBytes)
+{
+    // A row's zero pages are its value-initialized elements only if
+    // each type's value-initialized object is all-zero bytes. A
+    // non-zero member default added later fails here.
+    EXPECT_TRUE(valueInitIsZero<std::uint64_t>()); // cache key, stamp
+    EXPECT_TRUE(valueInitIsZero<Cache::AlignedLine>());
+    EXPECT_TRUE(valueInitIsZero<SignatureHashTable::Slot>());
+    EXPECT_TRUE(valueInitIsZero<WayMapTable::Slot>());
+
+    struct NonZeroDefault
+    {
+        std::uint32_t a = 0;
+        bool valid = true;
+    };
+    EXPECT_FALSE(valueInitIsZero<NonZeroDefault>());
+}
+
+TEST(ZeroRow, StartsZeroedAndPageAligned)
+{
+    ZeroRow<std::uint64_t> row(3000);
+    ASSERT_EQ(row.size(), 3000u);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row.data())
+                  % static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE)),
+              0u);
+    EXPECT_TRUE(std::all_of(row.begin(), row.end(),
+                            [](std::uint64_t v) { return v == 0; }));
+    EXPECT_EQ(ZeroRow<std::uint64_t>().size(), 0u);
+    EXPECT_EQ(ZeroRow<std::uint64_t>(0).begin(),
+              ZeroRow<std::uint64_t>(0).end());
+}
+
+TEST(ZeroRow, CopiesAreDeepAndMovesTransferStorage)
+{
+    ZeroRow<std::uint64_t> a(600);
+    a[0] = 7;
+    a[599] = 9;
+    ZeroRow<std::uint64_t> b = a;
+    b[0] = 1;
+    EXPECT_EQ(a[0], 7u);
+    EXPECT_EQ(b[599], 9u);
+
+    const std::uint64_t *storage = a.data();
+    ZeroRow<std::uint64_t> c = std::move(a);
+    EXPECT_EQ(c.data(), storage);
+    EXPECT_EQ(a.size(), 0u);
+    EXPECT_EQ(a.data(), nullptr);
+
+    b = c;
+    EXPECT_EQ(b[0], 7u);
+    c.zero();
+    EXPECT_EQ(c[599], 0u);
+    EXPECT_EQ(b[599], 9u);
 }

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <unistd.h>
+
 #include "sim/throughput.h"
 
 using namespace cable;
@@ -104,6 +107,40 @@ TEST(Throughput, GainGrowsWithThreadCount)
         speedup_high = cable.aggregateIPC() / raw.aggregateIPC();
     }
     EXPECT_GT(speedup_high, speedup_low);
+}
+
+namespace
+{
+
+/** Resident memory of this process in bytes (/proc/self/statm). */
+long
+residentBytes()
+{
+    std::FILE *f = std::fopen("/proc/self/statm", "r");
+    long size = 0, resident = -1;
+    if (f) {
+        if (std::fscanf(f, "%ld %ld", &size, &resident) != 2)
+            resident = -1;
+        std::fclose(f);
+    }
+    return resident * ::sysconf(_SC_PAGESIZE);
+}
+
+} // namespace
+
+TEST(Throughput, BuildingTheGroupCostsOnlyTouchedMemory)
+{
+    // cable_sim throughput's default group: eight systems, each with
+    // a 1 MB LLC slice, a 4 MB L4 slice and a CABLE endpoint (two
+    // signature hash tables and a WMT), about 60 MB of rows. The
+    // rows are untouched zero pages until a run writes them.
+    long before = residentBytes();
+    ASSERT_GT(before, 0);
+    ThroughputSim sim(MemSystemConfig{}, benchmarkProfile("mcf"), 2048,
+                      8);
+    long grown = residentBytes() - before;
+    EXPECT_LT(grown, 8l << 20) << grown / 1024 << " KiB";
+    EXPECT_EQ(sim.groupSize(), 8u);
 }
 
 TEST(ThroughputDeath, GroupLargerThanTotalIsFatal)
