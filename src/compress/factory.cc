@@ -12,46 +12,62 @@
 namespace cable
 {
 
+namespace
+{
+
+/** One row per engine, in compressorNames() order: makeCompressor
+ *  and compressorNames read the same table. */
+const struct
+{
+    const char *name;
+    CompressorPtr (*make)();
+} kEngines[] = {
+    {"zero", [] { return CompressorPtr(std::make_unique<ZeroRun>()); }},
+    {"bdi", [] { return CompressorPtr(std::make_unique<Bdi>()); }},
+    {"fpc", [] { return CompressorPtr(std::make_unique<Fpc>()); }},
+    {"cpack", [] { return CompressorPtr(std::make_unique<Cpack>()); }},
+    {"cpack128",
+     [] {
+         Cpack::Config cfg;
+         cfg.dict_entries = 32;
+         cfg.persistent = true;
+         return CompressorPtr(std::make_unique<Cpack>(cfg));
+     }},
+    {"lbe256",
+     [] {
+         Lbe::Config cfg;
+         cfg.dict_bytes = 256;
+         cfg.persistent = true;
+         return CompressorPtr(std::make_unique<Lbe>(cfg));
+     }},
+    {"gzip", [] { return CompressorPtr(std::make_unique<Lzss>()); }},
+    {"lzss",
+     [] {
+         Lzss::Config cfg;
+         cfg.persistent = false;
+         return CompressorPtr(std::make_unique<Lzss>(cfg));
+     }},
+    {"oracle", [] { return CompressorPtr(std::make_unique<Oracle>()); }},
+};
+
+} // namespace
+
 CompressorPtr
 makeCompressor(const std::string &name)
 {
-    if (name == "cpack")
-        return std::make_unique<Cpack>();
-    if (name == "cpack128") {
-        Cpack::Config cfg;
-        cfg.dict_entries = 32;
-        cfg.persistent = true;
-        return std::make_unique<Cpack>(cfg);
-    }
-    if (name == "bdi")
-        return std::make_unique<Bdi>();
-    if (name == "fpc")
-        return std::make_unique<Fpc>();
-    if (name == "lbe256") {
-        Lbe::Config cfg;
-        cfg.dict_bytes = 256;
-        cfg.persistent = true;
-        return std::make_unique<Lbe>(cfg);
-    }
-    if (name == "gzip")
-        return std::make_unique<Lzss>();
-    if (name == "lzss") {
-        Lzss::Config cfg;
-        cfg.persistent = false;
-        return std::make_unique<Lzss>(cfg);
-    }
-    if (name == "oracle")
-        return std::make_unique<Oracle>();
-    if (name == "zero")
-        return std::make_unique<ZeroRun>();
+    for (const auto &e : kEngines)
+        if (name == e.name)
+            return e.make();
     fatal("unknown compressor '%s'", name.c_str());
 }
 
 std::vector<std::string>
 compressorNames()
 {
-    return {"zero",  "bdi",  "fpc",   "cpack",  "cpack128",
-            "lbe256", "gzip", "lzss", "oracle"};
+    std::vector<std::string> names;
+    for (const auto &e : kEngines)
+        names.push_back(e.name);
+    return names;
 }
 
 } // namespace cable

@@ -576,14 +576,8 @@ CableChannel::packageTransfer(const Chosen &chosen, bool writeback,
     // DIFF is only sent while it costs less.
     bw.reserveBits(kWireRawHeaderBits + kLineBytes * kBitsPerByte
                    + cfg_.frame_crc_bits);
-    if (!cfg_.compression_enabled) {
-        // Baseline link: data only, no flag bit.
-        bw.appendBits(bitsOf(original));
-        t.raw = true;
-    } else if (chosen.raw) {
-        // cable-wire: frame.raw flag kWireFlagBits
-        bw.put(0, kWireFlagBits);
-        bw.appendBits(bitsOf(original));
+    if (!cfg_.compression_enabled || chosen.raw) {
+        writeRawFrame(bw, original);
         t.raw = true;
     } else {
         // The transfer's one engine emission: raw frames and the
@@ -777,20 +771,16 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
                 // Modeled as caught by the end-to-end decode check,
                 // which forces the uncompressed escape hatch.
                 stats_.add("crc_undetected", 1);
-                traceControl(TraceEvent::Type::RawFallback, addr,
-                             dir.writeback, /*aux=*/1);
-                rawFallbackResend(t, original);
-                checkArqWatchdog(t, addr, dir.writeback);
+                rawFallbackResend(t, original, addr,
+                                  RawFallbackReason::CrcMiss);
                 return;
             }
             stats_.add("crc_detected", 1);
             if (attempt >= cfg_.max_retries) {
                 // Retry budget exhausted: stop resending the fragile
                 // compressed frame and fall back to raw.
-                traceControl(TraceEvent::Type::RawFallback, addr,
-                             dir.writeback, /*aux=*/2);
-                rawFallbackResend(t, original);
-                checkArqWatchdog(t, addr, dir.writeback);
+                rawFallbackResend(t, original, addr,
+                                  RawFallbackReason::RetriesExhausted);
                 return;
             }
             ++attempt;
@@ -801,7 +791,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
             t.retrans_bits += t.bits + t.crc_bits;
             t.retry_cycles += kRetryBackoffCycles
                               << std::min(attempt - 1, 16u);
-            checkArqWatchdog(t, addr, dir.writeback);
+            checkArqWatchdog(t, addr);
         }
     }
 
@@ -837,22 +827,18 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
             throw;
         }
         recoverFromDesync();
-        traceControl(TraceEvent::Type::RawFallback, addr,
-                     dir.writeback, /*aux=*/3);
-        rawFallbackResend(t, original);
-        checkArqWatchdog(t, addr, dir.writeback);
+        rawFallbackResend(t, original, addr, RawFallbackReason::Desync);
     }
 }
 
 void
-CableChannel::checkArqWatchdog(const Transfer &t, Addr addr,
-                               bool writeback)
+CableChannel::checkArqWatchdog(const Transfer &t, Addr addr)
 {
     if (cfg_.arq_watchdog_cycles == 0
         || t.retry_cycles <= cfg_.arq_watchdog_cycles)
         return;
     stats_.add("arq_timeouts", 1);
-    traceControl(TraceEvent::Type::Timeout, addr, writeback,
+    traceControl(TraceEvent::Type::Timeout, addr, t.writeback,
                  t.retry_cycles);
     // Spec tie: every steady state maps WatchdogExceeded to the
     // typed TimeoutRaised terminal.
@@ -861,22 +847,32 @@ CableChannel::checkArqWatchdog(const Transfer &t, Addr addr,
         panic("recovery FSM: WatchdogExceeded from %s must target "
               "TimeoutRaised",
               recoveryStateName(health_));
-    throw CableTimeoutError(addr, writeback, t.retry_cycles,
+    throw CableTimeoutError(addr, t.writeback, t.retry_cycles,
                             cfg_.arq_watchdog_cycles);
 }
 
 void
-CableChannel::rawFallbackResend(Transfer &t, const CacheLine &original)
+CableChannel::writeRawFrame(BitWriter &bw, const CacheLine &data) const
 {
+    // A baseline link (compression off) carries data only.
+    if (cfg_.compression_enabled)
+        // cable-wire: frame.raw flag kWireFlagBits
+        bw.put(0, kWireFlagBits);
+    bw.appendBits(bitsOf(data));
+}
+
+void
+CableChannel::rawFallbackResend(Transfer &t, const CacheLine &original,
+                                Addr addr, RawFallbackReason reason)
+{
+    traceControl(TraceEvent::Type::RawFallback, addr, t.writeback,
+                 static_cast<std::uint64_t>(reason));
     int sp = spans_.open(Stage::Retransmit);
     t.raw_fallback = true;
     stats_.add("raw_fallbacks", 1);
 
     BitWriter bw;
-    if (cfg_.compression_enabled)
-        // cable-wire: frame.raw flag kWireFlagBits
-        bw.put(0, kWireFlagBits);
-    bw.appendBits(bitsOf(original));
+    writeRawFrame(bw, original);
     if (cfg_.frame_crc_bits > 0)
         appendFrameCrc(bw, cfg_.frame_crc_bits);
     BitVec frame = bw.take();
@@ -901,6 +897,7 @@ CableChannel::rawFallbackResend(Transfer &t, const CacheLine &original)
     }
     spans_.close(sp, static_cast<std::uint16_t>(
                          std::min(t.retries, 0xffffu)));
+    checkArqWatchdog(t, addr);
 }
 
 void
@@ -914,8 +911,7 @@ CableChannel::recoverFromDesync()
         span_begin = spans_.nowNs();
     stats_.add("desync_recoveries", 1);
     bool was_degraded = health_ == Health::Degraded;
-    health_ = recoveryAdvance(health_,
-                              RecoveryEvent::DesyncDetected).to;
+    advance(RecoveryEvent::DesyncDetected);
     flushMetadata();
     unsigned relinked = resynchronize();
     stats_.add("resync_lines", relinked);
@@ -923,17 +919,14 @@ CableChannel::recoverFromDesync()
     // relinked pair on a real link. Charged to the recovery counters
     // — never to the payload counters — so compression ratios stay
     // untouched while the wire-level recovery cost stays honest.
-    // cable-wire-write: resync.rearm rlid remoteLidBits*relinked
+    // cable-wire-write: resync.rearm rlid rlid_bits_*relinked
     // cable-wire-write: resync.rearm line_digest kWireResyncLineDigestBits*relinked
     std::uint64_t rearm_bits =
         std::uint64_t{relinked}
         * (rlid_bits_ + kWireResyncLineDigestBits);
     stats_.add("resync_rearm_bits", rearm_bits);
     stats_.add("recovery_bits", rearm_bits);
-    const RecoveryStep &engage =
-        recoveryAdvance(health_, RecoveryEvent::RecoverEngage);
-    health_ = engage.to;
-    epoch_ += engage.epoch_delta;
+    advance(RecoveryEvent::RecoverEngage);
     traceControl(TraceEvent::Type::Recovery, 0, false, relinked,
                  span_begin);
     if (!was_degraded)
@@ -949,15 +942,21 @@ CableChannel::trackHealth(const Transfer &t)
     stats_.add("degraded_transfers", 1);
     if (t.retries == 0 && !t.raw_fallback) {
         if (++healthy_streak_ >= cfg_.rearm_window) {
-            health_ = recoveryAdvance(
-                          health_, RecoveryEvent::StreakComplete)
-                          .to;
+            advance(RecoveryEvent::StreakComplete);
             healthy_streak_ = 0;
             stats_.add("rearms", 1);
         }
     } else {
         healthy_streak_ = 0;
     }
+}
+
+void
+CableChannel::advance(RecoveryEvent ev)
+{
+    const RecoveryStep &step = recoveryAdvance(health_, ev);
+    health_ = step.to;
+    epoch_ += step.epoch_delta;
 }
 
 void
@@ -1000,13 +999,97 @@ CableChannel::maybeCorruptMetadata()
     }
 }
 
-bool
-CableChannel::syncMessageLost()
+// ---------------------------------------------------------------------
+// §III-F pair rules
+// ---------------------------------------------------------------------
+
+void
+CableChannel::linkPair(LineID rlid, LineID hlid, const CacheLine &data)
 {
-    bool lost = fault_ && fault_->dropSyncMessage();
-    if (lost)
+    SigList sigs = insertSignatures(data);
+    addSignatures(home_ht_, sigs, hlid);
+    addSignatures(remote_ht_, sigs, rlid);
+    wmt_.set(rlid.set, rlid.way, hlid);
+}
+
+void
+CableChannel::unlinkOnNotice(LineID rlid, const CacheLine &rdata,
+                             const char *drop_counter)
+{
+    SigList sigs = insertSignatures(rdata);
+    dropSignatures(remote_ht_, sigs, rlid);
+    if (fault_ && fault_->dropSyncMessage()) {
         traceControl(TraceEvent::Type::SyncDrop, 0, false, 0);
-    return lost;
+        stats_.add(drop_counter, 1);
+        return;
+    }
+    auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
+    if (hlid) {
+        // The home copy's signatures are the remote copy's unless a
+        // fault let the two diverge.
+        const CacheLine &hdata = home_.lineAt(*hlid);
+        if (hdata != rdata)
+            sigs = insertSignatures(hdata);
+        dropSignatures(home_ht_, sigs, *hlid);
+    }
+    wmt_.clear(rlid.set, rlid.way);
+}
+
+bool
+CableChannel::cleanPair(LineID rlid, LineID hlid) const
+{
+    return remote_.stateAt(rlid) == CoherenceState::Shared
+           && home_.stateAt(hlid) == CoherenceState::Shared
+           && home_.addrAt(hlid) == remote_.addrAt(rlid)
+           && !(home_.lineAt(hlid) != remote_.lineAt(rlid));
+}
+
+template <typename Fn>
+void
+CableChannel::forEachTracked(std::uint32_t set_lo, std::uint32_t set_hi,
+                             Fn &&fn) const
+{
+    const std::uint32_t hi = std::min(set_hi, remote_.numSets());
+    for (std::uint32_t set = set_lo; set < hi; ++set) {
+        for (unsigned way = 0; way < remote_.numWays(); ++way) {
+            LineID rlid(set, static_cast<std::uint8_t>(way));
+            if (auto norm = wmt_.occupant(set, rlid.way))
+                fn(rlid, *norm);
+        }
+    }
+}
+
+template <typename Fn>
+void
+CableChannel::forEachCleanPair(std::uint32_t set_lo,
+                               std::uint32_t set_hi, Fn &&fn) const
+{
+    const std::uint32_t hi = std::min(set_hi, remote_.numSets());
+    for (std::uint32_t set = set_lo; set < hi; ++set) {
+        for (unsigned way = 0; way < remote_.numWays(); ++way) {
+            LineID rlid(set, static_cast<std::uint8_t>(way));
+            if (remote_.stateAt(rlid) != CoherenceState::Shared)
+                continue;
+            LineID hlid = home_.find(remote_.addrAt(rlid));
+            if (hlid.valid && cleanPair(rlid, hlid))
+                fn(rlid, hlid);
+        }
+    }
+}
+
+void
+CableChannel::landWriteBack(Addr addr, const CacheLine &data)
+{
+    if (home_.probe(addr)) {
+        home_.writeLine(addr, data, true);
+        return;
+    }
+    if (cfg_.inclusive)
+        panic("inclusivity violated: dirty remote line %llx not "
+              "resident at home",
+              static_cast<unsigned long long>(addr));
+    // Non-inclusive: the home agent re-allocates the line.
+    (void)homeInstall(addr, data, /*dirty=*/true);
 }
 
 unsigned
@@ -1014,23 +1097,13 @@ CableChannel::auditInvariant()
 {
     stats_.add("audits", 1);
     unsigned mismatches = 0;
-    for (std::uint32_t set = 0; set < remote_.numSets(); ++set) {
-        for (unsigned way = 0; way < remote_.numWays(); ++way) {
-            std::uint8_t w = static_cast<std::uint8_t>(way);
-            auto hlid = wmt_.occupantHomeLID(set, w);
-            if (!hlid)
-                continue;
-            LineID rlid(set, w);
-            // §III-F invariant for a tracked pair: both resident and
-            // clean, same address, bit-identical data.
-            bool ok = remote_.stateAt(rlid) == CoherenceState::Shared
-                      && home_.stateAt(*hlid) == CoherenceState::Shared
-                      && home_.addrAt(*hlid) == remote_.addrAt(rlid)
-                      && !(home_.lineAt(*hlid) != remote_.lineAt(rlid));
-            if (!ok)
-                ++mismatches;
-        }
-    }
+    // §III-F invariant for every tracked pair.
+    forEachTracked(0, remote_.numSets(),
+                   [&](LineID rlid, std::uint32_t norm) {
+                       if (!cleanPair(rlid,
+                                      wmt_.denormalize(rlid.set, norm)))
+                           ++mismatches;
+                   });
     traceControl(TraceEvent::Type::Audit, 0, false, mismatches);
     if (mismatches > 0) {
         stats_.add("audit_failures", 1);
@@ -1077,26 +1150,11 @@ unsigned
 CableChannel::resynchronizeRange(std::uint32_t set_lo,
                                  std::uint32_t set_hi)
 {
-    if (set_hi > remote_.numSets())
-        set_hi = remote_.numSets();
     unsigned relinked = 0;
-    for (std::uint32_t set = set_lo; set < set_hi; ++set) {
-        for (unsigned way = 0; way < remote_.numWays(); ++way) {
-            LineID rlid(set, static_cast<std::uint8_t>(way));
-            if (remote_.stateAt(rlid) != CoherenceState::Shared)
-                continue;
-            LineID hlid = home_.find(remote_.addrAt(rlid));
-            if (!hlid.valid || home_.dirtyAt(hlid)
-                || home_.lineAt(hlid) != remote_.lineAt(rlid))
-                continue;
-            wmt_.set(set, static_cast<std::uint8_t>(way), hlid);
-            // The two copies are equal (checked above).
-            SigList sigs = insertSignatures(home_.lineAt(hlid));
-            addSignatures(home_ht_, sigs, hlid);
-            addSignatures(remote_ht_, sigs, rlid);
-            ++relinked;
-        }
-    }
+    forEachCleanPair(set_lo, set_hi, [&](LineID rlid, LineID hlid) {
+        linkPair(rlid, hlid, home_.lineAt(hlid));
+        ++relinked;
+    });
     return relinked;
 }
 
@@ -1116,10 +1174,7 @@ CableChannel::crashMetadata()
     evbuf_.clearAll();
     stats_.add("endpoint_crashes", 1);
     bool was_degraded = health_ == Health::Degraded;
-    const RecoveryStep &step =
-        recoveryAdvance(health_, RecoveryEvent::CrashRestart);
-    health_ = step.to;
-    epoch_ += step.epoch_delta;
+    advance(RecoveryEvent::CrashRestart);
     if (!was_degraded)
         stats_.add("degraded_entries", 1);
     healthy_streak_ = 0;
@@ -1153,19 +1208,11 @@ CableChannel::metadataDigest(std::uint32_t set_lo,
     // slot. Cheap to compute, exchanged during resync to locate
     // mismatched ranges.
     std::uint64_t h = kFnvBasis;
-    std::uint32_t hi = std::min(set_hi, wmt_.config().remote_sets);
-    for (std::uint32_t set = set_lo; set < hi; ++set) {
-        for (unsigned way = 0; way < wmt_.config().remote_ways;
-             ++way) {
-            auto norm =
-                wmt_.occupant(set, static_cast<std::uint8_t>(way));
-            if (!norm)
-                continue;
-            h = fnv1a64(h, set);
-            h = fnv1a64(h, way);
-            h = fnv1a64(h, *norm);
-        }
-    }
+    forEachTracked(set_lo, set_hi, [&](LineID rlid, std::uint32_t norm) {
+        h = fnv1a64(h, rlid.set);
+        h = fnv1a64(h, rlid.way);
+        h = fnv1a64(h, norm);
+    });
     return h;
 }
 
@@ -1174,26 +1221,15 @@ CableChannel::referenceDigest(std::uint32_t set_lo,
                               std::uint32_t set_hi) const
 {
     // Ground-truth twin of metadataDigest: folds the same tuple for
-    // every remote slot that *should* be tracked — resident, clean,
-    // and bit-identical on both sides (the resynchronize() criteria).
-    // A range whose two digests differ holds stale or missing WMT
-    // state and needs repair.
+    // every clean pair, the pairs resynchronize() links. A range
+    // whose two digests differ holds stale or missing WMT state and
+    // needs repair.
     std::uint64_t h = kFnvBasis;
-    std::uint32_t hi = std::min(set_hi, remote_.numSets());
-    for (std::uint32_t set = set_lo; set < hi; ++set) {
-        for (unsigned way = 0; way < remote_.numWays(); ++way) {
-            LineID rlid(set, static_cast<std::uint8_t>(way));
-            if (remote_.stateAt(rlid) != CoherenceState::Shared)
-                continue;
-            LineID hlid = home_.find(remote_.addrAt(rlid));
-            if (!hlid.valid || home_.dirtyAt(hlid)
-                || home_.lineAt(hlid) != remote_.lineAt(rlid))
-                continue;
-            h = fnv1a64(h, set);
-            h = fnv1a64(h, way);
-            h = fnv1a64(h, wmt_.normalize(hlid));
-        }
-    }
+    forEachCleanPair(set_lo, set_hi, [&](LineID rlid, LineID hlid) {
+        h = fnv1a64(h, rlid.set);
+        h = fnv1a64(h, rlid.way);
+        h = fnv1a64(h, wmt_.normalize(hlid));
+    });
     return h;
 }
 
@@ -1202,64 +1238,11 @@ CableChannel::dropMetadataRange(std::uint32_t set_lo,
                                 std::uint32_t set_hi)
 {
     unsigned dropped = 0;
-    std::uint32_t hi = std::min(set_hi, wmt_.config().remote_sets);
-    for (std::uint32_t set = set_lo; set < hi; ++set) {
-        for (unsigned way = 0; way < wmt_.config().remote_ways;
-             ++way) {
-            std::uint8_t w = static_cast<std::uint8_t>(way);
-            if (!wmt_.occupant(set, w))
-                continue;
-            wmt_.clear(set, w);
-            ++dropped;
-        }
-    }
+    forEachTracked(set_lo, set_hi, [&](LineID rlid, std::uint32_t) {
+        wmt_.clear(rlid.set, rlid.way);
+        ++dropped;
+    });
     return dropped;
-}
-
-void
-CableChannel::beginResync()
-{
-    // Healthy → ResyncHealthy / Degraded → ResyncDegraded: the two
-    // transient session states exist so an incomplete session can
-    // fall back to exactly the steady state it started from.
-    health_ =
-        recoveryAdvance(health_, RecoveryEvent::ResyncStart).to;
-}
-
-void
-CableChannel::resyncRoundRepaired()
-{
-    // Self-loop; routed through the table so an undeclared state
-    // (e.g. a session that was never begun) panics here.
-    health_ =
-        recoveryAdvance(health_, RecoveryEvent::DigestMismatch).to;
-}
-
-void
-CableChannel::resyncFaultTorn()
-{
-    health_ =
-        recoveryAdvance(health_, RecoveryEvent::MetadataFault).to;
-}
-
-void
-CableChannel::completeResync()
-{
-    // A verified resync re-armed every mismatched range, so the
-    // rearm_window probation that follows an in-band desync recovery
-    // is unnecessary: return to Healthy immediately (the bounded
-    // re-warm the protocol pays for).
-    health_ =
-        recoveryAdvance(health_, RecoveryEvent::DigestClean).to;
-    healthy_streak_ = 0;
-    stats_.add("resync_completions", 1);
-}
-
-void
-CableChannel::abandonResync()
-{
-    health_ =
-        recoveryAdvance(health_, RecoveryEvent::RoundsExhausted).to;
 }
 
 // ---------------------------------------------------------------------
@@ -1352,44 +1335,16 @@ CableChannel::remoteEvictSlot(LineID rlid)
     bool was_dirty = remote_.dirtyAt(rlid);
 
     evbuf_.push(rlid, vdata);
-    if (!was_dirty) {
-        // Shared line: remove its signatures on both sides and its
-        // WMT entry (home data still equals remote data). The
-        // remote-side removal is local; the home-side cleanup rides
-        // on the eviction notice, which the fault model may drop —
-        // leaving stale home metadata for the audit/verify to catch.
-        SigList sigs = insertSignatures(vdata);
-        dropSignatures(remote_ht_, sigs, rlid);
-        if (syncMessageLost()) {
-            stats_.add("sync_drops_evict", 1);
-        } else {
-            auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-            if (hlid) {
-                const CacheLine &hdata = home_.lineAt(*hlid);
-                if (hdata != vdata)
-                    sigs = insertSignatures(hdata);
-                dropSignatures(home_ht_, sigs, *hlid);
-            }
-            wmt_.clear(rlid.set, rlid.way);
-        }
-    }
-
     std::optional<Transfer> out;
-    if (was_dirty) {
+    if (!was_dirty) {
+        // Shared line: the eviction notice unlinks it.
+        unlinkOnNotice(rlid, vdata, "sync_drops_evict");
+    } else {
         // Dirty victim: compressed write-back (§III-G). Metadata was
         // already detached at upgrade time.
         out = encodeAndTransmit(Direction::kWriteBack, vdata, rlid,
                                 vaddr);
-        if (!home_.probe(vaddr)) {
-            if (cfg_.inclusive)
-                panic("inclusivity violated: dirty remote line %llx "
-                      "not resident at home",
-                      static_cast<unsigned long long>(vaddr));
-            // Non-inclusive: the home agent re-allocates the line.
-            (void)homeInstall(vaddr, vdata, /*dirty=*/true);
-        } else {
-            home_.writeLine(vaddr, vdata, true);
-        }
+        landWriteBack(vaddr, vdata);
     }
 
     remote_.invalidate(vaddr);
@@ -1426,10 +1381,7 @@ CableChannel::respondAndInstall(Addr addr, std::uint8_t vway,
         // stale and must not serve as reference data.
         home_.markDirty(addr);
     } else {
-        SigList sigs = insertSignatures(data);
-        addSignatures(home_ht_, sigs, home_lid);
-        addSignatures(remote_ht_, sigs, LineID(rset, vway));
-        wmt_.set(rset, vway, home_lid);
+        linkPair(LineID(rset, vway), home_lid, data);
     }
 
     stats_.add(ctr_.responses, 1);
@@ -1470,27 +1422,11 @@ CableChannel::remoteUpgrade(Addr addr)
               static_cast<unsigned long long>(addr));
     if (remote_.dirtyAt(rlid))
         return; // already Modified
-    const CacheLine &rdata = remote_.lineAt(rlid);
-    SigList sigs = insertSignatures(rdata);
-    dropSignatures(remote_ht_, sigs, rlid);
-    // The home-side metadata cleanup rides on CABLE's upgrade notice
-    // (§III-F); if the fault model drops it, stale home signatures
-    // and a stale WMT entry survive while the remote copy silently
-    // diverges — the desync the audit/verify paths must catch. The
-    // coherence-protocol upgrade itself travels reliably, so the
-    // cache states below stay correct either way.
-    if (syncMessageLost()) {
-        stats_.add("sync_drops_upgrade", 1);
-    } else {
-        auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-        if (hlid) {
-            const CacheLine &hdata = home_.lineAt(*hlid);
-            if (hdata != rdata)
-                sigs = insertSignatures(hdata);
-            dropSignatures(home_ht_, sigs, *hlid);
-        }
-        wmt_.clear(rlid.set, rlid.way);
-    }
+    // CABLE's upgrade notice unlinks the line (§III-F); a lost notice
+    // leaves the remote copy silently diverging from stale home
+    // metadata. The coherence-protocol upgrade itself travels
+    // reliably, so the cache states below stay correct either way.
+    unlinkOnNotice(rlid, remote_.lineAt(rlid), "sync_drops_upgrade");
     remote_.markDirty(addr);
     // The home copy is now stale and must stop serving as reference
     // data. In non-inclusive mode the home may have already dropped
@@ -1522,14 +1458,7 @@ CableChannel::writeBack(Addr addr, const CacheLine &data)
               static_cast<unsigned long long>(addr));
     Transfer t =
         encodeAndTransmit(Direction::kWriteBack, data, rlid, addr);
-    if (!home_.probe(addr)) {
-        if (cfg_.inclusive)
-            panic("writeBack: inclusivity violated for %llx",
-                  static_cast<unsigned long long>(addr));
-        (void)homeInstall(addr, data, /*dirty=*/true);
-    } else {
-        home_.writeLine(addr, data, true);
-    }
+    landWriteBack(addr, data);
     stats_.add(ctr_.explicit_writebacks, 1);
     return t;
 }

@@ -254,6 +254,20 @@ struct HomeInstallResult
     std::optional<Transfer> backinval_writeback;
 };
 
+/** Outcome of one resync session (CableChannel::resync). */
+struct ResyncResult
+{
+    bool completed = false;  ///< a full digest round verified clean
+    std::uint64_t epoch = 0; ///< channel generation after the session
+    unsigned rounds = 0;     ///< digest rounds actually run
+    std::uint32_t ranges_total = 0;    ///< ranges per digest round
+    std::uint32_t ranges_repaired = 0; ///< repair operations (all rounds)
+    unsigned lines_relinked = 0;       ///< pairs re-armed (all rounds)
+    std::uint64_t handshake_bits = 0;  ///< hello + digest exchange bits
+    std::uint64_t rearm_bits = 0;      ///< incremental re-arm bits
+    unsigned faults_hit = 0;           ///< mid-resync faults injected
+};
+
 class CableChannel
 {
   public:
@@ -354,7 +368,6 @@ class CableChannel
      * events. Without one, the hot path pays a single pointer test.
      */
     void setTraceSink(TraceSink *sink) { trace_ = sink; }
-    TraceSink *traceSink() const { return trace_; }
 
     /**
      * Critical-path span sampling: 1-in-@p period transfers record
@@ -369,10 +382,6 @@ class CableChannel
     }
     /** Recorder counters for the measured-overhead self-report. */
     const SpanRecorder &spanRecorder() const { return spans_; }
-    /** The resync protocol (sim layer) times its session with the
-     *  channel's recorder, so its span lands in the same stage
-     *  histograms and overhead self-report. */
-    [[nodiscard]] SpanRecorder &spanRecorder() { return spans_; }
 
     /**
      * Tail-quantile sketches (DESIGN.md §14): when enabled, every
@@ -439,15 +448,6 @@ class CableChannel
     /** Clears both hash tables and the WMT. */
     void flushMetadata();
 
-    /**
-     * Rebuilds metadata from scratch: every clean shared line
-     * resident on both sides with identical data is re-linked
-     * (WMT + both signature tables). Returns lines re-linked.
-     */
-    unsigned resynchronize(); // cable-lint: allow(R004) re-link
-                              // count is advisory; recovery paths
-                              // resynchronize for the side effect
-
     // ---- crash recovery & resync protocol (DESIGN.md §12) -----------
 
     /**
@@ -458,29 +458,15 @@ class CableChannel
      */
     std::uint64_t epoch() const { return epoch_; }
 
-    /** The attached fault model (nullptr when none). */
-    LinkFaultModel *faultModel() const { return fault_; }
-
     /**
      * Simulated endpoint crash: every piece of link-encoder state —
      * both hash tables, the WMT, the eviction buffer — is lost, the
      * epoch advances and the channel enters Degraded. Cache contents
      * survive (a link reset does not lose memory); only the
-     * dictionaries must be rebuilt, by checkpoint restore and/or the
-     * resync protocol.
+     * dictionaries must be rebuilt, by checkpoint restore and/or
+     * resync().
      */
     void crashMetadata();
-
-    /**
-     * Bounded resynchronize: re-links clean identical pairs whose
-     * remote set index lies in [set_lo, set_hi). The incremental
-     * re-arm step of the resync protocol; resynchronize() is the
-     * whole-cache special case.
-     */
-    // cable-lint: allow(R004) same advisory-count contract as
-    // resynchronize()
-    unsigned resynchronizeRange(std::uint32_t set_lo,
-                                std::uint32_t set_hi);
 
     /**
      * Order-independent digest of the current WMT tracking state for
@@ -500,51 +486,32 @@ class CableChannel
                                   std::uint32_t set_hi) const;
 
     /**
-     * Drops WMT tracking for remote sets [set_lo, set_hi) ahead of a
-     * range repair (stale entries must not survive a re-link).
-     * Returns the number of slots cleared.
+     * The dictionary reconciliation handshake (core/resync.cc),
+     * run after a crash or a restore from a stale image:
+     *
+     *   1. Hello: both sides exchange epochs (kWireResyncEpochBits
+     *      each), so a restarted peer is detected.
+     *   2. Digest rounds: per range of remote sets each side sends
+     *      one digest (kWireResyncDigestBits); a range whose
+     *      metadataDigest matches its referenceDigest needs no
+     *      further traffic.
+     *   3. Repair: each mismatched range is dropped and re-armed from
+     *      cache ground truth; one RemoteLID plus a line digest per
+     *      re-linked pair.
+     *   4. Verify: the session completes when a full digest round is
+     *      clean, and the channel returns to Healthy at once — no
+     *      rearm_window probation.
+     *
+     * With a fault model attached, a repair round may re-tear a
+     * repaired range; injection stops before the last round, so a
+     * fault schedule can delay convergence but never prevent it.
+     * Both endpoints share this object, so the session models the
+     * protocol's traffic and repair without a message layer; every
+     * handshake and re-arm bit lands in the recovery counters
+     * (`resync_handshake_bits`, `resync_rearm_bits`,
+     * `recovery_bits`), never in the payload counters.
      */
-    // cable-lint: allow(R004) cleared-slot count is advisory
-    unsigned dropMetadataRange(std::uint32_t set_lo,
-                               std::uint32_t set_hi);
-
-    /**
-     * Resync-session entry (the epoch hello): moves the machine into
-     * the transient ResyncHealthy/ResyncDegraded state for the
-     * duration of one ResyncSession::run(). Every exit path of the
-     * session must leave through completeResync() (digests verified)
-     * or abandonResync() (rounds exhausted); the session runs
-     * synchronously, so callers never observe the transient state.
-     */
-    void beginResync();
-
-    /**
-     * Resync-session round event: a range digest pair disagreed and
-     * the range was dropped + re-armed (spec DigestMismatch
-     * self-loop). Keeps the code path on the generated table even
-     * though the state does not change.
-     */
-    void resyncRoundRepaired();
-
-    /**
-     * Resync-session fault event: the injector re-tore a repaired
-     * range mid-session (spec MetadataFault self-loop).
-     */
-    void resyncFaultTorn();
-
-    /**
-     * Resync-protocol completion: the digests verified clean, so the
-     * channel returns to Healthy immediately instead of waiting out
-     * the rearm_window (the protocol's bounded re-warm guarantee).
-     */
-    void completeResync();
-
-    /**
-     * Resync-session exit without a clean digest pass (max_rounds
-     * exhausted): the channel falls back to the steady state it
-     * entered the session from.
-     */
-    void abandonResync();
+    [[nodiscard]] ResyncResult resync();
 
     /**
      * Invoked with the victim's address just before a home eviction
@@ -557,9 +524,6 @@ class CableChannel
     {
         backinval_hook_ = std::move(hook);
     }
-
-    /** RemoteLID width on the wire (17b in the paper's configs). */
-    unsigned remoteLidBits() const { return rlid_bits_; }
 
     /** Serializes a line into a 512-bit payload image; built only
      *  when a raw frame is emitted. */
@@ -708,19 +672,76 @@ class CableChannel
     void deliver(Transfer &t, const Chosen &chosen,
                  const Direction &dir, Addr addr,
                  const CacheLine &original);
-    /** Uncompressed escape hatch, resent until verified clean. */
-    void rawFallbackResend(Transfer &t, const CacheLine &original);
+    /** Why a transfer left the compressed path (RawFallback aux). */
+    enum class RawFallbackReason : std::uint8_t
+    {
+        CrcMiss = 1,          ///< corruption the CRC could not see
+        RetriesExhausted = 2, ///< max_retries compressed resends
+        Desync = 3,           ///< decode verify failed; recovered
+    };
+    /** Writes the raw frame of @p data: the flag bit (a compressing
+     *  link only) and the 512 payload bits. */
+    void writeRawFrame(BitWriter &bw, const CacheLine &data) const;
+    /** Uncompressed escape hatch for @p reason, resent until it is
+     *  received clean; then the ARQ watchdog check. */
+    void rawFallbackResend(Transfer &t, const CacheLine &original,
+                           Addr addr, RawFallbackReason reason);
     /** Flush + resynchronize + enter degraded mode. */
     void recoverFromDesync();
     /** Throws CableTimeoutError when the retry budget is blown. */
-    void checkArqWatchdog(const Transfer &t, Addr addr,
-                          bool writeback);
+    void checkArqWatchdog(const Transfer &t, Addr addr);
     /** Healthy-window bookkeeping after each delivered transfer. */
     void trackHealth(const Transfer &t);
     /** Injects one metadata soft error, if the model says so. */
     void maybeCorruptMetadata();
-    /** True when a sync message to the home side was lost. */
-    bool syncMessageLost();
+    /** Takes the recovery_fsm.def row for (health_, @p ev): applies
+     *  its `to` state and its epoch delta. */
+    void advance(RecoveryEvent ev);
+
+    // ---- §III-F pair rules -------------------------------------------
+
+    /** Links a shared pair: remote slot @p rlid holds the same line
+     *  and @p data as home slot @p hlid. Both tables learn the
+     *  line's signatures and the WMT maps @p rlid to @p hlid. */
+    void linkPair(LineID rlid, LineID hlid, const CacheLine &data);
+    /**
+     * Unlinks the clean remote line @p rlid (data @p rdata) as it
+     * leaves Shared. The remote-side signature drop is local; the
+     * home side learns through a sync notice, the one place the
+     * fault model may drop it (counted under @p drop_counter and
+     * traced as SyncDrop), leaving stale home metadata for the
+     * audit or the decode verify to catch.
+     */
+    void unlinkOnNotice(LineID rlid, const CacheLine &rdata,
+                        const char *drop_counter);
+    /** The pair invariant: both slots Shared, holding the same line
+     *  with bit-identical data. */
+    bool cleanPair(LineID rlid, LineID hlid) const;
+    /** Calls @p fn(rlid, norm) for each WMT-tracked remote slot of
+     *  sets [set_lo, set_hi); norm is the normalized HomeLID. */
+    template <typename Fn>
+    void forEachTracked(std::uint32_t set_lo, std::uint32_t set_hi,
+                        Fn &&fn) const;
+    /** Calls @p fn(rlid, hlid) for each clean pair (cleanPair) whose
+     *  remote slot lies in sets [set_lo, set_hi). */
+    template <typename Fn>
+    void forEachCleanPair(std::uint32_t set_lo, std::uint32_t set_hi,
+                          Fn &&fn) const;
+    /** Lands a write-back of @p data at the home copy of @p addr; a
+     *  non-inclusive home re-allocates a line it dropped. */
+    void landWriteBack(Addr addr, const CacheLine &data);
+
+    /** Re-links every clean pair (resynchronizeRange over all sets);
+     *  returns lines re-linked. */
+    unsigned resynchronize();
+    /** Re-links the clean pairs whose remote set lies in
+     *  [set_lo, set_hi); returns lines re-linked. */
+    unsigned resynchronizeRange(std::uint32_t set_lo,
+                                std::uint32_t set_hi);
+    /** Drops WMT tracking for remote sets [set_lo, set_hi) ahead of
+     *  a range repair; returns the number of slots cleared. */
+    unsigned dropMetadataRange(std::uint32_t set_lo,
+                               std::uint32_t set_hi);
 
     /** The insert-signatures of @p data, extracted once per insert
      *  or evict event and applied to every table the event touches

@@ -18,17 +18,18 @@
  *
  * RemoteLID width is not a constant: it is derived from the remote
  * cache's geometry (set index bits + way bits — 17 in the paper's
- * 16MB/16-way config, Table III) and lives in
- * CableChannel::remoteLidBits().
+ * 16MB/16-way config, Table III) and lives in the channel's
+ * rlid_bits_.
  *
  * The `cable-wire-decl:` directives below are the machine-readable
  * half of this contract: tools/cable_verify.py reconstructs each
  * record's field sequence from the annotated writer sites
- * (channel.cc, protocol.cc, resync.cc) and checks them against these
- * declarations, so a header change that forgets one side fails the
- * static-analysis job. Records whose reader lives on the (simulated)
- * peer — the frame headers and the resync handshake — have no C++
- * reader to compare; the declaration *is* the receiving side.
+ * (core/channel.cc, core/resync.cc, sim/protocol.cc) and checks them
+ * against these declarations, so a header change that forgets one
+ * side fails the static-analysis job. Records whose reader lives on
+ * the (simulated) peer — the frame headers and the resync handshake —
+ * have no C++ reader to compare; the declaration *is* the receiving
+ * side.
  */
 
 #ifndef CABLE_CORE_WIRE_FORMAT_H
@@ -87,16 +88,17 @@ inline constexpr unsigned kWireResyncDigestBits = 32;
 
 /**
  * Per-line confirmation digest sent while re-arming a mismatched
- * range: one RemoteLID (CableChannel::remoteLidBits()) plus this
+ * range: one RemoteLID (the channel's rlid_bits_) plus this
  * digest per re-linked line.
  */
 inline constexpr unsigned kWireResyncLineDigestBits = 16;
 
-// Resync handshake wire contracts (accounting sites: sim/resync.cc
-// ResyncSession::run — both directions of each exchange, hence *2).
+// Resync handshake wire contracts (accounting sites: core/resync.cc
+// CableChannel::resync — both directions of each exchange, hence *2 —
+// and the desync re-arm in core/channel.cc recoverFromDesync).
 // cable-wire-decl: resync.hello epoch kWireResyncEpochBits*2
 // cable-wire-decl: resync.digest digest kWireResyncDigestBits*2
-// cable-wire-decl: resync.rearm rlid remoteLidBits*relinked
+// cable-wire-decl: resync.rearm rlid rlid_bits_*relinked
 // cable-wire-decl: resync.rearm line_digest kWireResyncLineDigestBits*relinked
 
 } // namespace cable

@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "core/channel.h"
 #include "core/checkpoint.h"
-#include "sim/resync.h"
 #include "workload/profile.h"
 #include "workload/value_model.h"
 
@@ -195,7 +194,7 @@ watchdogScenario(const ChaosConfig &cfg, ChaosReport &report)
     // The link heals; the endpoint restarts cold and resyncs.
     ch.setFaultModel(nullptr);
     ch.crashMetadata();
-    ResyncResult r = ResyncSession(ch).run();
+    ResyncResult r = ch.resync();
     if (!r.completed)
         return "watchdog: post-timeout resync did not complete";
     if (ch.health() != CableChannel::Health::Healthy)

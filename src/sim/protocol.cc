@@ -88,12 +88,6 @@ CableLinkProtocol::setCompressionEnabled(bool on)
     channel_.setCompressionEnabled(on);
 }
 
-ResyncResult
-CableLinkProtocol::restartAndResync()
-{
-    return ResyncSession(channel_).run();
-}
-
 // ---------------------------------------------------------------------
 // StreamLinkProtocol
 // ---------------------------------------------------------------------

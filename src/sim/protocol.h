@@ -30,7 +30,6 @@
 #include "common/stats.h"
 #include "compress/compressor.h"
 #include "core/channel.h"
-#include "sim/resync.h"
 
 namespace cable
 {
@@ -214,7 +213,7 @@ class CableLinkProtocol : public LinkProtocol
     CableChannel *cableChannel() override { return &channel_; }
 
     void crashEndpoint() override { channel_.crashMetadata(); }
-    ResyncResult restartAndResync() override;
+    ResyncResult restartAndResync() override { return channel_.resync(); }
 
     CableChannel &channel() { return channel_; }
 

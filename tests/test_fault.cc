@@ -21,7 +21,6 @@
 #include "core/checkpoint.h"
 #include "sim/fault.h"
 #include "sim/memlink.h"
-#include "sim/resync.h"
 #include "telemetry/trace.h"
 #include "workload/profile.h"
 #include "workload/value_model.h"
@@ -294,6 +293,29 @@ TEST(FaultChannel, DroppedUpgradeSyncIsCaughtByAudit)
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
 }
 
+TEST(FaultChannel, DroppedEvictionSyncIsCaughtByAudit)
+{
+    Rig rig;
+    ScriptedFault fault;
+    rig.channel.setFaultModel(&fault);
+    SyntheticMemory mem(similarValues(), 0, 3);
+
+    rig.fetch(mem, 0x3000); // shared: tracked in WMT + tables
+    EXPECT_EQ(rig.channel.auditInvariant(), 0u);
+
+    fault.drop_next_sync = true;
+    // Snoop invalidation of the clean copy: eviction notice lost.
+    EXPECT_FALSE(rig.channel.remoteInvalidate(0x3000).has_value());
+    EXPECT_EQ(rig.channel.stats().get("sync_drops_evict"), 1u);
+    EXPECT_EQ(rig.channel.stats().get("sync_drops_upgrade"), 0u);
+
+    // The WMT still tracks the now-empty remote slot.
+    EXPECT_GE(rig.channel.auditInvariant(), 1u);
+    EXPECT_EQ(rig.channel.stats().get("desync_recoveries"), 1u);
+    EXPECT_TRUE(rig.channel.degraded());
+    EXPECT_EQ(rig.channel.auditInvariant(), 0u);
+}
+
 TEST(FaultChannel, DegradedModeReArmsAfterHealthyWindow)
 {
     CableConfig cfg;
@@ -541,7 +563,7 @@ TEST(ControlSpans, ResyncAfterRestoreRecordsOneResyncSpan)
     rig.channel.crashMetadata();
     ChannelCheckpoint::restore(rig.channel, image);
     expectOneResyncSpan(rig.channel, log, TraceEvent::Type::Resync, [&] {
-        EXPECT_TRUE(ResyncSession(rig.channel).run().completed);
+        EXPECT_TRUE(rig.channel.resync().completed);
     });
 }
 

@@ -25,7 +25,6 @@
 #include "core/checkpoint.h"
 #include "sim/chaos.h"
 #include "sim/fault.h"
-#include "sim/resync.h"
 #include "telemetry/spans.h"
 #include "telemetry/trace.h"
 #include "workload/profile.h"
@@ -151,7 +150,7 @@ TEST(Checkpoint, RoundTripRestoresStateAndBumpsEpoch)
     // The caches moved on since the capture, so the restored
     // metadata is stale — exactly the state the resync protocol
     // reconciles. After it, the channel must decode cleanly again.
-    EXPECT_TRUE(ResyncSession(rig.channel).run().completed);
+    EXPECT_TRUE(rig.channel.resync().completed);
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
     warm(rig, mem, 400, 14);
     EXPECT_EQ(rig.channel.auditInvariant(), 0u);
@@ -770,7 +769,7 @@ TEST(Resync, ColdRestartReturnsToHealthy)
     EXPECT_TRUE(rig.channel.degraded());
     EXPECT_EQ(fullDigest(rig.channel), fullDigest(Rig{}.channel));
 
-    ResyncResult r = ResyncSession(rig.channel).run();
+    ResyncResult r = rig.channel.resync();
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(rig.channel.health(), CableChannel::Health::Healthy);
     EXPECT_GT(r.lines_relinked, 0u);
@@ -800,7 +799,7 @@ TEST(Resync, WarmRestoreNeedsNoRearmTraffic)
     rig.channel.crashMetadata();
     ChannelCheckpoint::restore(rig.channel, image);
 
-    ResyncResult r = ResyncSession(rig.channel).run();
+    ResyncResult r = rig.channel.resync();
     EXPECT_TRUE(r.completed);
     EXPECT_EQ(rig.channel.health(), CableChannel::Health::Healthy);
     // The checkpoint already matches ground truth: digests agree on
@@ -823,7 +822,7 @@ TEST(Resync, MidResyncFaultsStillConverge)
     rig.channel.crashMetadata();
     rig.channel.setFaultModel(&inj);
 
-    ResyncResult r = ResyncSession(rig.channel).run();
+    ResyncResult r = rig.channel.resync();
     EXPECT_TRUE(r.completed);
     EXPECT_GT(r.faults_hit, 0u);
     EXPECT_EQ(rig.channel.health(), CableChannel::Health::Healthy);
@@ -853,7 +852,7 @@ TEST(Watchdog, StalledArqRaisesTypedTimeout)
     // Recovery after the link heals: crash, resync, retry.
     rig.channel.setFaultModel(nullptr);
     rig.channel.crashMetadata();
-    EXPECT_TRUE(ResyncSession(rig.channel).run().completed);
+    EXPECT_TRUE(rig.channel.resync().completed);
     (void)rig.channel.remoteFetch(addr, false);
     LineID rlid = rig.remote.find(addr);
     ASSERT_TRUE(rlid.valid);

@@ -18,10 +18,10 @@ Enforces five invariants that generic linters cannot express:
         state whose iteration order could feed simulator output.
         Unordered containers are allowed only with a justified
         ``allow(R002)`` directive.
-  R003  wire-format widths: in src/core/ and in the resync layer
-        (src/sim/resync.*), the width argument of every serialization
-        site — put(value, WIDTH), get(WIDTH[, ...]) and the
-        checkpoint walk's rw(value, WIDTH), as
+  R003  wire-format widths: in src/core/ (the resync session,
+        src/core/resync.cc, included), the width argument of every
+        serialization site — put(value, WIDTH), get(WIDTH[, ...]) and
+        the checkpoint walk's rw(value, WIDTH), as
         cable_scan.bitstream_calls finds them — must be a named
         constant or expression, not a bare integer literal (the wire
         contract lives in core/wire_format.h and core/checkpoint.h,
@@ -31,7 +31,7 @@ Enforces five invariants that generic linters cannot express:
         src/core/*.h that return a value must be [[nodiscard]] (or
         carry a justified ``allow(R004)``).
   R005  serialization discipline: the checkpoint/resync persistence
-        layer (src/core/checkpoint.*, src/sim/resync.*) must encode
+        layer (src/core/checkpoint.*, src/core/resync.*) must encode
         every field through the bit-stream API; raw memory images
         (memcpy/memmove/reinterpret_cast of structures) are findings.
         They bake host layout into the on-disk format and silently
@@ -79,9 +79,9 @@ RULES = {
 # (its raw-memory bans would trip on ordinary fixture code).
 TREE_SCOPE = {
     "R002": re.compile(r"^src/(?:core|compress|sim)/"),
-    "R003": re.compile(r"^src/core/|src/sim/resync\.(?:h|cc)$"),
+    "R003": re.compile(r"^src/core/"),
     "R004": re.compile(r"src/core/[^/]+\.h$"),
-    "R005": re.compile(r"src/(?:core/checkpoint|sim/resync)\.(?:h|cc)$"),
+    "R005": re.compile(r"src/core/(?:checkpoint|resync)\.(?:h|cc)$"),
 }
 FIXTURE_SCOPE = {
     "R002": re.compile(""),

@@ -44,7 +44,7 @@ Sequence rules: a record needs at least two roles. Writer and reader
 sequences must match exactly (field, width, count, in order); a role
 checked against a contract declaration must be a whole number of
 exact repetitions of it (several emit sites of the same record, e.g.
-the raw-frame flag in packageTransfer and rawFallbackResend).
+the re-arm bits of desync recovery and of the resync session).
 
 Diagnostic codes:
 
@@ -106,14 +106,15 @@ WIRE_FILES = [
     "src/core/wire_format.h",
     "src/core/channel.cc",
     "src/sim/protocol.cc",
-    "src/sim/resync.cc",
+    "src/core/resync.cc",
 ]
 
 FSM_SPEC = "src/core/recovery_fsm.def"
 
 # Implementation files whose health mutations must route through the
 # generated table (F013).
-FSM_IMPL_FILES = ["src/core/channel.cc", "src/core/checkpoint.cc"]
+FSM_IMPL_FILES = ["src/core/channel.cc", "src/core/checkpoint.cc",
+                  "src/core/resync.cc"]
 
 RECOVERY_BITS_CLASSES = ("None", "Handshake", "Rearm", "Retrans")
 
