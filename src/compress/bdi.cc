@@ -161,9 +161,8 @@ Bdi::compress(const CacheLine &line, const RefList &)
 }
 
 DecodeResult
-Bdi::decode(const BitVec &bits, const RefList &)
+Bdi::decode(BitReader &br, const RefList &)
 {
-    BitReader br(bits);
     CacheLine line;
     unsigned enc = static_cast<unsigned>(br.get(4));
     if (enc > kRaw)

@@ -7,7 +7,9 @@
  *
  * An engine costs a line with draft() and emit()s the kept draft. It
  * reads a line back with decode(), the receiver: on damaged or cut
- * bits it returns a typed DecodeError, never aborting.
+ * bits it returns a typed DecodeError, never aborting. decode()
+ * reads from a BitReader, so a frame's receiver hands the engine the
+ * reader it parsed the frame header with, limited to the payload end.
  *
  * Engines may also keep persistent state across lines (a streaming
  * window or FIFO dictionary); such engines model link compressors
@@ -100,9 +102,18 @@ class Compressor
      */
     virtual BitVec compress(const CacheLine &line, const RefList &refs) = 0;
 
-    /** Decodes @p bits with the same @p refs the encoder had. */
-    virtual DecodeResult decode(const BitVec &bits,
-                                const RefList &refs) = 0;
+    /** Decodes one line from @p br's position with the same @p refs
+     *  the encoder had, leaving @p br after it. */
+    virtual DecodeResult decode(BitReader &br, const RefList &refs) = 0;
+
+    /** decode() of a whole image. Engines override the reader form
+     *  with `using Compressor::decode;` beside it. */
+    DecodeResult
+    decode(const BitVec &bits, const RefList &refs)
+    {
+        BitReader br(bits);
+        return decode(br, refs);
+    }
 
     /** decode() for trusted bits (benchmarks, tests): panics on a
      *  decode error. */

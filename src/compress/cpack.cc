@@ -126,9 +126,8 @@ Cpack::encode(const CacheLine &line, Dict &dict) const
 }
 
 DecodeResult
-Cpack::decodeWith(const BitVec &bits, Dict &dict) const
+Cpack::decodeWith(BitReader &br, Dict &dict) const
 {
-    BitReader br(bits);
     CacheLine line;
     for (unsigned i = 0; i < kWordsPerLine; ++i) {
         unsigned code = static_cast<unsigned>(br.get(2));
@@ -177,12 +176,12 @@ Cpack::compress(const CacheLine &line, const RefList &refs)
 }
 
 DecodeResult
-Cpack::decode(const BitVec &bits, const RefList &refs)
+Cpack::decode(BitReader &br, const RefList &refs)
 {
     if (refs.empty() && cfg_.persistent)
-        return decodeWith(bits, dec_dict_);
+        return decodeWith(br, dec_dict_);
     Dict d = makeSeededDict(refs);
-    return decodeWith(bits, d);
+    return decodeWith(br, d);
 }
 
 void

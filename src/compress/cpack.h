@@ -49,7 +49,8 @@ class Cpack : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
+    using Compressor::decode;
+    DecodeResult decode(BitReader &br, const RefList &refs) override;
     void reset() override;
 
   private:
@@ -74,7 +75,7 @@ class Cpack : public Compressor
     };
 
     BitVec encode(const CacheLine &line, Dict &dict) const;
-    DecodeResult decodeWith(const BitVec &bits, Dict &dict) const;
+    DecodeResult decodeWith(BitReader &br, Dict &dict) const;
     Dict makeSeededDict(const RefList &refs) const;
 
     Config cfg_;

@@ -88,9 +88,8 @@ Fpc::compress(const CacheLine &line, const RefList &)
 }
 
 DecodeResult
-Fpc::decode(const BitVec &bits, const RefList &)
+Fpc::decode(BitReader &br, const RefList &)
 {
-    BitReader br(bits);
     CacheLine line;
     unsigned i = 0;
     while (i < kWordsPerLine) {

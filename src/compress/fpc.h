@@ -33,7 +33,8 @@ class Fpc : public Compressor
   public:
     std::string name() const override { return "fpc"; }
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
+    using Compressor::decode;
+    DecodeResult decode(BitReader &br, const RefList &refs) override;
 };
 
 } // namespace cable

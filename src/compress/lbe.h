@@ -55,15 +55,8 @@ class Lbe : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    DecodeResult
-    decode(const BitVec &bits, const RefList &refs) override
-    {
-        BitReader br(bits);
-        return decode(br, refs);
-    }
-    /** Decodes one line from @p br's position, leaving @p br after
-     *  it: for a container that carries LBE bits after its own. */
-    DecodeResult decode(BitReader &br, const RefList &refs);
+    using Compressor::decode;
+    DecodeResult decode(BitReader &br, const RefList &refs) override;
     /** Plans @p line without writing bits; a persistent stream is
      *  read, never advanced. */
     std::size_t draft(const CacheLine &line, const RefList &refs,

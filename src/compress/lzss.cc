@@ -189,9 +189,8 @@ Lzss::compress(const CacheLine &line, const RefList &refs)
 }
 
 DecodeResult
-Lzss::decode(const BitVec &bits, const RefList &refs)
+Lzss::decode(BitReader &br, const RefList &refs)
 {
-    BitReader br(bits);
     if (!refs.empty()) {
         std::vector<std::uint8_t> ref_bytes;
         ref_bytes.reserve(refs.size() * kLineBytes);

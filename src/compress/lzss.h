@@ -46,7 +46,8 @@ class Lzss : public Compressor
 
     std::string name() const override;
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
+    using Compressor::decode;
+    DecodeResult decode(BitReader &br, const RefList &refs) override;
     void reset() override;
 
   private:

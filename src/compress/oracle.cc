@@ -33,9 +33,8 @@ Oracle::compress(const CacheLine &line, const RefList &refs)
 }
 
 DecodeResult
-Oracle::decode(const BitVec &bits, const RefList &refs)
+Oracle::decode(BitReader &br, const RefList &refs)
 {
-    BitReader br(bits);
     // The selector picks the word-aligned LBE payload or the byte DP.
     return br.get(1) ? lbe_.decode(br, refs) : dpDecode(br, refs);
 }

@@ -27,7 +27,8 @@ class Oracle : public Compressor
 
     std::string name() const override { return "oracle"; }
     BitVec compress(const CacheLine &line, const RefList &refs) override;
-    DecodeResult decode(const BitVec &bits, const RefList &refs) override;
+    using Compressor::decode;
+    DecodeResult decode(BitReader &br, const RefList &refs) override;
 
   private:
     static constexpr unsigned kMinCopy = 2;

@@ -35,10 +35,10 @@ class ZeroRun : public Compressor
         return bw.take();
     }
 
+    using Compressor::decode;
     DecodeResult
-    decode(const BitVec &bits, const RefList &) override
+    decode(BitReader &br, const RefList &) override
     {
-        BitReader br(bits);
         CacheLine line;
         for (unsigned i = 0; i < kWordsPerLine; ++i)
             if (!br.get(1))

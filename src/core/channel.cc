@@ -223,7 +223,8 @@ CableChannel::CableChannel(Cache &home, Cache &remote,
       remote_ht_({scaledEntries(cfg.remote_ht_factor,
                                 remote.numLines(), cfg.ht_bucket),
                   cfg.ht_bucket, cfg.hash_seed ^ 0x5eed}),
-      evbuf_(16), engine_(makeDelegateEngine(cfg.engine))
+      evbuf_(16), engine_(makeDelegateEngine(cfg.engine)),
+      rlid_fmt_(remote.numSets(), remote.numWays())
 {
     if (home_.numSets() < remote_.numSets())
         fatal("CableChannel: home cache smaller than remote cache");
@@ -235,10 +236,6 @@ CableChannel::CableChannel(Cache &home, Cache &remote,
         fatal("CableChannel: data_accesses %u exceeds the selection "
               "kernel cap of 64",
               cfg_.data_accesses);
-    unsigned way_bits = bitsToIndex(remote_.numWays());
-    rlid_bits_ = bitsToIndex(remote_.numSets())
-                 + (way_bits ? way_bits : 1);
-
     // Pre-size the search arena to its architectural worst case so
     // the encode search path never allocates — not even while
     // warming toward a high-water mark: a line yields at most
@@ -254,8 +251,7 @@ CableChannel::CableChannel(Cache &home, Cache &remote,
     scratch_.cand_data.reserve(cfg_.data_accesses);
     scratch_.cbvs.reserve(cfg_.data_accesses);
     scratch_.engine_refs.reserve(kMaxRefsCap);
-    scratch_.diff.reserveBits(kWireRawHeaderBits
-                              + kLineBytes * kBitsPerByte);
+    scratch_.diff.reserveBits(kWireRawFrameBits);
 
     for (unsigned n = 0; n <= kMaxRefsCap; ++n)
         refs_ctr_[n] = stats_.counterId("refs_" + std::to_string(n));
@@ -307,16 +303,6 @@ CableChannel::addSignatures(SignatureHashTable &table,
 // Search + compress, both directions (Fig 8, §III-E, §III-G)
 // ---------------------------------------------------------------------
 
-BitVec
-CableChannel::bitsOf(const CacheLine &data)
-{
-    BitWriter bw;
-    for (unsigned i = 0; i < kLineBytes; ++i)
-        // cable-wire: frame.payload byte kBitsPerByte*kLineBytes
-        bw.put(data.byte(i), kBitsPerByte);
-    return bw.take();
-}
-
 void
 CableChannel::traceControl(TraceEvent::Type type, Addr addr,
                            bool writeback, std::uint64_t aux,
@@ -361,20 +347,17 @@ CableChannel::searchAndCompress(const Direction &dir,
                                 const CacheLine &data, LineID self_lid)
 {
     maybeCorruptMetadata();
-    Chosen chosen;
+    Chosen chosen; // raw until a representation wins
     // Span sampling decision for this transfer ordinal; unsampled
     // transfers (and every transfer when sampling is off) pay this
     // branch and nothing else.
     if (trace_)
         (void)spans_.arm(trace_seq_);
     if (!cfg_.compression_enabled
-        || (dir.writeback_gates && !cfg_.writeback_compression)) {
-        chosen.raw = true;
+        || (dir.writeback_gates && !cfg_.writeback_compression))
         return chosen;
-    }
 
-    const std::size_t raw_cost =
-        kWireRawHeaderBits + kLineBytes * kBitsPerByte;
+    const std::size_t raw_cost = kWireRawFrameBits;
     // Counts every allocation from here to the return: the self
     // draft, the whole search pipeline (extract -> probe -> rank ->
     // CBV -> select) and the refs draft. Drafts only cost a
@@ -392,10 +375,9 @@ CableChannel::searchAndCompress(const Direction &dir,
     // The fallback whenever references are skipped or lose.
     auto takeSelfOrRaw = [&] {
         if (self_cost <= raw_cost) {
+            chosen.frame.compressed = true;
             chosen.draft = kSelfDraft;
             chosen.self_only = true;
-        } else {
-            chosen.raw = true;
         }
     };
 
@@ -497,19 +479,19 @@ CableChannel::searchAndCompress(const Direction &dir,
     for (unsigned p = 0; p < npicks; ++p) {
         unsigned c = s.picks[p];
         chosen.cbv_union |= s.cbvs[c];
-        chosen.ref_rlids[chosen.nrefs++] = s.cand_rlids[c];
+        chosen.frame.refs[chosen.frame.nrefs++] = s.cand_rlids[c];
         s.engine_refs.push_back(s.cand_data[c]);
     }
     chosen.covered_words = popcount32(chosen.cbv_union);
 
     std::size_t refs_cost = raw_cost + 1;
-    if (chosen.nrefs > 0) {
+    if (chosen.frame.nrefs > 0) {
         int sp_refs = spans_.handoff(sp_score, Stage::Serialize);
         refs_cost = kWireCompressedHeaderBits
-                    + chosen.nrefs * rlid_bits_
+                    + chosen.frame.nrefs * rlid_fmt_.bits()
                     + engine_->draft(data, s.engine_refs, kRefsDraft);
         spans_.close(sp_refs,
-                     static_cast<std::uint16_t>(chosen.nrefs));
+                     static_cast<std::uint16_t>(chosen.frame.nrefs));
     } else {
         spans_.close(sp_score);
     }
@@ -523,10 +505,11 @@ CableChannel::searchAndCompress(const Direction &dir,
 
     // (5) pick the cheapest representation.
     if (refs_cost < self_cost && refs_cost < raw_cost) {
+        chosen.frame.compressed = true;
         chosen.draft = kRefsDraft;
         return chosen;
     }
-    chosen.nrefs = 0;
+    chosen.frame.nrefs = 0;
     takeSelfOrRaw();
     return chosen;
 }
@@ -574,9 +557,8 @@ CableChannel::packageTransfer(const Chosen &chosen, bool writeback,
     BitWriter bw;
     // One allocation per frame: a raw frame is the largest, since a
     // DIFF is only sent while it costs less.
-    bw.reserveBits(kWireRawHeaderBits + kLineBytes * kBitsPerByte
-                   + cfg_.frame_crc_bits);
-    if (!cfg_.compression_enabled || chosen.raw) {
+    bw.reserveBits(kWireRawFrameBits + cfg_.frame_crc_bits);
+    if (!chosen.frame.compressed) {
         writeRawFrame(bw, original);
         t.raw = true;
     } else {
@@ -586,22 +568,9 @@ CableChannel::packageTransfer(const Chosen &chosen, bool writeback,
             AllocTally emit_allocs(stats_, ctr_.search_allocs);
             engine_->emit(chosen.draft, scratch_.diff);
         }
-        // cable-wire: frame.compressed flag kWireFlagBits
-        bw.put(1, kWireFlagBits);
-        // cable-wire: frame.compressed nrefs kWireNRefsBits
-        bw.put(chosen.nrefs, kWireNRefsBits);
-        for (unsigned i = 0; i < chosen.nrefs; ++i) {
-            LineID rlid = chosen.ref_rlids[i];
-            unsigned way_bits = bitsToIndex(remote_.numWays());
-            if (way_bits == 0)
-                way_bits = 1;
-            // cable-wire: frame.compressed ref_set rlid_bits_-way_bits*nrefs
-            bw.put(rlid.set, rlid_bits_ - way_bits);
-            // cable-wire: frame.compressed ref_way way_bits*nrefs
-            bw.put(rlid.way, way_bits);
-        }
+        putFrameHeader(bw, chosen.frame, rlid_fmt_);
         bw.appendBits(scratch_.diff);
-        t.nrefs = chosen.nrefs;
+        t.nrefs = chosen.frame.nrefs;
         t.self_only = chosen.self_only;
     }
     // The payload counter excludes the CRC so compression ratios stay
@@ -636,41 +605,67 @@ firstMismatchWord(const CacheLine &a, const CacheLine &b)
 
 } // namespace
 
-void
-CableChannel::checkDecode(const Direction &dir, const Chosen &chosen,
-                          const CacheLine &original, Addr addr)
+FrameDecode
+CableChannel::decodeFrame(const BitVec &image, std::size_t payload_bits,
+                          bool writeback)
 {
-    if (chosen.raw)
-        return;
-    // Receiver-side reconstruction from the receiver's own data
-    // array. The reference list is scratch, reused across transfers.
+    FrameDecode out;
+    BitReader br(image);
+    br.limit(payload_bits);
+    out.error = getFrameHeader(br, out.header, rlid_fmt_);
+    if (!out.ok())
+        return out;
+    if (!out.header.compressed) {
+        out.line = getLine(br);
+        if (br.overrun())
+            out.error = FrameError::Truncated;
+        return out;
+    }
+    // The references come from the receiver's own data array. The
+    // list is scratch, reused across transfers.
     RefList &refs = scratch_.verify_refs;
     refs.clear();
-    for (unsigned i = 0; i < chosen.nrefs; ++i) {
-        LineID rlid = chosen.ref_rlids[i];
-        if (!dir.writeback) {
+    for (unsigned i = 0; i < out.header.nrefs; ++i) {
+        LineID rlid = out.header.refs[i];
+        if (!writeback) {
             refs.push_back(&remote_.lineAt(rlid));
             continue;
         }
         // The home translates each RemoteLID through its WMT.
         auto hlid = wmt_.occupantHomeLID(rlid.set, rlid.way);
-        if (!hlid)
-            throw CableDesyncError(
-                addr, dir.writeback, chosen.refVector(),
-                CableDesyncError::kNoWord,
-                "reference to untracked remote line");
+        if (!hlid) {
+            out.error = FrameError::UntrackedRef;
+            return out;
+        }
         refs.push_back(&home_.lineAt(*hlid));
     }
-    const DecodeResult out = engine_->decode(scratch_.diff, refs);
+    const DecodeResult diff = engine_->decode(br, refs);
+    out.line = diff.line;
+    out.diff = diff.error;
+    if (!diff.ok())
+        out.error = FrameError::BadDiff;
+    return out;
+}
+
+void
+CableChannel::checkDecode(const Direction &dir, const BitVec &image,
+                          std::size_t payload_bits,
+                          const CacheLine &original, Addr addr)
+{
+    const FrameDecode out = decodeFrame(image, payload_bits, dir.writeback);
+    if (out.ok() && out.line == original)
+        return;
+    const FrameHeader &h = out.header;
+    std::vector<LineID> refs(h.refs.begin(), h.refs.begin() + h.nrefs);
     if (!out.ok())
-        throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
-                               CableDesyncError::kNoWord,
-                               std::string("decode failed: ")
-                                   + decodeErrorName(out.error));
-    if (out.line != original)
-        throw CableDesyncError(addr, dir.writeback, chosen.refVector(),
-                               firstMismatchWord(out.line, original),
-                               "decoded line differs from original");
+        throw CableDesyncError(
+            addr, dir.writeback, std::move(refs), CableDesyncError::kNoWord,
+            out.error == FrameError::BadDiff
+                ? std::string("decode failed: ") + decodeErrorName(out.diff)
+                : frameErrorName(out.error));
+    throw CableDesyncError(addr, dir.writeback, std::move(refs),
+                           firstMismatchWord(out.line, original),
+                           "decoded line differs from original");
 }
 
 // ---------------------------------------------------------------------
@@ -684,7 +679,7 @@ CableChannel::encodeAndTransmit(const Direction &dir,
 {
     Chosen chosen = searchAndCompress(dir, data, self_lid);
     Transfer t = packageTransfer(chosen, dir.writeback, data);
-    deliver(t, chosen, dir, addr, data);
+    deliver(t, dir, addr, data);
     int sp_ack = spans_.open(Stage::Ack);
     ctr_.account(stats_, t, /*framed=*/true);
     trackHealth(t);
@@ -743,10 +738,13 @@ CableChannel::encodeAndTransmit(const Direction &dir,
 }
 
 void
-CableChannel::deliver(Transfer &t, const Chosen &chosen,
-                      const Direction &dir, Addr addr,
+CableChannel::deliver(Transfer &t, const Direction &dir, Addr addr,
                       const CacheLine &original)
 {
+    // The image the receiver decodes: the copy the ARQ loop accepted,
+    // or the sent image on a link without one.
+    const BitVec *image = &t.wire;
+    BitVec received;
     if (fault_ && cfg_.frame_crc_bits > 0) {
         // Receiver-side ARQ: corrupt a copy of the wire image, check
         // the frame CRC, NACK and retransmit with exponential backoff
@@ -759,17 +757,19 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
             // the transfer's critical path.
             int sp_rx = spans_.open(attempt == 0 ? Stage::Frame
                                                  : Stage::Retransmit);
-            BitVec received = t.wire;
+            received = t.wire;
             unsigned flips = fault_->corruptPacket(received);
             bool crc_ok = checkFrameCrc(received, cfg_.frame_crc_bits);
             spans_.close(sp_rx,
                          static_cast<std::uint16_t>(attempt));
-            if (flips == 0 && crc_ok)
+            if (flips == 0 && crc_ok) {
+                image = &received;
                 break;
+            }
             if (crc_ok) {
                 // Corruption the CRC cannot see (aliased syndrome).
-                // Modeled as caught by the end-to-end decode check,
-                // which forces the uncompressed escape hatch.
+                // The damaged image is not decoded: it is counted and
+                // forced through the uncompressed escape hatch.
                 stats_.add("crc_undetected", 1);
                 rawFallbackResend(t, original, addr,
                                   RawFallbackReason::CrcMiss);
@@ -799,7 +799,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
         return;
     int sp_link = spans_.open(Stage::Link);
     try {
-        checkDecode(dir, chosen, original, addr);
+        checkDecode(dir, *image, t.bits, original, addr);
         spans_.close(sp_link);
     } catch (const CableDesyncError &) {
         spans_.close(sp_link, /*aux=*/1);
@@ -811,7 +811,7 @@ CableChannel::deliver(Transfer &t, const Chosen &chosen,
             throw;
         stats_.add("desyncs_detected", 1);
         traceControl(TraceEvent::Type::Desync, addr, dir.writeback,
-                     chosen.nrefs);
+                     t.nrefs);
         // Strict mode: the desync is counted and traced, then
         // surfaced to the caller instead of being absorbed by the
         // recovery path (chaos harness / debugging knob). Spec path:
@@ -856,9 +856,9 @@ CableChannel::writeRawFrame(BitWriter &bw, const CacheLine &data) const
 {
     // A baseline link (compression off) carries data only.
     if (cfg_.compression_enabled)
-        // cable-wire: frame.raw flag kWireFlagBits
-        bw.put(0, kWireFlagBits);
-    bw.appendBits(bitsOf(data));
+        putRawFrame(bw, data);
+    else
+        putLine(bw, data);
 }
 
 void
@@ -919,11 +919,9 @@ CableChannel::recoverFromDesync()
     // relinked pair on a real link. Charged to the recovery counters
     // — never to the payload counters — so compression ratios stay
     // untouched while the wire-level recovery cost stays honest.
-    // cable-wire-write: resync.rearm rlid rlid_bits_*relinked
-    // cable-wire-write: resync.rearm line_digest kWireResyncLineDigestBits*relinked
     std::uint64_t rearm_bits =
         std::uint64_t{relinked}
-        * (rlid_bits_ + kWireResyncLineDigestBits);
+        * (rlid_fmt_.bits() + kWireResyncLineDigestBits);
     stats_.add("resync_rearm_bits", rearm_bits);
     stats_.add("recovery_bits", rearm_bits);
     advance(RecoveryEvent::RecoverEngage);

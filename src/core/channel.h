@@ -16,10 +16,10 @@
  * and performs the paper's synchronization rules (§III-F): shared
  * sends insert signatures on both sides and set the WMT; remote
  * displacements, snoop invalidations, upgrades and home evictions
- * remove them. Every compressed transfer is decompressed at the
- * receiving side from that side's own data and verified against the
- * original — the end-to-end correctness check runs in every
- * simulation, not just in tests.
+ * remove them. Every compressed transfer is decoded from the frame
+ * image the receiver accepted, against that side's own data, and
+ * verified against the original — the end-to-end correctness check
+ * runs in every simulation, not just in tests.
  *
  * The channel mutates both caches (installs, invalidations) because
  * inclusivity and metadata synchronization must stay atomic with
@@ -44,9 +44,9 @@
 #include "compress/compressor.h"
 #include "core/eviction_buffer.h"
 #include "core/fault_model.h"
+#include "core/frame.h"
 #include "core/hash_table.h"
 #include "core/recovery_fsm.h"
-#include "core/wire_format.h"
 #include "core/wmt.h"
 #include "telemetry/spans.h"
 #include "telemetry/trace.h"
@@ -185,11 +185,12 @@ struct TransferStats
 };
 
 /**
- * The pairwise metadata invariant broke: a transfer decoded from
- * receiver-side reference data did not reproduce the original line
- * (or a reference pointed at an untracked slot). Carries enough
- * structure for the recovery path to log and for tests to assert
- * on. When no fault model is attached this propagates — a genuine
+ * The pairwise metadata invariant broke: a frame decoded from
+ * receiver-side reference data did not reproduce the original line,
+ * or could not be decoded (a FrameError: a reference out of range or
+ * pointing at an untracked slot, or a DIFF the engine rejected).
+ * Carries enough structure for the recovery path to log and for
+ * tests to assert on. When no fault model is attached this propagates — a genuine
  * bug — instead of being absorbed by recovery.
  */
 class CableDesyncError : public std::exception
@@ -525,9 +526,20 @@ class CableChannel
         backinval_hook_ = std::move(hook);
     }
 
-    /** Serializes a line into a 512-bit payload image; built only
-     *  when a raw frame is emitted. */
-    static BitVec bitsOf(const CacheLine &data);
+    /**
+     * The receiver's decode of one frame of this link: the first
+     * @p payload_bits bits of @p image (a CRC after them is not
+     * read). Parses the header, checks each RemoteLID against the
+     * remote cache's geometry, resolves the references from the
+     * receiving side's own data — the remote cache for a response,
+     * the home cache through the WMT for a write-back — and hands
+     * the engine the same reader for the DIFF. A raw frame yields
+     * its payload. Never aborts: a cut or damaged frame gets a
+     * typed FrameError.
+     */
+    [[nodiscard]] FrameDecode decodeFrame(const BitVec &image,
+                                          std::size_t payload_bits,
+                                          bool writeback);
 
     /** uncompressed / compressed payload bits so far. */
     double
@@ -550,33 +562,22 @@ class CableChannel
 
     struct Chosen
     {
+        /** The header packageTransfer writes: raw until a DIFF wins,
+         *  then the RemoteLIDs on the wire. Its fixed capacity
+         *  (kMaxRefsCap) keeps the steady-state encode path
+         *  allocation-free. */
+        FrameHeader frame;
         /** Draft slot of the winning DIFF; packageTransfer emits it
          *  unless the line goes raw. */
         unsigned draft = kSelfDraft;
         unsigned sigs_used = 0; // search signatures extracted
-        unsigned nrefs = 0;     // references on the wire
-        /** Remote LIDs on the wire; fixed capacity (kMaxRefsCap)
-         *  keeps the steady-state encode path allocation-free. The
-         *  array is value-initialized: a Chosen is moved whole before
-         *  all slots are filled, and copying indeterminate bytes is
-         *  undefined behaviour (-Wmaybe-uninitialized flagged it). */
-        std::array<LineID, kMaxRefsCap> ref_rlids{};
         bool self_only = false;
-        bool raw = false;
         // ---- telemetry decision record ------------------------------
         unsigned trivial_words = 0; // trivial words skipped (§III-B)
         unsigned ht_hits = 0;       // hash-table hits before pre-rank
         unsigned ranked = 0;        // candidates surviving pre-rank
         std::uint32_t cbv_union = 0; // union CBV of selected refs
         unsigned covered_words = 0;  // popcount of cbv_union
-
-        /** Cold-path copy of the wire LIDs (desync diagnostics). */
-        std::vector<LineID>
-        refVector() const
-        {
-            return std::vector<LineID>(ref_rlids.begin(),
-                                       ref_rlids.begin() + nrefs);
-        }
     };
 
     /**
@@ -653,11 +654,12 @@ class CableChannel
      *  raw frames serialize @p original. */
     Transfer packageTransfer(const Chosen &chosen, bool writeback,
                              const CacheLine &original);
-    /** Decodes the emitted DIFF of @p chosen from the receiver's own
-     *  data and compares it with @p original; throws
-     *  CableDesyncError on a mismatch or an untracked reference. */
-    void checkDecode(const Direction &dir, const Chosen &chosen,
-                     const CacheLine &original, Addr addr);
+    /** Decodes the received frame @p image (decodeFrame) and
+     *  compares it with @p original; throws CableDesyncError on a
+     *  frame error or a mismatch. */
+    void checkDecode(const Direction &dir, const BitVec &image,
+                     std::size_t payload_bits, const CacheLine &original,
+                     Addr addr);
 
     /**
      * Full send: search + compress → package → (under a fault model)
@@ -668,9 +670,9 @@ class CableChannel
     Transfer encodeAndTransmit(const Direction &dir,
                                const CacheLine &data, LineID self_lid,
                                Addr addr);
-    /** Receiver-side ARQ + end-to-end decode verification. */
-    void deliver(Transfer &t, const Chosen &chosen,
-                 const Direction &dir, Addr addr,
+    /** Receiver-side ARQ + end-to-end decode verification of the
+     *  accepted image. */
+    void deliver(Transfer &t, const Direction &dir, Addr addr,
                  const CacheLine &original);
     /** Why a transfer left the compressed path (RawFallback aux). */
     enum class RawFallbackReason : std::uint8_t
@@ -774,7 +776,7 @@ class CableChannel
     EvictionBuffer evbuf_;
     CompressorPtr engine_;
     StatSet stats_;
-    unsigned rlid_bits_;
+    RlidFormat rlid_fmt_; ///< the remote cache's RemoteLID fields
     std::function<void(Addr)> backinval_hook_;
     LinkFaultModel *fault_ = nullptr;
     Health health_ = Health::Healthy;

@@ -135,7 +135,7 @@ struct ChannelCheckpoint::State
         : remote_sets(ch.remote_.numSets()),
           remote_ways(ch.remote_.numWays()),
           home_sets(ch.home_.numSets()), home_ways(ch.home_.numWays()),
-          rlid_bits(ch.rlid_bits_),
+          rlid_bits(ch.rlid_fmt_.bits()),
           degraded(ch.health_ == CableChannel::Health::Degraded),
           healthy_streak(ch.healthy_streak_), epoch(ch.epoch_),
           trace_seq(ch.trace_seq_),

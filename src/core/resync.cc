@@ -40,15 +40,12 @@ CableChannel::resync()
     // ResyncHealthy/ResyncDegraded state for the session, so an
     // incomplete session falls back to the state it started from.
     advance(RecoveryEvent::ResyncStart);
-    // cable-wire-write: resync.hello epoch kWireResyncEpochBits*2
     res.handshake_bits += 2ull * kWireResyncEpochBits;
 
     const std::uint32_t nsets = remote_.numSets();
     res.ranges_total = (nsets + kResyncRangeSets - 1) / kResyncRangeSets;
-    // cable-wire-write: resync.rearm rlid rlid_bits_*relinked
-    // cable-wire-write: resync.rearm line_digest kWireResyncLineDigestBits*relinked
     const std::uint64_t rearm_per_line =
-        rlid_bits_ + kWireResyncLineDigestBits;
+        rlid_fmt_.bits() + kWireResyncLineDigestBits;
 
     std::vector<std::pair<std::uint32_t, std::uint32_t>> dirty;
     for (unsigned round = 0; round < kResyncMaxRounds; ++round) {
@@ -59,7 +56,6 @@ CableChannel::resync()
         dirty.clear();
         for (std::uint32_t lo = 0; lo < nsets; lo += kResyncRangeSets) {
             std::uint32_t hi = std::min(lo + kResyncRangeSets, nsets);
-            // cable-wire-write: resync.digest digest kWireResyncDigestBits*2
             res.handshake_bits += 2ull * kWireResyncDigestBits;
             if (metadataDigest(lo, hi) != referenceDigest(lo, hi))
                 dirty.emplace_back(lo, hi);

@@ -5,35 +5,32 @@
  * receiver decodes against its own metadata, so a sender/receiver
  * disagreement about any field width silently corrupts every
  * reconstruction. Centralizing the widths here (and lint rule R003,
- * tools/cable_lint.py) keeps bare literals out of the BitWriter
- * calls that serialize the header.
+ * tools/cable_lint.py) keeps bare literals out of the walk that
+ * serializes the header.
  *
  * Frame layout, compressed transfer:
  *
- *   [flag:1 = 1][nrefs:2][RemoteLID:rlid_bits]*nrefs[DIFF bits...]
+ *   [flag:1 = 1][nrefs:2]([set:set_bits][way:way_bits])*nrefs[DIFF...]
  *
  * and raw transfer:
  *
  *   [flag:1 = 0][512 payload bits]
  *
- * RemoteLID width is not a constant: it is derived from the remote
- * cache's geometry (set index bits + way bits — 17 in the paper's
- * 16MB/16-way config, Table III) and lives in the channel's
- * rlid_bits_.
+ * A RemoteLID's width is not a constant: it is derived from the
+ * remote cache's geometry (set index bits + way bits — 17 in the paper's
+ * 16MB/16-way config, Table III) by RlidFormat (core/frame.h).
  *
- * The `cable-wire-decl:` directives below are the machine-readable
- * half of this contract: tools/cable_verify.py reconstructs each
- * record's field sequence from the annotated writer sites
- * (core/channel.cc, core/resync.cc, sim/protocol.cc) and checks them
- * against these declarations, so a header change that forgets one
- * side fails the static-analysis job. Records whose reader lives on
- * the (simulated) peer — the frame headers and the resync handshake —
- * have no C++ reader to compare; the declaration *is* the receiving
- * side.
+ * The frame header is written and read by one walk in core/frame.h,
+ * so sender and receiver share one description of it, as the
+ * checkpoint body does (core/checkpoint.cc).
  */
 
 #ifndef CABLE_CORE_WIRE_FORMAT_H
 #define CABLE_CORE_WIRE_FORMAT_H
+
+#include <cstddef>
+
+#include "common/types.h"
 
 namespace cable
 {
@@ -61,15 +58,10 @@ inline constexpr unsigned kWireCompressedHeaderBits =
 /** Header bits of a raw (uncompressed escape) frame. */
 inline constexpr unsigned kWireRawHeaderBits = kWireFlagBits;
 
-// Frame-header wire contracts (writer sites: core/channel.cc
-// packageTransfer/rawFallbackResend/bitsOf, sim/protocol.cc encode).
-// cable-wire-decl: frame.compressed flag kWireFlagBits
-// cable-wire-decl: frame.compressed nrefs kWireNRefsBits
-// cable-wire-decl: frame.compressed ref_set rlid_bits_-way_bits*nrefs
-// cable-wire-decl: frame.compressed ref_way way_bits*nrefs
-// cable-wire-decl: frame.raw flag kWireFlagBits
-// cable-wire-decl: frame.stream flag kWireFlagBits
-// cable-wire-decl: frame.payload byte kBitsPerByte*kLineBytes
+/** Bits of a raw frame: the flag and the 512-bit line. A DIFF is
+ *  only sent while its frame costs less. */
+inline constexpr std::size_t kWireRawFrameBits =
+    kWireRawHeaderBits + kLineBytes * kBitsPerByte;
 
 // ---------------------------------------------------------------------
 // Resync handshake (DESIGN.md §12). The reconciliation protocol that
@@ -88,18 +80,10 @@ inline constexpr unsigned kWireResyncDigestBits = 32;
 
 /**
  * Per-line confirmation digest sent while re-arming a mismatched
- * range: one RemoteLID (the channel's rlid_bits_) plus this
+ * range: one RemoteLID (RlidFormat::bits()) plus this
  * digest per re-linked line.
  */
 inline constexpr unsigned kWireResyncLineDigestBits = 16;
-
-// Resync handshake wire contracts (accounting sites: core/resync.cc
-// CableChannel::resync — both directions of each exchange, hence *2 —
-// and the desync re-arm in core/channel.cc recoverFromDesync).
-// cable-wire-decl: resync.hello epoch kWireResyncEpochBits*2
-// cable-wire-decl: resync.digest digest kWireResyncDigestBits*2
-// cable-wire-decl: resync.rearm rlid rlid_bits_*relinked
-// cable-wire-decl: resync.rearm line_digest kWireResyncLineDigestBits*relinked
 
 } // namespace cable
 

@@ -120,28 +120,23 @@ StreamLinkProtocol::encode(const CacheLine &data, Compressor *engine,
     int sp_line = spans_.open(Stage::Line, -1);
     int sp_ser = spans_.handoff(sp_line, Stage::Serialize);
 
+    BitWriter bw;
     if (!engine || !enabled_) {
         t.raw = true;
-        t.wire = CableChannel::bitsOf(data);
-        t.bits = t.wire.sizeBits();
-        spans_.close(sp_ser);
+        putLine(bw, data);
     } else {
         BitVec enc = engine->compress(data, {});
-        BitWriter bw;
-        if (enc.sizeBits() + 1 < kLineBytes * 8 + 1) {
-            // cable-wire: frame.stream flag kWireFlagBits
-            bw.put(1, kWireFlagBits);
+        if (kWireFlagBits + enc.sizeBits() < kWireRawFrameBits) {
+            putFrameFlag(bw, true);
             bw.appendBits(enc);
         } else {
-            // cable-wire: frame.stream flag kWireFlagBits
-            bw.put(0, kWireFlagBits);
-            bw.appendBits(CableChannel::bitsOf(data));
+            putRawFrame(bw, data);
             t.raw = true;
         }
-        t.wire = bw.take();
-        t.bits = t.wire.sizeBits();
-        spans_.close(sp_ser);
     }
+    t.wire = bw.take();
+    t.bits = t.wire.sizeBits();
+    spans_.close(sp_ser);
 
     ctr_.account(stats_, t, /*framed=*/false);
     if (trace_) {

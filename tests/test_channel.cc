@@ -2,21 +2,24 @@
  * @file
  * CableChannel integration tests: the full search/compress/transmit/
  * synchronize loop between a home and a remote cache. Every transfer
- * is decompressed by the channel itself from receiver-side data and
- * verified bit-exact (panic on mismatch), so simply surviving a long
- * randomized workload is a strong correctness statement; on top of
- * that these tests check the synchronization invariants directly.
+ * is decoded by the channel itself from the frame it received and
+ * receiver-side data, and verified bit-exact (CableDesyncError on a
+ * mismatch), so simply surviving a long randomized workload is a
+ * strong correctness statement; on top of that these tests check the
+ * synchronization invariants and the link frame's walk directly.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "cache/cache.h"
 #include "common/rng.h"
 #include "core/channel.h"
+#include "core/frame.h"
 #include "workload/value_model.h"
 
 using namespace cable;
@@ -407,26 +410,26 @@ struct MixedRun
 
 /**
  * Drives a seed-fixed load/store mix through a channel built with
- * @p cfg. Victims are vacated before the home fill (the ordering the
+ * @p cfg and calls @p fn(channel, transfer, line) on every transfer
+ * right after it crossed, while the receiver still holds the data
+ * the frame was encoded against; @p line is what the frame carried.
+ * Victims are vacated before the home fill (the ordering the
  * non-inclusive mode needs; valid for the inclusive one too), and
  * stores diverge the remote copy so write-backs carry new data.
  * Without a fault model the representation a transfer picks never
  * changes cache or metadata state, so runs that differ only in an
- * encode gate see the same traffic.
+ * encode gate see the same traffic. Returns the channel's stats.
  */
-MixedRun
-runMixed(const CableConfig &cfg)
+template <class Fn>
+StatSet
+driveMixed(const CableConfig &cfg, Fn &&fn)
 {
     Cache home({"home", 1u << 20, 8});
     Cache remote({"remote", 128u << 10, 8});
     CableChannel channel(home, remote, cfg);
     SyntheticMemory mem(similarValues(), 0, 31);
     Rng rng(32);
-    MixedRun run;
-    auto keep = [&](const std::optional<Transfer> &t) {
-        if (t)
-            run.writebacks.push_back(*t);
-    };
+    auto landed = [&](Addr a) { return home.lineAt(home.find(a)); };
     for (int i = 0; i < 4000; ++i) {
         Addr addr = rng.below(1 << 12) * kLineBytes;
         bool store = rng.chance(0.3);
@@ -434,13 +437,19 @@ runMixed(const CableConfig &cfg)
             if (store && !remote.dirtyAt(remote.find(addr)))
                 channel.remoteUpgrade(addr);
         } else {
-            std::uint8_t vway = remote.victimWay(addr);
-            keep(channel.remoteEvictSlot(
-                LineID(remote.setOf(addr), vway)));
-            if (!home.probe(addr))
-                keep(channel.homeInstall(addr, mem.lineAt(addr))
-                         .backinval_writeback);
-            (void)channel.respondAndInstall(addr, vway, store);
+            LineID victim(remote.setOf(addr), remote.victimWay(addr));
+            Addr vaddr = remote.validAt(victim) ? remote.addrAt(victim) : 0;
+            if (auto wb = channel.remoteEvictSlot(victim))
+                fn(channel, *wb, landed(vaddr));
+            if (!home.probe(addr)) {
+                HomeInstallResult r =
+                    channel.homeInstall(addr, mem.lineAt(addr));
+                if (r.backinval_writeback)
+                    fn(channel, *r.backinval_writeback,
+                       r.memory_writeback->data);
+            }
+            Transfer t = channel.respondAndInstall(addr, victim.way, store);
+            fn(channel, t, remote.lineAt(remote.find(addr)));
         }
         if (store) {
             CacheLine d = remote.lineAt(remote.find(addr));
@@ -448,7 +457,18 @@ runMixed(const CableConfig &cfg)
             remote.writeLine(addr, d, true);
         }
     }
-    run.stats = channel.stats();
+    return channel.stats();
+}
+
+MixedRun
+runMixed(const CableConfig &cfg)
+{
+    MixedRun run;
+    run.stats = driveMixed(
+        cfg, [&](CableChannel &, const Transfer &t, const CacheLine &) {
+            if (t.writeback)
+                run.writebacks.push_back(t);
+        });
     return run;
 }
 
@@ -511,5 +531,153 @@ TEST(Channel, DirectionAsymmetriesArePinned)
         CableConfig cfg;
         c.tweak(cfg);
         c.check(b, runMixed(cfg));
+    }
+}
+
+// ---------------------------------------------------------------------
+// The link frame: one walk writes and reads it
+// ---------------------------------------------------------------------
+
+TEST(Frame, HeaderWalkRoundTripsEveryShape)
+{
+    // Raw, self-only and 1-3 references over several geometries:
+    // direct-mapped, a way count that is not a power of two, one set.
+    Rng rng(41);
+    const std::pair<std::uint32_t, unsigned> geoms[] = {
+        {256, 8}, {1024, 1}, {64, 12}, {1, 16}};
+    for (const auto &[sets, ways] : geoms) {
+        const RlidFormat fmt(sets, ways);
+        for (int shape = -1; shape <= int{kWireMaxRefs}; ++shape) {
+            SCOPED_TRACE(std::to_string(sets) + "x" + std::to_string(ways)
+                         + " shape " + std::to_string(shape));
+            FrameHeader h;
+            h.compressed = shape >= 0;
+            h.nrefs = shape > 0 ? static_cast<unsigned>(shape) : 0;
+            for (unsigned i = 0; i < h.nrefs; ++i)
+                h.refs[i] = LineID(
+                    static_cast<std::uint32_t>(rng.below(sets)),
+                    static_cast<std::uint8_t>(rng.below(ways)));
+            BitWriter bw;
+            putFrameHeader(bw, h, fmt);
+            EXPECT_EQ(bw.sizeBits(),
+                      h.compressed ? kWireCompressedHeaderBits
+                                         + h.nrefs * fmt.bits()
+                                   : kWireRawHeaderBits);
+            BitReader br(bw.bits());
+            FrameHeader got;
+            ASSERT_EQ(getFrameHeader(br, got, fmt), FrameError::None);
+            EXPECT_TRUE(br.exhausted());
+            EXPECT_EQ(got.compressed, h.compressed);
+            ASSERT_EQ(got.nrefs, h.nrefs);
+            for (unsigned i = 0; i < h.nrefs; ++i)
+                EXPECT_EQ(got.refs[i], h.refs[i]);
+        }
+    }
+}
+
+namespace
+{
+
+/** "response raw", "write-back 2 refs", ... */
+std::string
+shapeOf(const Transfer &t)
+{
+    std::string dir = t.writeback ? "write-back " : "response ";
+    if (t.raw)
+        return dir + "raw";
+    if (t.self_only)
+        return dir + "self";
+    return dir + std::to_string(t.nrefs) + " refs";
+}
+
+} // namespace
+
+TEST(Frame, ReceiverDecodesEveryShapeInBothDirections)
+{
+    std::map<std::string, unsigned> seen;
+    driveMixed(CableConfig{}, [&](CableChannel &ch, const Transfer &t,
+                                  const CacheLine &line) {
+        SCOPED_TRACE(shapeOf(t));
+        const FrameDecode d = ch.decodeFrame(t.wire, t.bits, t.writeback);
+        ASSERT_TRUE(d.ok()) << frameErrorName(d.error);
+        EXPECT_EQ(d.line, line);
+        EXPECT_EQ(d.header.compressed, !t.raw);
+        EXPECT_EQ(d.header.nrefs, t.nrefs);
+        ++seen[shapeOf(t)];
+    });
+    for (const char *dir : {"response ", "write-back "})
+        for (const char *shape : {"raw", "self", "1 refs", "2 refs",
+                                  "3 refs"})
+            EXPECT_GT(seen[std::string(dir) + shape], 0u)
+                << dir << shape;
+}
+
+TEST(Frame, CutOrFlippedFramesGetATypedErrorOrALine)
+{
+    // The first frames of each shape: every strict prefix must fail
+    // as truncated, and every single-bit flip must give a typed error
+    // or a line. ASan and the standard library's assertions catch any
+    // read of a cache or WMT slot out of range.
+    std::map<std::string, unsigned> probed;
+    unsigned flips_ok = 0, flips_failed = 0;
+    driveMixed(CableConfig{}, [&](CableChannel &ch, const Transfer &t,
+                                  const CacheLine &) {
+        if (probed[shapeOf(t)]++ >= 2)
+            return;
+        SCOPED_TRACE(shapeOf(t));
+        BitVec cut;
+        for (std::size_t n = 0; n < t.bits; ++n) {
+            const FrameDecode d = ch.decodeFrame(cut, t.bits, t.writeback);
+            ASSERT_FALSE(d.ok()) << "cut to " << n << " bits";
+            const bool truncated =
+                d.error == FrameError::Truncated
+                || (d.error == FrameError::BadDiff
+                    && d.diff == DecodeError::Truncated);
+            ASSERT_TRUE(truncated)
+                << "cut to " << n << " bits: " << frameErrorName(d.error);
+            cut.pushBit(t.wire.bit(n));
+        }
+        for (std::size_t i = 0; i < t.wire.sizeBits(); ++i) {
+            BitVec flipped = t.wire;
+            flipped.flipBit(i);
+            const FrameDecode d =
+                ch.decodeFrame(flipped, t.bits, t.writeback);
+            ++(d.ok() ? flips_ok : flips_failed);
+        }
+    });
+    EXPECT_EQ(probed.size(), 10u);
+    EXPECT_GT(flips_ok, 0u);
+    EXPECT_GT(flips_failed, 0u);
+}
+
+TEST(Frame, DirectMappedRemoteRejectsWayOne)
+{
+    // One way still gets a one-bit way field, so a frame can name a
+    // way the remote cache does not have.
+    Cache home({"home", 256u << 10, 8});
+    Cache remote({"remote", 16u << 10, 1});
+    CableChannel channel(home, remote, CableConfig{});
+    const RlidFormat fmt(remote.numSets(), remote.numWays());
+    ASSERT_EQ(fmt.way_bits, 1u);
+    auto frameNaming = [&](std::uint8_t way) {
+        FrameHeader h;
+        h.compressed = true;
+        h.nrefs = 1;
+        h.refs[0] = LineID(3, way);
+        BitWriter bw;
+        putFrameHeader(bw, h, fmt);
+        bw.put(0, 64); // DIFF bits
+        return bw.take();
+    };
+    for (bool writeback : {false, true}) {
+        SCOPED_TRACE(writeback ? "write-back" : "response");
+        const BitVec bad = frameNaming(1);
+        const FrameDecode d =
+            channel.decodeFrame(bad, bad.sizeBits(), writeback);
+        EXPECT_STREQ(frameErrorName(d.error), "RemoteLID out of range");
+        const BitVec good = frameNaming(0);
+        const FrameDecode ok =
+            channel.decodeFrame(good, good.sizeBits(), writeback);
+        EXPECT_NE(ok.error, FrameError::BadRemoteLid);
     }
 }

@@ -18,25 +18,26 @@ Enforces five invariants that generic linters cannot express:
         state whose iteration order could feed simulator output.
         Unordered containers are allowed only with a justified
         ``allow(R002)`` directive.
-  R003  wire-format widths: in src/core/ (the resync session,
-        src/core/resync.cc, included), the width argument of every
-        serialization site — put(value, WIDTH), get(WIDTH[, ...]) and
-        the checkpoint walk's rw(value, WIDTH), as
-        cable_scan.bitstream_calls finds them — must be a named
-        constant or expression, not a bare integer literal (the wire
-        contract lives in core/wire_format.h and core/checkpoint.h,
-        not in call sites). A reader that hard-codes a width decodes
-        garbage the moment the named constant changes.
+  R003  wire-format widths: in src/core/, the width argument of
+        every serialization site — put(value, WIDTH), get(WIDTH[, ...])
+        and the rw(value, WIDTH) of the link-frame and checkpoint
+        walks, as cable_scan.bitstream_calls finds them — must be a
+        named constant or expression, not a bare integer literal (the
+        wire contract lives in core/wire_format.h and
+        core/checkpoint.h, not in call sites). Since each walk is
+        both writer and reader, a named width there covers both
+        sides.
   R004  result discipline: public non-const member functions in
         src/core/*.h that return a value must be [[nodiscard]] (or
         carry a justified ``allow(R004)``).
-  R005  serialization discipline: the checkpoint/resync persistence
-        layer (src/core/checkpoint.*, src/core/resync.*) must encode
-        every field through the bit-stream API; raw memory images
+  R005  serialization discipline: the link frame and the
+        checkpoint/resync persistence layer (src/core/frame.*,
+        src/core/checkpoint.*, src/core/resync.*) must encode every
+        field through the bit-stream API; raw memory images
         (memcpy/memmove/reinterpret_cast of structures) are findings.
-        They bake host layout into the on-disk format and silently
-        break the format-stability guarantee that the committed
-        golden checkpoint enforces.
+        They bake host layout into the wire and on-disk formats and
+        silently break the format-stability guarantee that the
+        committed golden checkpoint enforces.
 
 Directives (in comments):
 
@@ -70,7 +71,7 @@ RULES = {
     "R002": "nondeterminism in a deterministic subsystem",
     "R003": "wire-format width written as a bare literal",
     "R004": "public mutating API without [[nodiscard]]",
-    "R005": "raw-memory serialization in checkpoint/resync",
+    "R005": "raw-memory serialization in frame/checkpoint/resync",
 }
 
 # Paths each rule covers in a tree run; R001 follows its markers
@@ -81,7 +82,8 @@ TREE_SCOPE = {
     "R002": re.compile(r"^src/(?:core|compress|sim)/"),
     "R003": re.compile(r"^src/core/"),
     "R004": re.compile(r"src/core/[^/]+\.h$"),
-    "R005": re.compile(r"src/core/(?:checkpoint|resync)\.(?:h|cc)$"),
+    "R005": re.compile(
+        r"src/core/(?:frame|checkpoint|resync)\.(?:h|cc)$"),
 }
 FIXTURE_SCOPE = {
     "R002": re.compile(""),

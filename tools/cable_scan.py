@@ -8,11 +8,10 @@ The two tools are two rule sets over one reading of the source:
     preserves every line and column so findings anchor exactly.
   - ``bitstream_calls`` is the one definition of a serialization
     site: a ``.put(value, WIDTH)``, ``.get(WIDTH[, ...])`` or
-    checkpoint-walk ``.rw(value, WIDTH)`` call. The linter's R003
-    checks the width of each site in its scope; the verifier requires
-    every site in a wire file to carry a ``cable-wire`` marker whose
-    width matches.
-  - ``Finding`` is the one diagnostic shape: a code (R/W/F plus three
+    walk ``.rw(value, WIDTH)`` call (the link frame's and the
+    checkpoint's). The linter's R003 checks the width of each site
+    in its scope.
+  - ``Finding`` is the one diagnostic shape: a code (R or F plus three
     digits), a repo-relative path, a 1-based line and a detail. Both
     report schemas (cable-lint-v1, cable-verify-v1) serialize it
     as-is.
@@ -165,19 +164,16 @@ def split_top_level_args(text: str):
 class Call:
     name: str  # put | get | rw
     line: int  # 1-based
-    pos: int  # offset into Source.code, orders calls on one line
-    role: str  # write | read
     width: str  # the width argument as written
 
 
 def bitstream_calls(src: Source) -> list[Call]:
-    """Every serialization site in @p src. put(value, WIDTH) and the
-    checkpoint walk's rw(value, WIDTH), which writes or reads the
-    field by the side that runs the walk, take their last argument
-    as the width; an rw site counts as a write. get(WIDTH[, ...])
-    takes its first. A zero-argument smart-pointer .get() and a
-    name-keyed accessor .get("counter"), whose only argument is a
-    blanked string literal, are not sites."""
+    """Every serialization site in @p src. put(value, WIDTH) and a
+    walk's rw(value, WIDTH), which writes or reads the field by the
+    side that runs the walk, take their last argument as the width;
+    get(WIDTH[, ...]) takes its first. A zero-argument smart-pointer
+    .get() and a name-keyed accessor .get("counter"), whose only
+    argument is a blanked string literal, are not sites."""
     calls = []
     for m in CALL_RE.finditer(src.code):
         args = src.args_at(m.end())
@@ -186,13 +182,12 @@ def bitstream_calls(src: Source) -> list[Call]:
         if m.group(1) != "get":
             if len(args) < 2:
                 continue
-            role, width = "write", args[-1]
+            width = args[-1]
         else:
             if not args[0]:
                 continue
-            role, width = "read", args[0]
-        calls.append(Call(m.group(1), src.line_of(m.start()) + 1,
-                          m.start(), role, width))
+            width = args[0]
+        calls.append(Call(m.group(1), src.line_of(m.start()) + 1, width))
     return calls
 
 

@@ -1,57 +1,25 @@
 #!/usr/bin/env python3
-"""CABLE protocol verifier (DESIGN.md section 15).
+"""CABLE recovery-FSM verifier (DESIGN.md section 15).
 
-Two static proofs over the serialization and recovery layers:
+The channel recovery machine is committed as src/core/recovery_fsm.def;
+the C++ includes it via X-macros (core/recovery_fsm.h), so code and
+spec cannot drift. The verifier parses the same file and exhaustively
+enumerates the reachable state space (states x events), proving:
+deterministic transitions, no dead ends, every reachable live state
+can recover to a steady state and to the initial state through
+protocol (internal) events alone, fault totality over steady states,
+typed and outgoing-free terminals, bit accounting restricted to the
+recovery classes on every transition and cycle (payload is never
+charged), and a monotone epoch. It also greps the implementation for
+health assignments that bypass the generated transition table.
 
-1. Wire-format symmetry. Serialization sites in the registered files
-   carry ``// cable-wire: <record> <field> <width>[*<count>]``
-   markers (plus the decl/write/read variants below).
-   The verifier reconstructs every record's field sequence from the
-   annotated writer and reader call sites and fails on any order,
-   width or count asymmetry, on marker/code width drift, and on any
-   unannotated put()/get() in a registered file — the reader/writer
-   drift class of bug that is otherwise found only by hand.
-
-2. Recovery-FSM model check. The channel recovery machine is
-   committed as src/core/recovery_fsm.def; the C++ includes it via
-   X-macros (core/recovery_fsm.h), so code and spec cannot drift.
-   The verifier parses the same file and exhaustively enumerates the
-   reachable state space (states x events), proving: deterministic
-   transitions, no dead ends, every reachable live state can recover
-   to a steady state and to the initial state through protocol
-   (internal) events alone, fault totality over steady states, typed
-   and outgoing-free terminals, bit accounting restricted to the
-   recovery classes on every transition and cycle (payload is never
-   charged), and a monotone epoch. It also greps the implementation
-   for health assignments that bypass the generated transition table.
-
-Directives (in comments):
-
-  // cable-wire: <record> <field> <width>[*<count>]
-      Annotates the put()/get() call on the same line or the next
-      code line. put-family calls are writer sites, get-family calls
-      reader sites; the marker width must match the call's width
-      argument (whitespace-insensitive).
-  // cable-wire-decl: <record> <field> <width>[*<count>]
-      Contract declaration with no call attached (core/wire_format.h)
-      — the receiving side of records whose reader lives on the
-      simulated peer, and the reference both C++ sides check against.
-  // cable-wire-write: ... / // cable-wire-read: ...
-      Manual writer/reader site where no parseable call exists
-      (accounting `+=` lines, bit loops).
-
-Sequence rules: a record needs at least two roles. Writer and reader
-sequences must match exactly (field, width, count, in order); a role
-checked against a contract declaration must be a whole number of
-exact repetitions of it (several emit sites of the same record, e.g.
-the re-arm bits of desync recovery and of the resync session).
+(Wire-format symmetry needs no proof here: the link frame and the
+checkpoint body are each written and read by one walk,
+core/frame.cc and core/checkpoint.cc, and lint rule R003 keeps their
+widths named.)
 
 Diagnostic codes:
 
-  W001 unannotated serialization call      W002 marker/code width drift
-  W003 field order asymmetry               W004 field width asymmetry
-  W005 field count asymmetry               W006 record with a single role
-  W007 malformed cable-wire marker
   F001 nondeterministic transition         F002 unknown state/event
   F003 dead-end live state                 F004 unreachable state
   F005 no internal path to a steady state  F006 no internal path to initial
@@ -60,9 +28,8 @@ Diagnostic codes:
   F011 illegal bit-accounting class        F012 unreachable terminal
   F013 health assignment bypassing the generated table
 
-Source reading, the put()/get() call scanner (the same sites
-cable_lint.py's R003 checks), the fixture runner and the report driver
-are shared with cable_lint.py (cable_scan.py).
+Source reading, the fixture runner and the report driver are shared
+with cable_lint.py (cable_scan.py).
 
 Exit status: 0 clean, 1 findings, 2 usage error.
 """
@@ -74,17 +41,10 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from cable_scan import (Finding, Source, arg_parser, bitstream_calls,
-                        finish, load_source, run_self_test)
+from cable_scan import (Finding, Source, arg_parser, finish, load_source,
+                        run_self_test)
 
 CODES = {
-    "W001": "unannotated serialization call",
-    "W002": "marker width disagrees with the call",
-    "W003": "field order asymmetry between roles",
-    "W004": "field width asymmetry between roles",
-    "W005": "field count asymmetry between roles",
-    "W006": "record with a single role",
-    "W007": "malformed cable-wire marker",
     "F001": "nondeterministic transition",
     "F002": "transition references an unknown state or event",
     "F003": "dead-end live state",
@@ -100,15 +60,6 @@ CODES = {
     "F013": "health assignment bypassing the generated table",
 }
 
-# Files participating in the wire contract. wire_format.h carries the
-# contract declarations; the .cc files carry annotated call sites.
-WIRE_FILES = [
-    "src/core/wire_format.h",
-    "src/core/channel.cc",
-    "src/sim/protocol.cc",
-    "src/core/resync.cc",
-]
-
 FSM_SPEC = "src/core/recovery_fsm.def"
 
 # Implementation files whose health mutations must route through the
@@ -117,169 +68,6 @@ FSM_IMPL_FILES = ["src/core/channel.cc", "src/core/checkpoint.cc",
                   "src/core/resync.cc"]
 
 RECOVERY_BITS_CLASSES = ("None", "Handshake", "Rearm", "Retrans")
-
-# cable-wire: (a call-site marker), cable-wire-decl:, -write: and
-# -read:, with the kind as group 1 (None for a call-site marker).
-WIRE_MARK_RE = re.compile(
-    r"//\s*cable-wire(?:-(decl|write|read))?:\s*(.+?)\s*$")
-
-
-@dataclass
-class WireSite:
-    record: str
-    field: str
-    width: str
-    count: str  # "" when the field is not repeated
-    role: str  # write | read | decl
-    path: str
-    line: int  # 1-based
-
-
-def parse_field_spec(spec: str):
-    """Splits "<record> <field> <width>[*<count>]" into its parts, or
-    None when malformed. The count is everything after the first '*'
-    of the width token (so widths may be expressions like
-    rlid_bits_-way_bits and counts may be products)."""
-    parts = spec.split()
-    if len(parts) != 3:
-        return None
-    record, fname, widthspec = parts
-    width, _, count = widthspec.partition("*")
-    if not width:
-        return None
-    return record, fname, width, count
-
-
-# ---------------------------------------------------------------------
-# Wire symmetry
-# ---------------------------------------------------------------------
-
-
-def scan_wire_file(src: Source, sites: list[WireSite],
-                   findings: list[Finding]):
-    rel = src.path
-    marks: dict[int, tuple] = {}  # call-site markers by 0-based line
-    for idx, line in enumerate(src.raw_lines):
-        m = WIRE_MARK_RE.search(line)
-        if not m:
-            continue
-        kind, payload = m.groups()
-        spec = parse_field_spec(payload)
-        if spec is None:
-            findings.append(Finding(
-                "W007", rel, idx + 1, f"cannot parse '{payload}'"))
-        elif kind is None:
-            marks[idx] = spec
-        else:  # decl, or a manual write/read site
-            sites.append(WireSite(*spec, kind, rel, idx + 1))
-
-    # Events as (line_idx, pos, payload): markers (pos -1, so they
-    # sort ahead of a call on their own line) and the shared
-    # serialization calls, whose payload is (role, width, name).
-    events = [(idx, -1, spec) for idx, spec in marks.items()]
-    events += [(c.line - 1, c.pos,
-                (c.role, re.sub(r"\s+", "", c.width), c.name))
-               for c in bitstream_calls(src)]
-
-    # A marker binds to the next serialization call at or below it,
-    # as long as the statement starts within a few lines —
-    # multi-line statements put the call 1-3 lines under the marker.
-    pending = None  # (marker line_idx, spec)
-    for idx, pos, payload in sorted(events, key=lambda e: e[:2]):
-        if pos < 0:
-            pending = (idx, payload)
-            continue
-        role, call_width, what = payload
-        if pending is None or idx - pending[0] > 4:
-            findings.append(Finding(
-                "W001", rel, idx + 1,
-                f"{what}() call without a cable-wire marker"))
-            pending = None
-            continue
-        record, fname, width, count = pending[1]
-        pending = None
-        if width != call_width:
-            findings.append(Finding(
-                "W002", rel, idx + 1,
-                f"marker width '{width}' but the call encodes "
-                f"'{call_width}'"))
-        sites.append(WireSite(record, fname, width, count, role,
-                              rel, idx + 1))
-
-
-def compare_exact(a: list[WireSite], b: list[WireSite],
-                  findings: list[Finding], what: str):
-    if len(a) != len(b):
-        anchor = b[0] if b else a[0]
-        findings.append(Finding(
-            "W005", anchor.path, anchor.line,
-            f"{what}: {len(a)} field(s) vs {len(b)}"))
-        return
-    for sa, sb in zip(a, b):
-        if sa.field != sb.field:
-            findings.append(Finding(
-                "W003", sb.path, sb.line,
-                f"{what}: expected field '{sa.field}' "
-                f"(from {sa.path}:{sa.line}), found '{sb.field}'"))
-            return  # order drift cascades; first mismatch only
-        if sa.width != sb.width or sa.count != sb.count:
-            findings.append(Finding(
-                "W004", sb.path, sb.line,
-                f"{what}: field '{sa.field}' is "
-                f"{sa.width or '?'}{'*' + sa.count if sa.count else ''}"
-                f" vs {sb.width}{'*' + sb.count if sb.count else ''}"))
-
-
-def compare_against_decl(seq: list[WireSite], decl: list[WireSite],
-                         findings: list[Finding], what: str):
-    if len(decl) == 0:
-        return
-    if len(seq) % len(decl) != 0:
-        findings.append(Finding(
-            "W005", seq[0].path, seq[0].line,
-            f"{what}: {len(seq)} field(s) is not a whole number of "
-            f"contract repetitions ({len(decl)})"))
-        return
-    for rep in range(len(seq) // len(decl)):
-        chunk = seq[rep * len(decl):(rep + 1) * len(decl)]
-        compare_exact(decl, chunk, findings, what)
-
-
-def check_wire(sources: list[Source]):
-    findings: list[Finding] = []
-    sites: list[WireSite] = []
-    for src in sources:
-        scan_wire_file(src, sites, findings)
-
-    records: dict[str, dict[str, list[WireSite]]] = {}
-    for s in sites:
-        records.setdefault(s.record, {}).setdefault(s.role,
-                                                    []).append(s)
-
-    for record in sorted(records):
-        roles = records[record]
-        if len(roles) < 2:
-            only = next(iter(roles.values()))[0]
-            findings.append(Finding(
-                "W006", only.path, only.line,
-                f"record '{record}' has only a {only.role} side; "
-                f"nothing to check it against"))
-            continue
-        if "write" in roles and "read" in roles:
-            compare_exact(roles["write"], roles["read"], findings,
-                          f"record '{record}' writer vs reader")
-        for role in ("write", "read"):
-            if role in roles and "decl" in roles:
-                compare_against_decl(
-                    roles[role], roles["decl"], findings,
-                    f"record '{record}' {role}r vs contract")
-
-    summary = {
-        record: {role: len(sites_)
-                 for role, sites_ in sorted(roles.items())}
-        for record, roles in sorted(records.items())
-    }
-    return findings, summary
 
 
 # ---------------------------------------------------------------------
@@ -575,18 +363,17 @@ def write_dot(spec: FsmSpec, path: str):
 
 
 def fixture_findings(src: Source) -> list[Finding]:
-    """Fixture mode: a .def is model-checked; a .cc/.h file is
-    wire-checked on its own (declarations and call sites in one
-    file) and its health_ assignments are F013-checked."""
+    """Fixture mode: a .def is model-checked; a .cc/.h file has its
+    health_ assignments F013-checked."""
     if src.path.endswith(".def"):
         return check_fsm(src)[0]
-    return check_wire([src])[0] + check_fsm_impl(src)
+    return check_fsm_impl(src)
 
 
 def main(argv=None) -> int:
     ap = arg_parser("cable_verify.py",
-                    "CABLE protocol verifier: wire-format symmetry + "
-                    "recovery-FSM model check", "cable-verify-v1")
+                    "CABLE recovery-FSM model check",
+                    "cable-verify-v1")
     ap.add_argument("--dot", default=None,
                     help="write a Graphviz diagram of the FSM here")
     args = ap.parse_args(argv)
@@ -597,18 +384,15 @@ def main(argv=None) -> int:
                              fixture_findings)
 
     root = os.path.abspath(args.root)
-    for rel in WIRE_FILES + [FSM_SPEC]:
+    for rel in [FSM_SPEC] + FSM_IMPL_FILES:
         if not os.path.exists(os.path.join(root, rel)):
             print(f"cable-verify: missing {rel} (wrong --root?)",
                   file=sys.stderr)
             return 2
 
-    wire_findings, wire_summary = check_wire(
-        [load_source(root, rel) for rel in WIRE_FILES])
-    fsm_findings, fsm_stats, spec = check_fsm(load_source(root, FSM_SPEC))
+    findings, fsm_stats, spec = check_fsm(load_source(root, FSM_SPEC))
     for rel in FSM_IMPL_FILES:
-        fsm_findings += check_fsm_impl(load_source(root, rel))
-    findings = wire_findings + fsm_findings
+        findings += check_fsm_impl(load_source(root, rel))
 
     if args.dot:
         write_dot(spec, args.dot)
@@ -617,17 +401,12 @@ def main(argv=None) -> int:
         "schema": "cable-verify-v1",
         "tool": "cable_verify",
         "ok": not findings,
-        "wire": {
-            "files": WIRE_FILES,
-            "records": wire_summary,
-            "findings": [vars(f) for f in wire_findings],
-        },
-        "fsm": dict(fsm_stats, findings=[vars(f) for f in fsm_findings]),
+        "fsm": dict(fsm_stats, findings=[vars(f) for f in findings]),
     }
     inv = fsm_stats["invariants"]
     return finish(
         findings, CODES,
-        f"cable-verify: {len(wire_summary)} wire record(s), "
+        f"cable-verify: "
         f"{fsm_stats['reachable_states']}/{fsm_stats['states']} "
         f"reachable state(s), "
         f"{fsm_stats['reachable_transitions']}/"

@@ -14,7 +14,7 @@ Dispatches on the document's "schema" field:
                         bottleneck-attribution reports
   cable-phases-v1       cable_sim --phase-out / phases.py
                         workload-phase reports
-  cable-verify-v1       cable_verify.py --report protocol-verifier
+  cable-verify-v1       cable_verify.py --report recovery-FSM verifier
                         reports
   cable-lint-v1         cable_lint.py --report invariant-linter
                         reports
@@ -85,7 +85,7 @@ SCHEMA_KEYS = {
         "schema", "tool", "command", "benchmark", "scheme", "ops",
         "seed", "interval", "metrics", "phases",
     },
-    "cable-verify-v1": {"schema", "tool", "ok", "wire", "fsm"},
+    "cable-verify-v1": {"schema", "tool", "ok", "fsm"},
     "cable-lint-v1": {"schema", "files", "findings"},
 }
 
@@ -775,7 +775,6 @@ def check_phases_v1(m):
               f"{len(r['phases'])} phases)")
 
 
-VERIFY_ROLES = {"write", "read", "decl"}
 VERIFY_INVARIANTS = {
     "deterministic", "no_dead_end", "recovers_to_initial",
     "fault_total", "typed_terminals", "epoch_monotone",
@@ -829,7 +828,7 @@ def check_lint_v1(m):
 
 
 def check_verify_v1(m):
-    for key in ("tool", "ok", "wire", "fsm"):
+    for key in ("tool", "ok", "fsm"):
         if key not in m:
             err(f"missing top-level key '{key}'")
     if errors:
@@ -838,43 +837,6 @@ def check_verify_v1(m):
         err(f"'tool' must be 'cable_verify': {m['tool']!r}")
     if not isinstance(m["ok"], bool):
         err(f"'ok' must be a boolean: {m['ok']!r}")
-
-    wire = m["wire"]
-    if not isinstance(wire, dict):
-        err("'wire' must be an object")
-        return
-    check_unknown_keys(wire, {"files", "records", "findings"}, "wire")
-    files = wire.get("files")
-    if not isinstance(files, list) or not files \
-            or not all(isinstance(p, str) for p in files):
-        err("wire.files must be a non-empty list of paths")
-    records = wire.get("records")
-    nfind = check_findings(wire.get("findings"), "wire", "WF")
-    if not isinstance(records, dict) or not records:
-        err("wire.records must be a non-empty object")
-        return
-    for name, roles in records.items():
-        rw = f"wire.records['{name}']"
-        if not isinstance(roles, dict) or not roles:
-            err(f"{rw}: must map roles to field counts")
-            continue
-        bad_roles = set(roles) - VERIFY_ROLES
-        if bad_roles:
-            err(f"{rw}: unknown role(s) {sorted(bad_roles)}")
-        for role, count in roles.items():
-            if not isinstance(count, int) or isinstance(count, bool) \
-                    or count < 1:
-                err(f"{rw}.{role}: field count must be a positive "
-                    f"integer: {count!r}")
-        # A clean report has no one-sided records, and a writer/reader
-        # pair must agree on the field count (W005 otherwise, which
-        # would clear 'ok' — checked globally below).
-        if nfind == 0 and len(set(roles) & VERIFY_ROLES) < 2:
-            err(f"{rw}: single-role record in a clean report")
-        if nfind == 0 and "write" in roles and "read" in roles \
-                and roles["write"] != roles["read"]:
-            err(f"{rw}: clean report but writer has {roles['write']} "
-                f"field(s), reader {roles['read']}")
 
     fsm = m["fsm"]
     if not isinstance(fsm, dict):
@@ -915,7 +877,7 @@ def check_verify_v1(m):
     for name, v in inv.items():
         if not isinstance(v, bool):
             err(f"fsm.invariants.{name}: must be a boolean: {v!r}")
-    nfind += check_findings(fsm["findings"], "fsm", "WF")
+    nfind = check_findings(fsm["findings"], "fsm", "F")
 
     # 'ok' is not advisory: it must equal "no findings anywhere", and
     # a clean report must have proved every invariant and reached the
@@ -936,7 +898,6 @@ def check_verify_v1(m):
                 f"terminals are reachable")
     if not errors:
         print(f"check_metrics: OK (verify report, "
-              f"{len(records)} wire record(s), "
               f"{fsm['reachable_states']}/{fsm['states']} states, "
               f"{fsm['reachable_transitions']}/{fsm['transitions']} "
               f"transitions, {nfind} finding(s))")
