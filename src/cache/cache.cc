@@ -40,14 +40,13 @@ Cache::probe(Addr addr) const
     return find(addr).valid;
 }
 
-bool
+LineID
 Cache::access(Addr addr)
 {
     LineID lid = find(addr);
-    if (!lid.valid)
-        return false;
-    promote(index(lid));
-    return true;
+    if (lid.valid)
+        promote(index(lid));
+    return lid;
 }
 
 LineID

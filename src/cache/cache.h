@@ -99,8 +99,9 @@ class Cache
     /** Hit check without touching LRU state. */
     bool probe(Addr addr) const;
 
-    /** Hit check that promotes the line in LRU order. */
-    bool access(Addr addr);
+    /** Hit check that promotes the line in LRU order: the hit's
+     *  LineID, or an invalid one on a miss. */
+    LineID access(Addr addr);
 
     /** LineID of addr if resident, else invalid. Does not touch LRU. */
     LineID find(Addr addr) const;

@@ -40,14 +40,14 @@ class PrivateCaches
                   std::uint64_t l2_bytes, unsigned l2_ways);
 
     /** L1 lookup of line address @p la; a hit is promoted in LRU. */
-    bool accessL1(Addr la) { return l1_.access(la); }
-    /** L2 lookup of line address @p la; a hit is promoted in LRU. */
-    bool accessL2(Addr la) { return l2_.access(la); }
-    /** Data of a resident L2 line. */
-    const CacheLine &
-    l2Line(Addr la) const
+    bool accessL1(Addr la) { return l1_.access(la).valid; }
+    /** L2 lookup of line address @p la: a hit is promoted in LRU and
+     *  its data returned; nullptr on a miss. */
+    const CacheLine *
+    accessL2(Addr la)
     {
-        return l2_.lineAt(l2_.find(la));
+        LineID lid = l2_.access(la);
+        return lid.valid ? &l2_.lineAt(lid) : nullptr;
     }
     /** True while either level holds @p addr (no LRU update). */
     bool

@@ -73,6 +73,9 @@ struct LineID
     }
 
     bool operator!=(const LineID &o) const { return !(*this == o); }
+
+    /** True for a slot, false for "no line" (a miss). */
+    explicit operator bool() const { return valid; }
 };
 
 /** An invalid LineID constant for table initialization. */

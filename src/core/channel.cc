@@ -619,6 +619,8 @@ CableChannel::decodeFrame(const BitVec &image, std::size_t payload_bits,
         out.line = getLine(br);
         if (br.overrun())
             out.error = FrameError::Truncated;
+        else if (!br.exhausted())
+            out.error = FrameError::TrailingBits;
         return out;
     }
     // The references come from the receiver's own data array. The
@@ -644,6 +646,8 @@ CableChannel::decodeFrame(const BitVec &image, std::size_t payload_bits,
     out.diff = diff.error;
     if (!diff.ok())
         out.error = FrameError::BadDiff;
+    else if (!br.exhausted())
+        out.error = FrameError::TrailingBits;
     return out;
 }
 

@@ -188,7 +188,8 @@ struct TransferStats
  * The pairwise metadata invariant broke: a frame decoded from
  * receiver-side reference data did not reproduce the original line,
  * or could not be decoded (a FrameError: a reference out of range or
- * pointing at an untracked slot, or a DIFF the engine rejected).
+ * pointing at an untracked slot, a DIFF the engine rejected, or bits
+ * left after the DIFF).
  * Carries enough structure for the recovery path to log and for
  * tests to assert on. When no fault model is attached this propagates — a genuine
  * bug — instead of being absorbed by recovery.
@@ -535,7 +536,8 @@ class CableChannel
      * the home cache through the WMT for a write-back — and hands
      * the engine the same reader for the DIFF. A raw frame yields
      * its payload. Never aborts: a cut or damaged frame gets a
-     * typed FrameError.
+     * typed FrameError, and so does one whose header and DIFF (or
+     * raw line) end before @p payload_bits.
      */
     [[nodiscard]] FrameDecode decodeFrame(const BitVec &image,
                                           std::size_t payload_bits,

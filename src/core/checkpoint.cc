@@ -178,7 +178,7 @@ ChannelCheckpoint::walk(IO &io, State &s)
         {s.ht[0].cfg_.bucket_ways, kCkptBucketWaysBits},
         {s.ht[1].num_buckets_, kCkptBucketCountBits},
         {s.ht[1].cfg_.bucket_ways, kCkptBucketWaysBits},
-        {s.evbuf.capacity_, kCkptEvbufCapBits},
+        {s.evbuf.capacity(), kCkptEvbufCapBits},
     };
     bool same = true;
     for (const auto &[want, nbits] : geom) {
@@ -266,11 +266,12 @@ ChannelCheckpoint::walk(IO &io, State &s)
                              &ev.overflow_drops_, &ev.finds_,
                              &ev.find_hits_})
         io.rw(*c, kCkptCountBits);
-    std::size_t len = ev.entries_.size();
+    std::size_t len = ev.size_;
     io.rw(len, kCkptEvbufLenBits);
-    io.check(len <= ev.capacity_, "eviction buffer beyond its capacity");
-    ev.entries_.resize(len);
-    for (auto &e : ev.entries_) {
+    io.check(len <= ev.capacity(), "eviction buffer beyond its capacity");
+    ev.size_ = len;
+    for (std::size_t k = 0; k < len; ++k) {
+        EvictionBuffer::Entry &e = ev.at(k);
         io.rw(e.seq, kCkptCountBits);
         io.rw(e.lid.set, kCkptSetBits);
         io.rw(e.lid.way, kCkptWayBits);

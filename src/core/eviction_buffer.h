@@ -10,15 +10,18 @@
  * This closes the select-while-evicting race even over out-of-order
  * transports: a compressed response arriving after the reference was
  * evicted can still read the reference data out of the buffer.
+ *
+ * The entries live in a ring sized at construction, so pushes and
+ * retirements never allocate.
  */
 
 #ifndef CABLE_CORE_EVICTION_BUFFER_H
 #define CABLE_CORE_EVICTION_BUFFER_H
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/line.h"
 #include "common/stats.h"
@@ -30,8 +33,9 @@ namespace cable
 class EvictionBuffer
 {
   public:
+    /** Holds up to @p capacity entries (at least one). */
     explicit EvictionBuffer(std::size_t capacity = 8)
-        : capacity_(capacity)
+        : ring_(capacity ? capacity : 1)
     {
     }
 
@@ -46,12 +50,13 @@ class EvictionBuffer
     std::uint64_t
     push(LineID lid, const CacheLine &data)
     {
-        if (entries_.size() >= capacity_) {
-            entries_.pop_front();
+        if (size_ == ring_.size()) {
+            popOldest();
             ++overflow_drops_;
         }
         std::uint64_t seq = ++seq_clock_;
-        entries_.push_back(Entry{seq, lid, data});
+        ++size_;
+        at(size_ - 1) = Entry{seq, lid, data};
         ++pushes_;
         return seq;
     }
@@ -63,9 +68,8 @@ class EvictionBuffer
     void
     acknowledge(std::uint64_t acked_seq)
     {
-        while (!entries_.empty()
-               && entries_.front().seq <= acked_seq) {
-            entries_.pop_front();
+        while (size_ && at(0).seq <= acked_seq) {
+            popOldest();
             ++retired_;
         }
     }
@@ -80,25 +84,24 @@ class EvictionBuffer
     {
         ++finds_;
         // Newest first: a slot may have been evicted twice.
-        for (auto it = entries_.rbegin(); it != entries_.rend();
-             ++it) {
-            if (it->lid == lid) {
+        for (std::size_t i = size_; i-- > 0;) {
+            if (at(i).lid == lid) {
                 ++find_hits_;
-                return it->data;
+                return at(i).data;
             }
         }
         return std::nullopt;
     }
 
-    std::size_t size() const { return entries_.size(); }
-    std::size_t capacity() const { return capacity_; }
+    std::size_t size() const { return size_; }
+    std::size_t capacity() const { return ring_.size(); }
 
     /**
      * Drops every entry without retiring it (endpoint crash: the
      * buffered copies are gone). The sequence clock keeps counting
      * so post-crash EvictSeqs stay monotone.
      */
-    void clearAll() { entries_.clear(); }
+    void clearAll() { size_ = 0; }
 
     /**
      * Structure introspection probe: current fill plus lifetime
@@ -109,8 +112,8 @@ class EvictionBuffer
     void
     snapshot(StatSet &out, const std::string &prefix) const
     {
-        out.add(prefix + "capacity", capacity_);
-        out.add(prefix + "size", entries_.size());
+        out.add(prefix + "capacity", ring_.size());
+        out.add(prefix + "size", size_);
         out.add(prefix + "last_seq", seq_clock_);
         out.add(prefix + "pushes", pushes_);
         out.add(prefix + "retired", retired_);
@@ -131,9 +134,25 @@ class EvictionBuffer
         CacheLine data;
     };
 
-    std::size_t capacity_;
+    /** The @p i-th oldest entry. */
+    Entry &at(std::size_t i) { return ring_[(head_ + i) % ring_.size()]; }
+    const Entry &
+    at(std::size_t i) const
+    {
+        return ring_[(head_ + i) % ring_.size()];
+    }
+    void
+    popOldest()
+    {
+        head_ = (head_ + 1) % ring_.size();
+        --size_;
+    }
+
     std::uint64_t seq_clock_ = 0;
-    std::deque<Entry> entries_;
+    /** Entries at(0) (oldest) .. at(size_ - 1) (newest). */
+    std::vector<Entry> ring_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
 
     // Lifetime traffic counters; find() is logically const but still
     // traffic, hence mutable.

@@ -73,6 +73,7 @@ enum class FrameError : std::uint8_t
     BadRemoteLid, ///< a RemoteLID outside the remote cache's geometry
     UntrackedRef, ///< a write-back reference the home's WMT does not map
     BadDiff,      ///< the engine rejected the DIFF (FrameDecode::diff)
+    TrailingBits, ///< the frame ended before the payload end
 };
 
 /** "truncated frame", "RemoteLID out of range", ... for messages. */
@@ -81,7 +82,8 @@ frameErrorName(FrameError e)
 {
     static constexpr const char *kNames[] = {
         "none", "truncated frame", "RemoteLID out of range",
-        "reference to untracked remote line", "decode failed"};
+        "reference to untracked remote line", "decode failed",
+        "bits after the frame's end"};
     return kNames[static_cast<unsigned>(e)];
 }
 

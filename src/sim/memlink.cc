@@ -17,7 +17,12 @@ MemLinkSystem::MemLinkSystem(const MemSystemConfig &cfg,
             cfg.llc_ways, cfg.llc_policy}),
       l4_({"l4", cfg.l4_bytes_per_thread * programs.size(),
            cfg.l4_ways}),
-      dram_(cfg.dram), lat_(schemeLatency(cfg.scheme)),
+      dram_(cfg.dram),
+      ahead_(programs.size() == 1 && !cfg.fault.anyEnabled()
+                     && !cfg.onoff_control && !cfg.count_toggles
+                 ? kTapeOps
+                 : 0),
+      lat_(schemeLatency(cfg.scheme)),
       next_fault_audit_(cfg.fault_audit_period),
       next_onoff_sample_(cfg.onoff_period)
 {
@@ -51,7 +56,8 @@ MemLinkSystem::MemLinkSystem(const MemSystemConfig &cfg,
                 ? splitMix64(cfg.seed ^ 0x7a1ull)
                 : splitMix64(cfg.seed ^ 0x9191ull ^ (t * 31));
         threads_.push_back(std::make_unique<Thread>(
-            t, cfg, programs[t], base, aseed, vseed));
+            t, cfg, programs[t], base, aseed, vseed,
+            std::max<std::size_t>(ahead_, 1)));
     }
 }
 
@@ -71,16 +77,6 @@ MemLinkSystem::backInvalUpper(Addr addr)
     for (auto &tp : threads_)
         if (auto dirty = tp->priv.drop(addr))
             protocol_->dirtyUpdate(addr, dirty->data);
-}
-
-void
-MemLinkSystem::attributeTransfer(Addr addr, const Transfer &t)
-{
-    std::size_t owner = (addr >> kThreadBaseShift) - 1;
-    if (owner < threads_.size()) {
-        threads_[owner]->link_raw_bits += t.raw_bits;
-        threads_[owner]->link_wire_bits += t.bits;
-    }
 }
 
 double
@@ -103,9 +99,8 @@ MemLinkSystem::linkCyclesToCore(Cycles link_cycles) const
         static_cast<double>(link_cycles) * f + 0.5);
 }
 
-void
-MemLinkSystem::accountLinkTransfer(const Transfer &t, bool critical,
-                                   Cycles now, Cycles &extra_lat)
+std::uint32_t
+MemLinkSystem::accountLinkTransfer(Addr addr, const Transfer &t)
 {
     if (cfg_.count_toggles)
         link_->countToggles(t.wire);
@@ -118,19 +113,19 @@ MemLinkSystem::accountLinkTransfer(const Transfer &t, bool critical,
         energy_.compression();
         energy_.decompression();
     }
-    if (cfg_.timing) {
-        Cycles done = link_->acquire(now, t.wireBits());
-        if (critical)
-            extra_lat += done - now + linkCyclesToCore(t.retry_cycles);
-    } else {
-        link_->countOnly(t.wireBits());
+    std::size_t owner = (addr >> kThreadBaseShift) - 1;
+    if (owner < threads_.size()) {
+        threads_[owner]->link_raw_bits += t.raw_bits;
+        threads_[owner]->link_wire_bits += t.bits;
     }
+    return static_cast<std::uint32_t>(t.wireBits());
 }
 
-Cycles
-MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
+LineID
+MemLinkSystem::fill(Thread &t, Addr addr)
 {
-    Cycles extra = 0;
+    FillRecord &f = t.tape.fills.emplace_back();
+    ++t.tape.ops.back().fills;
 
     // Victim handling: vacate the LLC slot the fill will use.
     std::uint8_t vway = llc_.victimWay(addr);
@@ -138,39 +133,34 @@ MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
     if (llc_.validAt(vlid)) {
         Addr vaddr = llc_.addrAt(vlid);
         backInvalUpper(vaddr);
-        auto wb = protocol_->evictRemoteSlot(vlid);
-        if (wb) {
+        if (auto wb = protocol_->evictRemoteSlot(vlid)) {
             // Posted write: consumes bandwidth, off the load's
             // critical path.
-            accountLinkTransfer(*wb, false, now, extra);
-            attributeTransfer(vaddr, *wb);
+            f.victim_bits = accountLinkTransfer(vaddr, *wb);
+            f.has |= FillRecord::kVictimWb;
             energy_.l4Access();
         }
     }
 
     // Home side: L4 lookup, DRAM on miss.
-    Cycles dram_lat = 0;
     energy_.l4Access();
     if (!l4_.probe(addr)) {
         CacheLine data = memoryOf(addr).lineAt(addr);
-        if (cfg_.timing) {
-            Cycles done = dram_.access(now + cfg_.l4_lat, addr, false);
-            dram_lat = done - (now + cfg_.l4_lat);
-        } else {
-            dram_.access(now, addr, false);
-        }
+        f.dram_read = addr;
+        f.has |= FillRecord::kDramRead;
         energy_.dramAccess();
         HomeInstallResult hr = protocol_->homeFill(addr, data);
         if (hr.backinval_writeback) {
-            accountLinkTransfer(*hr.backinval_writeback, false, now,
-                                extra);
-            attributeTransfer(addr, *hr.backinval_writeback);
+            f.backinval_bits =
+                accountLinkTransfer(addr, *hr.backinval_writeback);
+            f.has |= FillRecord::kBackinvalWb;
         }
         if (hr.memory_writeback) {
             memoryOf(hr.memory_writeback->addr)
                 .storeLine(hr.memory_writeback->addr,
                            hr.memory_writeback->data);
-            dram_.access(now, hr.memory_writeback->addr, true);
+            f.dram_write = hr.memory_writeback->addr;
+            f.has |= FillRecord::kDramWrite;
             energy_.dramAccess();
         }
     }
@@ -180,7 +170,6 @@ MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
     // active; decompression only when the payload actually arrives
     // compressed.
     Transfer resp = protocol_->respond(addr, vway);
-    attributeTransfer(addr, resp);
     Cycles comp_lat = compression_on_ ? lat_.comp : 0;
     Cycles decomp_lat =
         (compression_on_ && !resp.raw) ? lat_.decomp : 0;
@@ -192,27 +181,67 @@ MemLinkSystem::offChipFill(Thread &, Addr addr, Cycles now)
             decomp_lat = pipe.decompressionCycles();
         pipe.recordStages(protocol_->stats(), resp.sigs);
     }
-    Cycles ser_start = now + cfg_.l4_lat + dram_lat + comp_lat
-                       + link_->config().setup_cycles;
-    Cycles resp_lat = cfg_.l4_lat + dram_lat + comp_lat
-                      + link_->config().setup_cycles + decomp_lat;
-    accountLinkTransfer(resp, true, ser_start, resp_lat);
-    return extra + resp_lat;
+    f.comp_lat = static_cast<std::uint32_t>(comp_lat);
+    f.decomp_lat = static_cast<std::uint32_t>(decomp_lat);
+    f.retry_cycles = resp.retry_cycles;
+    f.resp_bits = accountLinkTransfer(addr, resp);
+    return LineID(llc_.setOf(addr), vway);
+}
+
+Cycles
+MemLinkSystem::sendOnLink(Cycles now, std::size_t bits)
+{
+    if (cfg_.timing)
+        return link_->acquire(now, bits);
+    link_->countOnly(bits);
+    return now;
+}
+
+Cycles
+MemLinkSystem::replayFill(const FillRecord &f, Cycles now)
+{
+    // The order of fill(): victim write-back, DRAM read, the L4
+    // victim's write-backs, then the response.
+    if (f.has & FillRecord::kVictimWb)
+        sendOnLink(now, f.victim_bits);
+    Cycles dram_lat = 0;
+    if (f.has & FillRecord::kDramRead) {
+        if (cfg_.timing) {
+            Cycles done =
+                dram_.access(now + cfg_.l4_lat, f.dram_read, false);
+            dram_lat = done - (now + cfg_.l4_lat);
+        } else {
+            dram_.access(now, f.dram_read, false);
+        }
+    }
+    if (f.has & FillRecord::kBackinvalWb)
+        sendOnLink(now, f.backinval_bits);
+    if (f.has & FillRecord::kDramWrite)
+        dram_.access(now, f.dram_write, true);
+
+    Cycles setup = link_->config().setup_cycles;
+    Cycles ser_start = now + cfg_.l4_lat + dram_lat + f.comp_lat + setup;
+    Cycles resp_lat =
+        cfg_.l4_lat + dram_lat + f.comp_lat + setup + f.decomp_lat;
+    Cycles done = sendOnLink(ser_start, f.resp_bits);
+    if (cfg_.timing)
+        resp_lat += done - ser_start + linkCyclesToCore(f.retry_cycles);
+    return resp_lat;
 }
 
 void
-MemLinkSystem::prefetch(Thread &t, Addr miss_addr, Cycles now)
+MemLinkSystem::prefetch(Thread &t, Addr miss_addr)
 {
     // Next-N-line prefetcher: fills ride the link off the demand
-    // load's critical path; the returned latency is discarded but
-    // the bandwidth (link busy-until, flits, energy) is charged.
+    // load's critical path; replay() discards their latency but
+    // charges the bandwidth (link busy-until, flits, energy).
     for (unsigned d = 1; d <= cfg_.prefetch_degree; ++d) {
         Addr p = miss_addr + static_cast<Addr>(d) * kLineBytes;
         if ((p >> kThreadBaseShift) != (miss_addr >> kThreadBaseShift))
             break; // never cross into another program's space
         if (llc_.probe(p))
             continue;
-        (void)offChipFill(t, p, now);
+        fill(t, p);
         energy_.llcAccess();
     }
 }
@@ -225,25 +254,24 @@ MemLinkSystem::access(Thread &t, Addr addr, bool store)
 
     if (t.priv.accessL1(la)) {
         if (store)
-            t.priv.store(addr, t.ops);
+            t.priv.store(addr, t.recorded);
         return cfg_.l1_lat;
     }
 
     Cycles lat = cfg_.l1_lat + cfg_.l2_lat;
     energy_.l2Access();
     CacheLine data;
-    if (t.priv.accessL2(la)) {
-        data = t.priv.l2Line(la);
+    if (const CacheLine *hit = t.priv.accessL2(la)) {
+        data = *hit;
     } else {
         lat += cfg_.llc_lat;
         energy_.llcAccess();
-        if (llc_.access(la)) {
-            data = llc_.lineAt(llc_.find(la));
+        if (LineID lid = llc_.access(la)) {
+            data = llc_.lineAt(lid);
         } else {
-            lat += offChipFill(t, la, t.time + lat);
-            data = llc_.lineAt(llc_.find(la));
+            data = llc_.lineAt(fill(t, la));
             if (cfg_.prefetch_degree)
-                prefetch(t, la, t.time + lat);
+                prefetch(t, la);
         }
         if (auto spill = t.priv.installL2(la, data)) {
             protocol_->dirtyUpdate(spill->addr, spill->data);
@@ -253,7 +281,7 @@ MemLinkSystem::access(Thread &t, Addr addr, bool store)
     if (t.priv.installL1(la, data))
         energy_.l2Access(); // the dirty L1 victim lands in L2
     if (store)
-        t.priv.store(addr, t.ops);
+        t.priv.store(addr, t.recorded);
     return lat;
 }
 
@@ -316,15 +344,68 @@ MemLinkSystem::pollFaultAudit()
 }
 
 void
-MemLinkSystem::step(Thread &t)
+MemLinkSystem::record(Thread &t)
 {
     MemOp op = t.gen.next();
+    // On the tape before access(), which counts the op's fills.
+    OpRecord &rec = t.tape.ops.emplace_back();
+    rec.gap = op.gap;
+    rec.hit_lat = access(t, op.addr, op.store);
+    ++t.recorded;
+}
+
+void
+MemLinkSystem::replay(Thread &t)
+{
+    const OpRecord &op = t.tape.ops[t.tape.op_head++];
     t.time += op.gap; // 1 CPI non-memory instructions
-    t.time += access(t, op.addr, op.store);
+    Cycles lat = op.hit_lat;
+    for (std::uint32_t i = 0; i < op.fills; ++i) {
+        // The demand fill is on the load's critical path; its
+        // prefetches issue when it completes, latency discarded.
+        Cycles fill_lat =
+            replayFill(t.tape.fills[t.tape.fill_head++], t.time + lat);
+        if (i == 0)
+            lat += fill_lat;
+    }
+    t.time += lat;
     t.instrs += op.gap + 1;
     t.ops += 1;
     pollOnOff();
     pollFaultAudit();
+}
+
+void
+MemLinkSystem::step(Thread &t)
+{
+    if (!t.tape.pending()) {
+        t.tape.compact();
+        record(t);
+    }
+    replay(t);
+}
+
+std::uint64_t
+MemLinkSystem::recordable(std::uint64_t ops) const
+{
+    if (!ahead_)
+        return 0;
+    const Thread &t = *threads_[0];
+    std::uint64_t target = t.ops0 + ops;
+    std::uint64_t left = target > t.recorded ? target - t.recorded : 0;
+    return std::min<std::uint64_t>(left, ahead_ - t.tape.pending());
+}
+
+void
+MemLinkSystem::recordAhead(std::uint64_t ops)
+{
+    std::uint64_t n = recordable(ops);
+    if (!n)
+        return;
+    Thread &t = *threads_[0];
+    t.tape.compact();
+    while (n--)
+        record(t);
 }
 
 void

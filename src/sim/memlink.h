@@ -12,6 +12,17 @@
  * contention is captured. A functional mode skips timing for
  * compression-ratio-only studies.
  *
+ * Each op runs in two halves (ZSim's bound-weave split). The
+ * functional half (record) walks the caches, runs the protocol
+ * transfers and memory write-backs, counts energy, and writes the
+ * op's timing inputs to the thread's tape. The timing half (replay)
+ * reads the tape back: link and DRAM queueing, the fill latency
+ * arithmetic, the thread's clock, then the time-driven on/off and
+ * fault-audit polls. stepOnce() records one op and replays it. A
+ * single-thread system whose functional state depends only on its
+ * own op stream may also record a batch ahead (recordAhead), which
+ * is how ThroughputSim runs a group's systems on worker threads.
+ *
  * Stores dirty the L1 and propagate down on evictions, so the LLC
  * (CABLE's remote cache) sees S→M upgrades exactly when dirty data
  * actually reaches it — the non-silent model of §II-C.
@@ -131,8 +142,32 @@ class MemLinkSystem
      */
     void beginMeasurement();
 
-    /** Advances the earliest thread by one memory op. */
+    /** Advances the earliest thread by one memory op: replays its
+     *  next recorded op, recording one first if its tape is empty. */
     void stepOnce();
+
+    /** Ops one recordAhead() call records at most. */
+    static constexpr std::size_t kTapeOps = 256;
+
+    /** Recorded ops not yet replayed (one-thread systems). */
+    std::size_t pendingOps() const { return threads_[0]->tape.pending(); }
+
+    /**
+     * Ops recordAhead(@p ops) would record now. Always 0 unless the
+     * functional half may run ahead of the timing half: one thread,
+     * and no fault injection, on/off control or toggle counting
+     * (each reads time or the shared link from the functional half).
+     * Other systems record each op in stepOnce().
+     */
+    std::uint64_t recordable(std::uint64_t ops) const;
+
+    /**
+     * Runs the functional half ahead: records recordable(@p ops)
+     * ops, never past @p ops since beginMeasurement(). Touches only
+     * this system's state, never the shared link, so systems may
+     * record concurrently; replaying is serial.
+     */
+    void recordAhead(std::uint64_t ops);
 
     /** Earliest pending thread time (scheduling across systems). */
     Cycles nextEventTime() const;
@@ -189,12 +224,76 @@ class MemLinkSystem
     void finishEnergyAccounting();
 
   private:
+    /** One op's timing inputs, written by the functional half. */
+    struct OpRecord
+    {
+        Cycles hit_lat = 0;    ///< L1/L2/LLC lookup latency, no fill
+        std::uint32_t gap = 0; ///< non-memory instructions before it
+        std::uint32_t fills = 0; ///< demand fill first, then prefetches
+    };
+
+    /** One off-chip fill's link and DRAM work (fill()). */
+    struct FillRecord
+    {
+        /** Which of the optional fields below are present. */
+        enum : std::uint8_t
+        {
+            kVictimWb = 1,    ///< LLC victim write-back on the link
+            kDramRead = 2,    ///< L4 miss
+            kBackinvalWb = 4, ///< L4 victim's back-invalidation
+            kDramWrite = 8,   ///< memory write-back
+        };
+
+        Addr dram_read = 0;
+        Addr dram_write = 0;
+        Cycles retry_cycles = 0; ///< response ARQ backoff, link clocks
+        std::uint32_t victim_bits = 0; ///< wire bits of each transfer
+        std::uint32_t backinval_bits = 0;
+        std::uint32_t resp_bits = 0;
+        std::uint32_t comp_lat = 0;
+        std::uint32_t decomp_lat = 0;
+        std::uint8_t has = 0;
+    };
+
+    /**
+     * A thread's recorded ops awaiting replay, oldest first. Both
+     * rows are reserved at construction and never grow: a thread
+     * records only while pending() is below its capacity, and each
+     * op has at most 1 + prefetch_degree fills.
+     */
+    struct Tape
+    {
+        std::vector<OpRecord> ops;
+        std::vector<FillRecord> fills;
+        std::size_t op_head = 0;   ///< next op to replay
+        std::size_t fill_head = 0; ///< its first fill
+
+        Tape(std::size_t max_ops, unsigned prefetch_degree)
+        {
+            ops.reserve(max_ops);
+            fills.reserve(max_ops * (1 + std::size_t{prefetch_degree}));
+        }
+        std::size_t pending() const { return ops.size() - op_head; }
+        /** Drops the replayed records from the front. */
+        void
+        compact()
+        {
+            ops.erase(ops.begin(), ops.begin() + op_head);
+            fills.erase(fills.begin(), fills.begin() + fill_head);
+            op_head = fill_head = 0;
+        }
+    };
+
     struct Thread
     {
         unsigned id;
         PrivateCaches priv;
         AccessGen gen;
         SyntheticMemory mem;
+        Tape tape;
+        /** Ops the functional half has run (the timing half's count
+         *  is `ops`); stamps the thread's stores. */
+        std::uint64_t recorded = 0;
         Cycles time = 0;
         std::uint64_t instrs = 0;
         std::uint64_t ops = 0;
@@ -208,25 +307,46 @@ class MemLinkSystem
 
         Thread(unsigned id_, const MemSystemConfig &cfg,
                const WorkloadProfile &prof, Addr base,
-               std::uint64_t seed, std::uint64_t vseed)
+               std::uint64_t seed, std::uint64_t vseed,
+               std::size_t tape_ops)
             : id(id_),
               priv(cfg.l1_bytes, cfg.l1_ways, cfg.l2_bytes, cfg.l2_ways),
-              gen(prof.access, base, seed), mem(prof.value, base, vseed)
+              gen(prof.access, base, seed), mem(prof.value, base, vseed),
+              tape(tape_ops, cfg.prefetch_degree)
         {
         }
     };
 
+    /** Replays t's next op, recording it first if none is pending. */
     void step(Thread &t);
+
+    // --- functional half ----------------------------------------------
+    /** Runs t's next op through the caches and the protocol and
+     *  appends its OpRecord (and FillRecords) to t's tape. */
+    void record(Thread &t);
+    /** The op's lookup latency; misses append fills to the tape. */
     Cycles access(Thread &t, Addr addr, bool store);
-    Cycles offChipFill(Thread &t, Addr addr, Cycles now);
-    void prefetch(Thread &t, Addr miss_addr, Cycles now);
+    /** Brings line @p addr into the LLC over the link and records
+     *  the fill; returns the LLC slot it landed in. */
+    LineID fill(Thread &t, Addr addr);
+    void prefetch(Thread &t, Addr miss_addr);
     /** Back-invalidates addr from every thread's L1/L2, then pushes
      *  each dirty copy to the LLC (dirtyUpdate). */
     void backInvalUpper(Addr addr);
     SyntheticMemory &memoryOf(Addr addr);
-    void accountLinkTransfer(const Transfer &t, bool critical,
-                             Cycles now, Cycles &extra_lat);
-    void attributeTransfer(Addr addr, const Transfer &t);
+    /** Energy, toggles and per-program attribution of one transfer;
+     *  returns the wire bits the timing half queues on the link. */
+    std::uint32_t accountLinkTransfer(Addr addr, const Transfer &t);
+
+    // --- timing half --------------------------------------------------
+    /** Replays t's next recorded op: clock, counts, then polls. */
+    void replay(Thread &t);
+    /** Queues one recorded fill issued at @p now; returns its
+     *  latency to the requester. */
+    Cycles replayFill(const FillRecord &f, Cycles now);
+    /** Queues @p bits on the link no earlier than @p now (counts
+     *  them only, untimed); returns the completion time. */
+    Cycles sendOnLink(Cycles now, std::size_t bits);
     void pollOnOff();
     void pollFaultAudit();
     /** ARQ backoff is metered in link clocks; timing runs in core. */
@@ -241,6 +361,9 @@ class MemLinkSystem
     EnergyModel energy_;
     LinkProtocolPtr protocol_;
     std::vector<std::unique_ptr<Thread>> threads_;
+    /** Tape capacity of a system that runs ahead; 0 when it does
+     *  not (recordable()). */
+    std::size_t ahead_;
     SchemeLatency lat_;
     std::unique_ptr<FaultInjector> fault_injector_;
     CableChannel *fault_channel_ = nullptr;

@@ -64,7 +64,7 @@ MultiChipSystem::dirtyToLlc(Addr addr, const CacheLine &data)
     }
 }
 
-void
+LineID
 MultiChipSystem::fillLlc(Addr addr)
 {
     Cache &llc0 = *llcs_[0];
@@ -88,7 +88,7 @@ MultiChipSystem::fillLlc(Addr addr)
     if (h == 0) {
         llc0.install(addr, mem_->lineAt(addr),
                      CoherenceState::Shared, vway);
-        return;
+        return vlid;
     }
     LinkProtocol &ch = *channels_[h];
     if (!ch.home().probe(addr)) {
@@ -98,6 +98,7 @@ MultiChipSystem::fillLlc(Addr addr)
                             hr.memory_writeback->data);
     }
     ch.respond(addr, vway);
+    return vlid;
 }
 
 void
@@ -112,13 +113,14 @@ MultiChipSystem::access(Addr addr, bool store)
     }
 
     CacheLine data;
-    if (priv_.accessL2(la)) {
-        data = priv_.l2Line(la);
+    if (const CacheLine *hit = priv_.accessL2(la)) {
+        data = *hit;
     } else {
         Cache &llc0 = *llcs_[0];
-        if (!llc0.access(la))
-            fillLlc(la);
-        data = llc0.lineAt(llc0.find(la));
+        LineID lid = llc0.access(la);
+        if (!lid.valid)
+            lid = fillLlc(la);
+        data = llc0.lineAt(lid);
         if (auto spill = priv_.installL2(la, data))
             dirtyToLlc(spill->addr, spill->data);
     }

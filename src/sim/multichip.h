@@ -78,7 +78,8 @@ class MultiChipSystem
 
   private:
     void access(Addr addr, bool store);
-    void fillLlc(Addr addr);
+    /** Brings @p addr into the LLC; returns the slot it landed in. */
+    LineID fillLlc(Addr addr);
     void backInvalUpper(Addr addr);
     void dirtyToLlc(Addr addr, const CacheLine &data);
 

@@ -161,7 +161,7 @@ NumaSystem::preCleanHomeVictim(unsigned home, Addr addr)
     evictLlcSlot(home, vlid);
 }
 
-void
+LineID
 NumaSystem::fillLlc(Thread &t, Addr addr)
 {
     unsigned j = t.node;
@@ -184,7 +184,8 @@ NumaSystem::fillLlc(Thread &t, Addr addr)
     }
 
     std::uint8_t vway = llc_j.victimWay(addr);
-    evictLlcSlot(j, LineID(llc_j.setOf(addr), vway));
+    const LineID vlid(llc_j.setOf(addr), vway);
+    evictLlcSlot(j, vlid);
 
     if (home == j) {
         if (d.sharers & ~(1u << j))
@@ -192,7 +193,7 @@ NumaSystem::fillLlc(Thread &t, Addr addr)
                   static_cast<unsigned long long>(addr));
         llc_j.install(addr, mem_->lineAt(addr),
                       CoherenceState::Shared, vway);
-        return;
+        return vlid;
     }
 
     LinkProtocol &ch = channel(home, j);
@@ -205,6 +206,7 @@ NumaSystem::fillLlc(Thread &t, Addr addr)
     }
     ch.respond(addr, vway);
     d.sharers |= 1u << j;
+    return vlid;
 }
 
 void
@@ -220,8 +222,8 @@ NumaSystem::access(Thread &t, Addr addr, bool store)
     }
 
     CacheLine data;
-    if (t.priv.accessL2(la)) {
-        data = t.priv.l2Line(la);
+    if (const CacheLine *hit = t.priv.accessL2(la)) {
+        data = *hit;
     } else {
         Cache &llc_j = *llcs_[j];
         // A local hit on a home line may be stale if another node
@@ -239,9 +241,10 @@ NumaSystem::access(Thread &t, Addr addr, bool store)
                 ++invalidations_;
             }
         }
-        if (!llc_j.access(la))
-            fillLlc(t, la);
-        data = llc_j.lineAt(llc_j.find(la));
+        LineID lid = llc_j.access(la);
+        if (!lid.valid)
+            lid = fillLlc(t, la);
+        data = llc_j.lineAt(lid);
         if (auto spill = t.priv.installL2(la, data))
             dirtyToLlc(j, spill->addr, spill->data);
     }

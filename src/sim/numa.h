@@ -111,7 +111,8 @@ class NumaSystem
 
     void step(Thread &t);
     void access(Thread &t, Addr addr, bool store);
-    void fillLlc(Thread &t, Addr addr);
+    /** Brings @p addr into t's LLC; returns the slot it landed in. */
+    LineID fillLlc(Thread &t, Addr addr);
     void backInvalUpper(unsigned node, Addr addr);
     /** Dirty data from node's private levels reaches its LLC. */
     void dirtyToLlc(unsigned node, Addr addr, const CacheLine &data);

@@ -1,6 +1,9 @@
 #include "sim/throughput.h"
 
+#include <algorithm>
+
 #include "common/log.h"
+#include "common/worker_pool.h"
 
 namespace cable
 {
@@ -32,26 +35,48 @@ ThroughputSim::ThroughputSim(const MemSystemConfig &base,
 }
 
 void
-ThroughputSim::run(std::uint64_t ops, std::uint64_t warmup_ops)
+ThroughputSim::run(std::uint64_t ops, std::uint64_t warmup_ops,
+                   unsigned jobs)
 {
+    // A refill has one index per system, so more workers would idle.
+    WorkerPool pool(static_cast<unsigned>(
+        std::min<std::size_t>(jobs, systems_.size())));
     if (warmup_ops) {
-        runUntil(warmup_ops);
+        runUntil(warmup_ops, pool);
         for (auto &sys : systems_)
             sys->beginMeasurement();
     }
-    runUntil(ops);
+    runUntil(ops, pool);
     for (auto &sys : systems_)
         sys->finishEnergyAccounting();
 }
 
 void
-ThroughputSim::runUntil(std::uint64_t ops)
+ThroughputSim::recordAhead(std::uint64_t ops, WorkerPool &pool)
+{
+    // Each index is one whole system and no system touches another's
+    // state or the link, so the workers need no lock; the replay
+    // resumes after the join. A refill in which no system has a
+    // whole batch to record is not worth a thread start.
+    std::uint64_t most = 0;
+    for (const auto &sys : systems_)
+        most = std::max(most, sys->recordable(ops));
+    pool.run(
+        systems_.size(),
+        [&](std::size_t i) { systems_[i]->recordAhead(ops); },
+        most >= MemLinkSystem::kTapeOps);
+}
+
+void
+ThroughputSim::runUntil(std::uint64_t ops, WorkerPool &pool)
 {
     // Conservative global-time ordering across the group: always
     // advance the system whose pending thread is earliest (lowest
     // index on a tie). A step moves only the stepped system's
     // threads, so only its entry is refreshed. A finished system
-    // reads ~0, which never wins, as in a full rescan.
+    // reads ~0, which never wins, as in a full rescan. A step
+    // replays a recorded op; when the picked system has none left,
+    // every system's tape is topped up first.
     auto pending = [ops](const MemLinkSystem &sys) {
         return sys.allThreadsReached(ops) ? ~Cycles{0}
                                           : sys.nextEventTime();
@@ -71,8 +96,11 @@ ThroughputSim::runUntil(std::uint64_t ops)
         }
         if (pick == next.size())
             break;
-        systems_[pick]->stepOnce();
-        next[pick] = pending(*systems_[pick]);
+        MemLinkSystem &sys = *systems_[pick];
+        if (!sys.pendingOps() && sys.recordable(ops))
+            recordAhead(ops, pool);
+        sys.stepOnce();
+        next[pick] = pending(sys);
     }
 }
 

@@ -9,6 +9,12 @@
  * 1MB LLC slice and 4MB L4 slice with its own compression endpoint
  * (footnote 7: replicated workloads, no cross-program compression);
  * only the wire is shared.
+ *
+ * So the systems' functional halves are independent: the group runs
+ * them ahead on worker threads, a batch per system, and replays the
+ * tapes in global time order on the calling thread, where the shared
+ * link's queueing happens (MemLinkSystem::recordAhead). The result
+ * is the same for every worker count.
  */
 
 #ifndef CABLE_SIM_THROUGHPUT_H
@@ -21,6 +27,8 @@
 
 namespace cable
 {
+
+class WorkerPool;
 
 class ThroughputSim
 {
@@ -39,9 +47,12 @@ class ThroughputSim
 
     /**
      * Runs every thread for @p warmup_ops unmeasured memory
-     * operations (cache fill) and then @p ops measured ones.
+     * operations (cache fill) and then @p ops measured ones, with up
+     * to @p jobs worker threads (at most one per system) recording
+     * ahead.
      */
-    void run(std::uint64_t ops, std::uint64_t warmup_ops = 0);
+    void run(std::uint64_t ops, std::uint64_t warmup_ops = 0,
+             unsigned jobs = 1);
 
     /** Sum of per-thread IPC within the simulated group. */
     double aggregateIPC() const;
@@ -57,7 +68,9 @@ class ThroughputSim
     }
 
   private:
-    void runUntil(std::uint64_t ops);
+    void runUntil(std::uint64_t ops, WorkerPool &pool);
+    /** Tops up every system's tape, toward @p ops. */
+    void recordAhead(std::uint64_t ops, WorkerPool &pool);
 
     double group_gbs_;
     std::unique_ptr<LinkModel> link_;

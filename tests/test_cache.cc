@@ -303,13 +303,13 @@ class RefCache
     }
     Slot &slot(LineID lid) { return at(lid.set, lid.way); }
 
-    bool
+    LineID
     access(Addr a)
     {
         LineID lid = find(a);
         if (lid.valid)
             slot(lid).lru = ++clock_;
-        return lid.valid;
+        return lid;
     }
 
     std::uint8_t
@@ -641,7 +641,9 @@ TEST(PrivateCaches, L2VictimSpillsTheNewestCopy)
     EXPECT_EQ(spill->addr, kA);
     EXPECT_EQ(spill->data, newest.data);
     EXPECT_FALSE(p.holds(kA)); // inclusion: gone from L1 too
-    EXPECT_EQ(p.l2Line(kC), lineOf(3));
+    const CacheLine *c = p.accessL2(kC);
+    ASSERT_NE(c, nullptr);
+    EXPECT_EQ(*c, lineOf(3));
 
     EXPECT_FALSE(p.installL2(kA, lineOf(1))); // B: clean victim
     EXPECT_FALSE(p.holds(kB));
@@ -656,7 +658,7 @@ TEST(PrivateCaches, DropInvalidatesBothLevels)
     EXPECT_FALSE(p.drop(kA)); // clean: nothing to sink
     EXPECT_FALSE(p.holds(kA));
     EXPECT_FALSE(p.accessL1(kA));
-    EXPECT_FALSE(p.accessL2(kA));
+    EXPECT_EQ(p.accessL2(kA), nullptr);
 }
 
 TEST(PrivateCachesDeath, L1VictimOutsideL2Panics)

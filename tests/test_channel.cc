@@ -650,6 +650,30 @@ TEST(Frame, CutOrFlippedFramesGetATypedErrorOrALine)
     EXPECT_GT(flips_failed, 0u);
 }
 
+TEST(Frame, BitsAfterTheFrameAreATypedError)
+{
+    // A whole frame with 16 more payload bits planted after it: the
+    // header and the DIFF (or raw line) end before the payload end,
+    // so the frame must not decode as the line it carries.
+    std::map<std::string, unsigned> probed;
+    driveMixed(CableConfig{}, [&](CableChannel &ch, const Transfer &t,
+                                  const CacheLine &) {
+        if (probed[shapeOf(t)]++ >= 2)
+            return;
+        SCOPED_TRACE(shapeOf(t));
+        BitVec planted;
+        for (std::size_t n = 0; n < t.bits; ++n)
+            planted.pushBit(t.wire.bit(n));
+        for (unsigned n = 0; n < 16; ++n)
+            planted.pushBit(n % 3 == 0);
+        const FrameDecode d =
+            ch.decodeFrame(planted, planted.sizeBits(), t.writeback);
+        EXPECT_EQ(d.error, FrameError::TrailingBits)
+            << frameErrorName(d.error);
+    });
+    EXPECT_EQ(probed.size(), 10u);
+}
+
 TEST(Frame, DirectMappedRemoteRejectsWayOne)
 {
     // One way still gets a one-bit way field, so a frame can name a

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/alloc_guard.h"
 #include "core/eviction_buffer.h"
 
 using namespace cable;
@@ -96,4 +97,46 @@ TEST(EvictionBuffer, OutOfOrderRaceScenario)
     // Home echoes the EvictSeq; now the entry may retire.
     buf.acknowledge(seq);
     EXPECT_FALSE(buf.find(LineID(7, 3)).has_value());
+}
+
+TEST(EvictionBuffer, SteadyStateTrafficIsAllocationFree)
+{
+    // The entries live in a ring sized at construction: after a
+    // warm-up that wraps it, pushes (with overflow drops),
+    // acknowledgements and lookups allocate nothing.
+    ASSERT_TRUE(alloc_guard::hooksLinked());
+    EvictionBuffer buf(16);
+    for (std::uint32_t i = 0; i < 40; ++i)
+        buf.push(LineID(i, 0), CacheLine::filledWords(i));
+    alloc_guard::Scope guard;
+    std::uint64_t hits = 0;
+    for (std::uint32_t i = 0; i < 1000; ++i) {
+        std::uint64_t seq = buf.push(LineID(i % 64, 1),
+                                     CacheLine::filledWords(i));
+        hits += buf.find(LineID((i + 60) % 64, 1)).has_value();
+        if (i % 5 == 0)
+            buf.acknowledge(seq - 3);
+    }
+    EXPECT_EQ(guard.allocations(), 0u);
+    EXPECT_GT(hits, 0u);
+    EXPECT_LE(buf.size(), buf.capacity());
+}
+
+TEST(EvictionBuffer, RingKeepsOldestToNewestOrderAcrossTheWrap)
+{
+    EvictionBuffer buf(3);
+    for (std::uint32_t i = 1; i <= 7; ++i)
+        buf.push(LineID(i, 0), CacheLine::filledWords(i));
+    // Entries 5, 6, 7 remain; acknowledging through 6 leaves 7.
+    EXPECT_EQ(buf.size(), 3u);
+    EXPECT_FALSE(buf.find(LineID(4, 0)).has_value());
+    buf.acknowledge(6);
+    EXPECT_EQ(buf.size(), 1u);
+    EXPECT_FALSE(buf.find(LineID(6, 0)).has_value());
+    ASSERT_TRUE(buf.find(LineID(7, 0)).has_value());
+    EXPECT_EQ(*buf.find(LineID(7, 0)), CacheLine::filledWords(7));
+    StatSet s;
+    buf.snapshot(s, "");
+    EXPECT_EQ(s.get("overflow_drops"), 4u);
+    EXPECT_EQ(s.get("retired"), 2u);
 }

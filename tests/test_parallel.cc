@@ -1,7 +1,8 @@
 /**
  * @file
- * Determinism tests for the worker-pool driver: parallelFor must
- * cover every index exactly once and propagate failures, and a
+ * Determinism tests for the worker-pool driver: parallelFor and
+ * WorkerPool rounds must cover every index exactly once and
+ * propagate failures, and a
  * MultiChipBatch must produce bit-identical merged statistics for
  * every worker count (the `--jobs N == --jobs 1` contract in
  * common/worker_pool.h).
@@ -10,9 +11,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "cache/cache.h"
@@ -91,6 +94,56 @@ TEST(ParallelFor, InlineWhenSingleJob)
     });
     for (const auto &id : ids)
         EXPECT_EQ(id, caller);
+}
+
+TEST(WorkerPool, RoundsReuseTheSameThreads)
+{
+    // Many short rounds on one pool: every index once per round, and
+    // never more threads than jobs (the caller among them).
+    WorkerPool pool(4);
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    for (int round = 0; round < 50; ++round) {
+        std::vector<std::atomic<int>> hits(16);
+        pool.run(hits.size(), [&](std::size_t i) {
+            ++hits[i];
+            std::lock_guard<std::mutex> lock(mu);
+            ids.insert(std::this_thread::get_id());
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i].load(), 1) << "round " << round;
+    }
+    EXPECT_LE(ids.size(), 4u);
+    EXPECT_TRUE(ids.count(std::this_thread::get_id()));
+}
+
+TEST(WorkerPool, SerialRoundRunsOnTheCaller)
+{
+    WorkerPool pool(4);
+    std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ids(8);
+    pool.run(
+        ids.size(),
+        [&](std::size_t i) { ids[i] = std::this_thread::get_id(); },
+        false);
+    for (const auto &id : ids)
+        EXPECT_EQ(id, caller);
+}
+
+TEST(WorkerPool, RethrowsAndStaysUsable)
+{
+    WorkerPool pool(3);
+    std::vector<std::atomic<int>> hits(32);
+    EXPECT_THROW(pool.run(hits.size(),
+                          [&](std::size_t i) {
+                              ++hits[i];
+                              if (i == 7)
+                                  throw std::runtime_error("boom");
+                          }),
+                 std::runtime_error);
+    pool.run(hits.size(), [&](std::size_t i) { ++hits[i]; });
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 2) << "index " << i;
 }
 
 TEST(HardwareJobs, AtLeastOne) { EXPECT_GE(hardwareJobs(), 1u); }

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
+#include <string>
 #include <unistd.h>
 
 #include "sim/throughput.h"
@@ -141,6 +143,131 @@ TEST(Throughput, BuildingTheGroupCostsOnlyTouchedMemory)
     long grown = residentBytes() - before;
     EXPECT_LT(grown, 8l << 20) << grown / 1024 << " KiB";
     EXPECT_EQ(sim.groupSize(), 8u);
+}
+
+namespace
+{
+
+/** ThroughputSim::runUntil's schedule driven through stepOnce()
+ *  alone: the earliest pending system (lowest index on a tie) goes
+ *  next, each op recorded and replayed in one step. */
+void
+stepUntil(ThroughputSim &sim, std::uint64_t ops)
+{
+    while (true) {
+        MemLinkSystem *next = nullptr;
+        for (unsigned i = 0; i < sim.groupSize(); ++i) {
+            MemLinkSystem &sys = sim.system(i);
+            if (!sys.allThreadsReached(ops)
+                && (!next || sys.nextEventTime() < next->nextEventTime()))
+                next = &sys;
+        }
+        if (!next)
+            return;
+        next->stepOnce();
+    }
+}
+
+std::string
+dumped(const StatSet &s)
+{
+    std::ostringstream os;
+    s.dump(os);
+    return os.str();
+}
+
+/** Every per-thread clock and count, each system's protocol stats
+ *  and the shared link's, as one comparable string. */
+std::string
+stateOf(ThroughputSim &sim)
+{
+    std::ostringstream os;
+    for (unsigned i = 0; i < sim.groupSize(); ++i) {
+        MemLinkSystem &sys = sim.system(i);
+        for (unsigned t = 0; t < sys.numThreads(); ++t)
+            os << "system " << i << " thread " << t << " time "
+               << sys.threadTime(t) << " instrs " << sys.instructions(t)
+               << "\n";
+        os << dumped(sys.protocol().stats());
+    }
+    os << dumped(sim.link().stats());
+    return os.str();
+}
+
+/** The measured ops of every system: exactly @p ops. */
+void
+expectOps(ThroughputSim &sim, std::uint64_t ops)
+{
+    for (unsigned i = 0; i < sim.groupSize(); ++i) {
+        EXPECT_TRUE(sim.system(i).allThreadsReached(ops)) << i;
+        EXPECT_FALSE(sim.system(i).allThreadsReached(ops + 1)) << i;
+    }
+}
+
+} // namespace
+
+TEST(Throughput, ParallelRunMatchesSerial)
+{
+    // The functional halves run ahead on up to 8 workers, a batch
+    // per system; the replay must reproduce the one-op-at-a-time
+    // stepOnce() run exactly. Prefetching gives ops several fills.
+    constexpr std::uint64_t kWarmup = 2000, kOps = 1500;
+    MemSystemConfig cfg = threadCfg("cable");
+    cfg.prefetch_degree = 2;
+
+    ThroughputSim serial(cfg, benchmarkProfile("mcf"), 2048, 8);
+    ASSERT_EQ(serial.system(0).recordable(kWarmup),
+              MemLinkSystem::kTapeOps);
+    stepUntil(serial, kWarmup);
+    for (unsigned i = 0; i < serial.groupSize(); ++i)
+        serial.system(i).beginMeasurement();
+    stepUntil(serial, kOps);
+    expectOps(serial, kOps);
+    const std::string want = stateOf(serial);
+
+    for (unsigned jobs : {1u, 2u, 4u, 8u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ThroughputSim sim(cfg, benchmarkProfile("mcf"), 2048, 8);
+        sim.run(kOps, kWarmup, jobs);
+        expectOps(sim, kOps);
+        for (unsigned i = 0; i < sim.groupSize(); ++i)
+            EXPECT_EQ(sim.system(i).pendingOps(), 0u) << i;
+        EXPECT_EQ(stateOf(sim), want);
+        EXPECT_EQ(sim.aggregateIPC(), serial.aggregateIPC());
+    }
+}
+
+TEST(Throughput, FaultsRunInLockstep)
+{
+    // Periodic audits read the clock, so a faulty system records
+    // each op just before its replay: any worker count must match
+    // the stepOnce() run.
+    MemSystemConfig cfg = threadCfg("cable");
+    cfg.fault.bit_error_rate = 1e-4;
+    cfg.fault.drop_sync_rate = 1e-3;
+    cfg.fault.meta_corrupt_rate = 1e-4;
+    cfg.fault_audit_period = 1000;
+
+    constexpr std::uint64_t kWarmup = 1500, kOps = 1500;
+    ThroughputSim serial(cfg, benchmarkProfile("mcf"), 2048, 4);
+    EXPECT_EQ(serial.system(0).recordable(kWarmup), 0u);
+    stepUntil(serial, kWarmup);
+    for (unsigned i = 0; i < serial.groupSize(); ++i)
+        serial.system(i).beginMeasurement();
+    stepUntil(serial, kOps);
+    std::uint64_t retransmits = 0;
+    for (unsigned i = 0; i < serial.groupSize(); ++i)
+        retransmits +=
+            serial.system(i).protocol().stats().get("retransmits");
+    EXPECT_GT(retransmits, 0u);
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        ThroughputSim sim(cfg, benchmarkProfile("mcf"), 2048, 4);
+        sim.run(kOps, kWarmup, jobs);
+        EXPECT_EQ(stateOf(sim), stateOf(serial));
+        EXPECT_EQ(sim.aggregateIPC(), serial.aggregateIPC());
+    }
 }
 
 TEST(ThroughputDeath, GroupLargerThanTotalIsFatal)

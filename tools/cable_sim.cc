@@ -207,6 +207,10 @@ const Flag kFlags[] = {
      "threads simulated in detail, at most --threads"},
     {"warmup", Kind::U64, kThroughput, nullptr, 0, kNoMax,
      "warm-up ops per thread (default 4 x --ops)"},
+    {"jobs", Kind::U32, kThroughput, "0", 0, 256,
+     "worker threads running the group's systems ahead (0 = all "
+     "hardware threads, at most --group); output is the same for "
+     "every value"},
 
     // coherence and numa
     {"nodes", Kind::U32, kCoherence | kNuma, "4", 2, 64, "chips"},
@@ -863,10 +867,11 @@ cmdThroughput(const Args &a)
              threads);
     std::uint64_t ops = a.u64("ops");
     std::uint64_t warmup = a.has("warmup") ? a.u64("warmup") : 4 * ops;
+    unsigned jobs = a.u32("jobs");
 
     ThroughputSim sim(cfg, benchmarkProfile(a.benchmark), threads,
                       group);
-    sim.run(ops, warmup);
+    sim.run(ops, warmup, jobs == 0 ? hardwareJobs() : jobs);
     std::printf("benchmark          %s\n", a.benchmark.c_str());
     std::printf("scheme             %s\n", cfg.scheme.c_str());
     std::printf("threads            %u (group of %u simulated)\n",
